@@ -24,16 +24,19 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .encoding import seq_bit
 from .errors import BudgetExceededError
-from .formal import FormalSystem, active_index, negation, system_from_spec
-from .turing import TuringMachine, load_tm, run_bounded
+from .formal import FormalSystem, active_index, contradiction_scanner, system_from_spec
+from .turing import TuringMachine, halt_scanner, load_tm
 
 EVAL_BUDGET_ENV = "LEARNDIM_EVAL_BUDGET"
 DEFAULT_EVAL_BUDGET = 2**24
 
 
 def eval_budget() -> int:
-    """Evaluator-call budget for materialization, overridable via env var."""
-    raw = os.environ.get(EVAL_BUDGET_ENV)
+    """Evaluator-call budget for materialization, overridable via env var,
+    which must then hold a positive integer (ValueError otherwise)."""
+    raw = os.environ.get(EVAL_BUDGET_ENV, "").strip()
+    if raw and (not raw.isdecimal() or int(raw) == 0):
+        raise ValueError(f"{EVAL_BUDGET_ENV} must be a positive integer, got {raw!r}")
     return int(raw) if raw else DEFAULT_EVAL_BUDGET
 
 
@@ -154,63 +157,17 @@ def goedel_class(fs: FormalSystem) -> IndexedClass:
     )
 
 
-def _not_halted_predicate(tm: TuringMachine) -> Callable[[int], bool]:
-    """Memoized 'has not halted within n steps'.
-
-    Exploits monotonicity: caches the exact halting step once discovered and
-    the largest budget already verified as non-halting.
-    """
-    halt_step: int | None = None
-    checked = -1
-
-    def not_halted_by(n: int) -> bool:
-        nonlocal halt_step, checked
-        if halt_step is not None:
-            return n < halt_step
-        if n <= checked:
-            return True
-        result = run_bounded(tm, n)
-        if result.halted:
-            halt_step = result.steps
-            return n < result.steps
-        checked = n
-        return True
-
-    return not_halted_by
-
-
 def halting_class(tm: TuringMachine) -> IndexedClass:
     """Bits pass at point n while the machine has not halted within n steps."""
-    return masked_sequence_class(_not_halted_predicate(tm), "halting", "halting")
-
-
-def _prefix_consistent_predicate(fs: FormalSystem) -> Callable[[int], bool]:
-    """Incremental, cached version of formal.prefix_consistent."""
-    seen: set[int] = set()
-    scanned = -1
-    onset: int | None = None
-
-    def consistent_up_to(n: int) -> bool:
-        nonlocal scanned, onset
-        if onset is not None:
-            return n < onset
-        while scanned < n:
-            k = scanned + 1
-            code = fs.theorem(k)
-            if negation(code) in seen:
-                onset = scanned = k
-                return False
-            seen.add(code)
-            scanned = k
-        return True
-
-    return consistent_up_to
+    onset = halt_scanner(tm)
+    return masked_sequence_class(lambda n: onset(n) is None, "halting", "halting")
 
 
 def goedel_prefix_class(fs: FormalSystem) -> IndexedClass:
     """Bits pass at point n while the theorem prefix 0..n is consistent."""
+    onset = contradiction_scanner(fs)
     return masked_sequence_class(
-        _prefix_consistent_predicate(fs), "goedel_prefix", f"goedel_prefix[{fs.name}]"
+        lambda n: onset(n) is None, "goedel_prefix", f"goedel_prefix[{fs.name}]"
     )
 
 
@@ -231,18 +188,18 @@ def f_of_system(fs: FormalSystem) -> Concept:
     Zero everywhere iff the system is consistent, otherwise a threshold at
     the inconsistency onset.
     """
-    consistent_up_to = _prefix_consistent_predicate(fs)
+    onset = contradiction_scanner(fs)
     return Concept(
         kind="system",
-        fn=lambda n: 0 if consistent_up_to(n) else 1,
+        fn=lambda n: 0 if onset(n) is None else 1,
         label=f"f[{fs.name}]",
     )
 
 
 def f_of_machine(tm: TuringMachine) -> Concept:
     """Indicator of halting within n steps; a member of the step family."""
-    not_halted_by = _not_halted_predicate(tm)
-    return Concept(kind="machine", fn=lambda n: 0 if not_halted_by(n) else 1, label="f[machine]")
+    onset = halt_scanner(tm)
+    return Concept(kind="machine", fn=lambda n: 0 if onset(n) is None else 1, label="f[machine]")
 
 
 def saturating_index_count(domain_max: int) -> int:
@@ -339,7 +296,7 @@ def class_from_spec(spec: Mapping) -> IndexedClass:
         if not machine:
             raise ValueError("halting construction requires a 'machine' path")
         return halting_class(load_tm(machine))
-    raise ValueError(f"unknown construction {construction!r}")
+    raise ValueError(f"unknown class spec: construction {construction!r}")
 
 
 def load_class_spec(path) -> IndexedClass:

@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import classes, dimensions, formal, games, reduction, turing
+from . import classes, dimensions, games, reduction, turing
 from .errors import (
     BudgetExceededError,
     ClassCodeError,
@@ -40,20 +40,22 @@ def parse_class_arg(text: str) -> classes.IndexedClass:
     if text.endswith(".json"):
         return classes.load_class_spec(text)
     head, _, rest = text.partition(":")
-    if head == "step":
-        return classes.step_class()
+    spec: dict = {"construction": head}
     if head == "halting":
-        if not rest:
-            raise ValueError("halting spec needs a machine path, e.g. halting:machines/halt3.tm")
-        return classes.halting_class(turing.load_tm(rest))
-    if head in ("goedel", "goedel_prefix"):
+        spec["machine"] = rest
+    elif head in ("goedel", "goedel_prefix"):
         kind, _, onset = rest.partition(":")
-        spec: dict = {"kind": kind}
-        if kind == "inconsistent_at":
-            spec["onset"] = int(onset)
-        fs = formal.system_from_spec(spec)
-        return classes.goedel_class(fs) if head == "goedel" else classes.goedel_prefix_class(fs)
-    raise ValueError(f"unknown class spec {text!r}")
+        spec["system"] = {"kind": kind}
+        if onset:
+            spec["system"]["onset"] = onset
+    return classes.class_from_spec(spec)
+
+
+def _concept(fc: classes.FiniteClass, index: int, flag: str) -> tuple[int, ...]:
+    """Concept row `index` of the window; the CLI takes no negative indexes."""
+    if not 0 <= index < len(fc.concepts):
+        raise ValueError(f"{flag} {index} is outside the window's {len(fc.concepts)} concepts")
+    return fc.concepts[index]
 
 
 def _emit(args, payload: dict, text_lines: list[str], csv_text: str | None = None) -> None:
@@ -136,7 +138,7 @@ def cmd_teach(args) -> int:
     n, m = _window(args, default=(8, 10) if ic.provenance == "step" else (5, 64))
     fc = classes.materialize(ic, n, m)
     if args.index is not None:
-        ts = dimensions.teaching_set(fc, fc.concepts[args.index])
+        ts = dimensions.teaching_set(fc, _concept(fc, args.index, "--index"))
         payload = ts.to_json_dict()
         _emit(args, payload, [f"teaching set for concept {args.index}: {list(ts.examples)}"])
         return EXIT_OK
@@ -180,6 +182,8 @@ ADVERSARIES = {
 
 
 def cmd_game(args) -> int:
+    if args.max_rounds is not None and args.max_rounds < 0:
+        raise ValueError(f"--max-rounds must be nonnegative, got {args.max_rounds}")
     ic = parse_class_arg(args.class_spec)
     n, m = _window(args)
     fc = classes.materialize(ic, n, m)
@@ -198,7 +202,7 @@ def cmd_pac(args) -> int:
     ic = parse_class_arg(args.class_spec)
     n, m = _window(args)
     fc = classes.materialize(ic, n, m)
-    target = fc.concepts[args.target_index]
+    target = _concept(fc, args.target_index, "--target-index")
     dist = {x: 1 for x in fc.domain}
     report = games.pac_experiment(
         fc,

@@ -10,7 +10,7 @@ stabilization flag), never a proof of the infinite-class value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Iterable, Sequence
 
 from .classes import (
@@ -21,7 +21,7 @@ from .classes import (
     materialize,
     step_concept,
 )
-from .encoding import index_of_pattern
+from .encoding import MAX_CODE, index_of_pattern
 from .errors import BudgetExceededError, WitnessUnresolvedError
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
@@ -101,6 +101,9 @@ class LittlestoneTree:
     def uniform(cls, layer_points: Sequence[int]) -> "LittlestoneTree":
         """Tree labelling every node of layer k by layer_points[k]."""
         depth = len(layer_points)
+        # Same test as 2**depth > DEFAULT_SEARCH_BUDGET, without building 2**depth.
+        if depth >= DEFAULT_SEARCH_BUDGET.bit_length():
+            raise BudgetExceededError(f"depth-{depth} tree has over {DEFAULT_SEARCH_BUDGET} paths")
         labels: dict[tuple[int, ...], int] = {}
         for k, x in enumerate(layer_points):
             for bits in range(2**k):
@@ -346,35 +349,34 @@ def tree_witness(
 
     labeling "layer" puts point k at every node of layer k; "active" uses
     the first `depth` points where the class's activity predicate holds.
-    Raises WitnessUnresolvedError when the labels cannot be found within the
-    scan limit or any path fails verification; never returns an unverified
-    tree.
+    Raises BudgetExceededError for trees of over DEFAULT_SEARCH_BUDGET paths,
+    and WitnessUnresolvedError when the labels cannot be found within the
+    scan limit, need an index past the 2**64 ceiling, or any path fails
+    verification; never returns an unverified tree.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if labeling == "layer":
-        layer_points = list(range(depth))
+        layer_points = range(depth)
     elif labeling == "active":
         if ic.active is None:
             raise ValueError("active labeling requires a class with an activity predicate")
-        layer_points = []
-        for n in range(scan_limit + 1):
-            if ic.active(n):
-                layer_points.append(n)
-                if len(layer_points) == depth:
-                    break
+        actives = (n for n in range(scan_limit + 1) if ic.active(n))
+        layer_points = list(islice(actives, depth))
         if len(layer_points) < depth:
             raise WitnessUnresolvedError(
                 f"found only {len(layer_points)} active points below {scan_limit}, "
                 f"need {depth}; witness unresolved"
             )
+        if layer_points and 1 << layer_points[-1] >= MAX_CODE:
+            raise WitnessUnresolvedError(f"active point {layer_points[-1]} needs an index past 2**64")
     else:
         raise ValueError(f"unknown labeling {labeling!r}")
 
     tree = LittlestoneTree.uniform(layer_points)
     if not tree.verify_constructive(ic):
         raise WitnessUnresolvedError(
-            f"depth-{depth} tree with layer points {layer_points} is not realizable"
+            f"depth-{depth} tree with layer points {list(layer_points)} is not realizable"
         )
     return tree
 

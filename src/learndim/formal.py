@@ -40,33 +40,45 @@ def active_index(fs: FormalSystem, n: int) -> bool:
     return fs.theorem(i) == negation(fs.theorem(j))
 
 
+def contradiction_scanner(fs: FormalSystem) -> Callable[[int], int | None]:
+    """Resumable scan for the first contradictory theorem pair.
+
+    Returns onset(n): the smallest k <= n such that theorem(k) negates some
+    theorem(i) with i < k, else None.  The set of theorems seen so far is
+    shared by all calls, so each theorem is enumerated at most once.
+    """
+    seen: set[int] = set()
+    scanned = -1
+    found: int | None = None
+
+    def onset(n: int) -> int | None:
+        nonlocal scanned, found
+        if found is None:
+            theorem = fs.theorem
+            for k in range(scanned + 1, n + 1):
+                code = theorem(k)
+                if negation(code) in seen:
+                    found = k
+                    break
+                seen.add(code)
+                scanned = k
+        return found if found is not None and found <= n else None
+
+    return onset
+
+
 def prefix_consistent(fs: FormalSystem, n: int) -> bool:
     """True iff no contradictory pair occurs among theorem(0..n).
 
     Antitone in n: once a contradiction appears it never disappears.  Codes
     are indexed from 0 throughout this package.
     """
-    seen: set[int] = set()
-    for k in range(n + 1):
-        code = fs.theorem(k)
-        if negation(code) in seen:
-            return False
-        seen.add(code)
-    return True
+    return contradiction_scanner(fs)(n) is None
 
 
 def inconsistency_onset(fs: FormalSystem, scan_limit: int) -> int | None:
-    """Smallest n <= scan_limit with an inconsistent prefix, or None.
-
-    Single incremental pass, so scanning large prefixes stays linear.
-    """
-    seen: set[int] = set()
-    for k in range(scan_limit + 1):
-        code = fs.theorem(k)
-        if negation(code) in seen:
-            return k
-        seen.add(code)
-    return None
+    """Smallest n <= scan_limit with an inconsistent prefix, or None."""
+    return contradiction_scanner(fs)(scan_limit)
 
 
 def consistent_toy() -> FormalSystem:

@@ -21,7 +21,7 @@ predicate used by the class constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import MachineParseError
 
@@ -192,6 +192,27 @@ def trace(tm: TuringMachine, budget: int) -> Iterator[Configuration]:
         yield step(tm, config)
 
 
+def halt_scanner(tm: TuringMachine) -> Callable[[int], int | None]:
+    """Resumable halting scan on the empty input.
+
+    Returns onset(n): the halting step K if K <= n, else None.  One paused
+    configuration is shared by all calls, so each call only steps past the
+    budget earlier calls already covered, whatever order the queries come in.
+    """
+    paused = initial_configuration(tm)
+    halting = tm.halting
+
+    def onset(n: int) -> int | None:
+        config = paused  # a local, not a closure cell: read on every step
+        while config.state != halting:
+            if config.steps_taken >= n:
+                return None
+            step(tm, config)
+        return config.steps_taken if config.steps_taken <= n else None
+
+    return onset
+
+
 def run_bounded(tm: TuringMachine, budget: int) -> RunResult:
     """Run on the empty input for at most `budget` transition applications.
 
@@ -201,12 +222,8 @@ def run_bounded(tm: TuringMachine, budget: int) -> RunResult:
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    config = initial_configuration(tm)
-    while config.state != tm.halting:
-        if config.steps_taken >= budget:
-            return RunResult(halted=False, steps=budget)
-        step(tm, config)
-    return RunResult(halted=True, steps=config.steps_taken)
+    k = halt_scanner(tm)(budget)
+    return RunResult(halted=False, steps=budget) if k is None else RunResult(halted=True, steps=k)
 
 
 def halts_within(tm: TuringMachine, n: int) -> bool:

@@ -3,8 +3,10 @@
 Everything here works straight from the definitions with exhaustive or
 backtracking search and no shared code with the optimized routines: VC by
 checking every subset, the mistake-tree dimension by direct tree search,
-teaching sets by trying every example set in size order, and the gated-class
-evaluators by literal transcription of their two-clause definitions.
+teaching sets by trying every example set in size order, the gated-class
+evaluators by literal transcription of their two-clause definitions, machine
+runs by walking the transition table, and prefix consistency by comparing
+every pair of theorems.
 """
 
 from __future__ import annotations
@@ -85,11 +87,39 @@ def goedel_eval_oracle(theorem, m: int, n: int) -> int:
     return 0
 
 
+def halting_step_oracle(tm, budget: int) -> int | None:
+    """Halting step K <= budget on the empty input, or None, by a literal
+    walk through tm.transitions: one table lookup and one move per step."""
+    tape: dict[int, str] = {}
+    head, state, steps = 0, tm.initial, 0
+    while state != tm.halting:
+        if steps >= budget:
+            return None
+        write, move, state = tm.transitions[(state, tape.get(head, tm.blank))]
+        tape[head] = write
+        head += 1 if move == "R" else -1
+        steps += 1
+    return steps
+
+
 def halting_eval_oracle(tm, m: int, n: int) -> int:
     """Literal two-clause evaluator of the halting-gated class, driven by a
     freshly simulated run each call."""
-    from learndim import run_bounded
-
-    if not run_bounded(tm, n).halted:
+    if halting_step_oracle(tm, n) is None:
         return bit_of(m, n)
     return 0
+
+
+def prefix_consistent_oracle(theorem, n: int) -> bool:
+    """No pair i, j <= n with theorem(i) the negation (code XOR 1) of
+    theorem(j), checked pair by pair."""
+    codes = [theorem(i) for i in range(n + 1)]
+    return not any(a == b ^ 1 for a in codes for b in codes)
+
+
+def inconsistency_onset_oracle(theorem, limit: int) -> int | None:
+    """Smallest k <= limit whose theorem negates an earlier one, or None."""
+    for k in range(limit + 1):
+        if any(theorem(i) == theorem(k) ^ 1 for i in range(k)):
+            return k
+    return None

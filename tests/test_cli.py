@@ -189,3 +189,66 @@ def test_unknown_class_spec_exit_1(capsys):
     code, _, err = run_cli(capsys, "dim", "--class", "mystery:thing")
     assert code == 1
     assert "unknown class spec" in err
+
+
+def assert_one_line_error(code, err, want_code=1):
+    assert code == want_code
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("teach", "--class", "step", "--index", "99"),
+        ("teach", "--class", "step", "--index", "-1"),
+        ("pac", "--class", f"halting:{HALT3}", "--target-index", "99"),
+        ("pac", "--class", f"halting:{HALT3}", "--target-index", "-1"),
+    ],
+)
+def test_concept_index_out_of_range_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_line_error(code, err)
+    assert "outside the window" in err and out == ""
+
+
+def test_game_negative_max_rounds_exit_1(capsys):
+    code, _, err = run_cli(capsys, "game", "--class", "step", "--max-rounds", "-1")
+    assert_one_line_error(code, err)
+    assert "--max-rounds" in err
+
+
+@pytest.mark.parametrize("value", ["-5", "0", "lots"])
+def test_bad_eval_budget_env_exit_1(capsys, monkeypatch, value):
+    monkeypatch.setenv("LEARNDIM_EVAL_BUDGET", value)
+    code, _, err = run_cli(capsys, "dim", "--class", "step", "--window", "3")
+    assert_one_line_error(code, err)
+    assert "LEARNDIM_EVAL_BUDGET" in err
+
+
+def test_tree_past_index_ceiling_exit_3(capsys):
+    # The 7th active point of goedel:inconsistent is 97: its witness index
+    # would be past 2**64.
+    code, _, err = run_cli(capsys, "tree", "--class", "goedel:inconsistent", "--depth", "7")
+    assert_one_line_error(code, err, want_code=3)
+    assert "unresolved" in err
+
+
+def test_tree_below_index_ceiling_unchanged(capsys):
+    code, out, _ = run_cli(capsys, "tree", "--class", "goedel:inconsistent", "--depth", "6")
+    assert code == 0
+    assert out == "depth-6 witness verified on all 64 paths\n"
+
+
+def test_tree_depth_over_search_budget_exit_3(capsys):
+    code, _, err = run_cli(capsys, "tree", "--class", f"halting:{LOOP}", "--depth", "200")
+    assert_one_line_error(code, err, want_code=3)
+    assert "budget exceeded" in err
+
+
+def test_goedel_prefix_onset_spec(capsys):
+    # inconsistent_at:2 turns inconsistent at theorem 3: active points 0, 1, 2.
+    code, out, _ = run_cli(
+        capsys, "dim", "--class", "goedel_prefix:inconsistent_at:2", "--window", "6"
+    )
+    assert code == 0
+    assert "vc on window (6, 128): 3" in out

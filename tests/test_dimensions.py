@@ -10,6 +10,7 @@ import pytest
 from learndim import (
     BudgetExceededError,
     FiniteClass,
+    LittlestoneTree,
     WitnessUnresolvedError,
     consistent_toy,
     escape_witness,
@@ -308,3 +309,15 @@ def test_window_monotonicity(halters, loopers):
             for key in values:
                 assert values[key] >= previous[key]
             previous = values
+
+
+def test_tree_size_bounded_before_allocation(loopers):
+    with pytest.raises(BudgetExceededError):
+        LittlestoneTree.uniform(range(200))
+    with pytest.raises(BudgetExceededError):
+        tree_witness(halting_class(loopers[0]), 10**9, "layer")
+
+
+def test_tree_witness_depth_zero_active(loopers):
+    tree = tree_witness(halting_class(loopers[0]), 0, "active")
+    assert tree.depth == 0 and tree.labels == {}
