@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .encoding import seq_bit
@@ -91,7 +92,8 @@ class FiniteClass:
 
     Concepts are bit vectors over `domain`; `witnesses[i]` is the smallest
     index realizing concept i (or the row's first position for synthetic
-    classes built via from_rows).
+    classes built via from_rows).  Sets of concepts are `int` bitmasks over
+    concept ids: bit i stands for concept i.
     """
 
     domain: tuple[int, ...]
@@ -123,6 +125,26 @@ class FiniteClass:
             return self.domain.index(x)
         except ValueError:
             raise ValueError(f"point {x} not in domain window") from None
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Per domain column, the bitmask of the concepts labelling it 1
+        (built from a binary string, linear in the number of concepts)."""
+        rows = self.concepts[::-1]
+        return tuple(
+            int("".join(["1" if concept[col] else "0" for concept in rows]) or "0", 2)
+            for col in range(len(self.domain))
+        )
+
+    @cached_property
+    def all_ids(self) -> int:
+        """Bitmask of every concept."""
+        return (1 << len(self.concepts)) - 1
+
+    def labelled(self, x: int, y: int) -> int:
+        """Bitmask of the concepts labelling point x with y."""
+        ones = self.masks[self.column(x)]
+        return ones if y else ones ^ self.all_ids
 
     def to_csv_text(self) -> str:
         header = "witness," + ",".join(str(x) for x in self.domain)
@@ -282,6 +304,8 @@ def class_from_spec(spec: Mapping) -> IndexedClass:
     {"construction": "halting", "machine": <path to machine file>}
     {"construction": "step"}
     """
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"class spec must be a JSON object, got {type(spec).__name__}")
     construction = spec.get("construction")
     if construction == "step":
         return step_class()
@@ -293,7 +317,7 @@ def class_from_spec(spec: Mapping) -> IndexedClass:
         return goedel_class(fs) if construction == "goedel" else goedel_prefix_class(fs)
     if construction == "halting":
         machine = spec.get("machine")
-        if not machine:
+        if not isinstance(machine, str) or not machine:
             raise ValueError("halting construction requires a 'machine' path")
         return halting_class(load_tm(machine))
     raise ValueError(f"unknown class spec: construction {construction!r}")

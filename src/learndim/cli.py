@@ -75,6 +75,8 @@ def _emit(args, payload: dict, text_lines: list[str], csv_text: str | None = Non
 def _window(args, default: tuple[int, int] = (5, 64)) -> tuple[int, int]:
     if args.window is None:
         return default
+    if len(args.window) > 2:
+        raise ValueError(f"--window takes N [M], got {len(args.window)} integers")
     n = args.window[0]
     m = args.window[1] if len(args.window) > 1 else classes.saturating_index_count(n)
     return n, m
@@ -175,9 +177,9 @@ LEARNERS = {
 }
 
 ADVERSARIES = {
-    "tree": lambda fc, seed: games.tree_adversary(fc, dimensions.littlestone_dim(fc).certificate),
-    "random": lambda fc, seed: games.RandomConsistentAdversary(fc, seed),
-    "flip": lambda fc, seed: games.MajorityFlipAdversary(fc),
+    "tree": lambda fc, seed, tree: games.tree_adversary(fc, tree),
+    "random": lambda fc, seed, tree: games.RandomConsistentAdversary(fc, seed),
+    "flip": lambda fc, seed, tree: games.MajorityFlipAdversary(fc),
 }
 
 
@@ -187,9 +189,10 @@ def cmd_game(args) -> int:
     ic = parse_class_arg(args.class_spec)
     n, m = _window(args)
     fc = classes.materialize(ic, n, m)
-    ldim = dimensions.littlestone_dim(fc).value
+    report = dimensions.littlestone_dim(fc)
+    ldim = report.value
     learner = LEARNERS[args.learner](fc, args.seed)
-    adversary = ADVERSARIES[args.adversary](fc, args.seed)
+    adversary = ADVERSARIES[args.adversary](fc, args.seed, report.certificate)
     rounds = args.max_rounds if args.max_rounds is not None else max(ldim, 1) + len(fc.domain)
     transcript = games.play_online_game(fc, learner, adversary, rounds)
     payload = transcript.to_json_dict()

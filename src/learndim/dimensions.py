@@ -156,7 +156,11 @@ class LittlestoneTree:
 
 
 def is_shattered(fc: FiniteClass, subset: Iterable[int]) -> bool:
-    """True iff every label pattern on `subset` occurs among the concepts."""
+    """True iff every label pattern on `subset` occurs among the concepts.
+
+    Counts row patterns, linear in the number of concepts; splitting id
+    masks point by point would cost 2**|subset| masks as wide as the class.
+    """
     points = tuple(subset)
     cols = [fc.column(x) for x in points]
     want = 2 ** len(points)
@@ -194,55 +198,63 @@ def vc_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionReport:
     raise AssertionError("empty set is always shattered for a nonempty class")
 
 
-def littlestone_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionReport:
-    """Exact Littlestone dimension with an optimal mistake tree certificate.
+def littlestone_memo(masks: Sequence[int], limit: int) -> Callable[[int], int]:
+    """Memoized Littlestone dimension of a set of concepts, given as a bitmask
+    of concept ids over a class with these per-point `masks`.
 
-    Uses the game recursion: a singleton has dimension 0, otherwise the max
-    over points splitting the class of 1 + min of the two label-restriction
-    dimensions.  Memoized on concept subsets; equivalent to the maximal
-    realizable tree depth (cross-checked against direct tree search in the
-    test suite).
+    The recursion: one concept has dimension 0, otherwise the max over points
+    splitting the set of 1 + min of the two label-restriction dimensions.
+    Every memo miss counts against `limit` (BudgetExceededError past it).
     """
-    _require_nonempty(fc)
-    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    memo: dict[frozenset[int], int] = {}
-    calls = 0
+    memo: dict[int, int] = {}
+    misses = 0
 
-    def dim(ids: frozenset[int]) -> int:
-        nonlocal calls
+    def dim(ids: int) -> int:
+        nonlocal misses
         cached = memo.get(ids)
         if cached is not None:
             return cached
-        calls += 1
-        if calls > limit:
+        misses += 1
+        if misses > limit:
             raise BudgetExceededError(f"littlestone_dim exceeded {limit} recursion states")
         best = 0
-        if len(ids) > 1:
-            for col in range(len(fc.domain)):
-                zeros = frozenset(i for i in ids if fc.concepts[i][col] == 0)
-                if not zeros or len(zeros) == len(ids):
+        if ids & (ids - 1):
+            for ones in masks:
+                ones &= ids
+                if not ones or ones == ids:
                     continue
-                ones = ids - zeros
-                d = 1 + min(dim(zeros), dim(ones))
+                d = 1 + min(dim(ids ^ ones), dim(ones))
                 if d > best:
                     best = d
         memo[ids] = best
         return best
 
-    all_ids = frozenset(range(len(fc.concepts)))
-    value = dim(all_ids)
+    return dim
+
+
+def littlestone_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionReport:
+    """Exact Littlestone dimension with an optimal mistake tree certificate.
+
+    Uses the game recursion of `littlestone_memo`, memoized on concept-id
+    bitmasks; the same memo then picks the first splitting point at each
+    node of the tree.  Equivalent to the maximal realizable tree depth
+    (cross-checked against direct tree search in the test suite).
+    """
+    _require_nonempty(fc)
+    dim = littlestone_memo(fc.masks, DEFAULT_SEARCH_BUDGET if budget is None else budget)
+    value = dim(fc.all_ids)
 
     labels: dict[tuple[int, ...], int] = {}
 
-    def fill(ids: frozenset[int], prefix: tuple[int, ...]) -> None:
+    def fill(ids: int, prefix: tuple[int, ...]) -> None:
         remaining = value - len(prefix)
         if remaining == 0:
             return
-        for col, x in enumerate(fc.domain):
-            zeros = frozenset(i for i in ids if fc.concepts[i][col] == 0)
-            if not zeros or len(zeros) == len(ids):
+        for x, ones in zip(fc.domain, fc.masks):
+            ones &= ids
+            if not ones or ones == ids:
                 continue
-            ones = ids - zeros
+            zeros = ids ^ ones
             if min(dim(zeros), dim(ones)) >= remaining - 1:
                 labels[prefix] = x
                 fill(zeros, prefix + (0,))
@@ -250,49 +262,38 @@ def littlestone_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionR
                 return
         raise AssertionError("no splitting point found while building an optimal tree")
 
-    fill(all_ids, ())
+    fill(fc.all_ids, ())
     tree = LittlestoneTree(depth=value, labels=labels)
     return DimensionReport(measure="littlestone", value=value, certificate=tree)
-
-
-def _disagreement_sets(fc: FiniteClass, target: tuple[int, ...]) -> list[frozenset[int]]:
-    sets = []
-    for concept in fc.concepts:
-        if concept == target:
-            continue
-        sets.append(
-            frozenset(x for col, x in enumerate(fc.domain) if concept[col] != target[col])
-        )
-    return sets
 
 
 def teaching_set(
     fc: FiniteClass, concept: Sequence[int], *, budget: int | None = None
 ) -> TeachingSet:
-    """Minimum teaching set for `concept`, as a minimum hitting set over the
-    disagreement sets with every other concept.
+    """Minimum teaching set for `concept`, as a minimum cover of the other
+    concepts by the points that rule them out (disagree with `concept`).
 
     A greedy cover gives the upper bound, then exhaustive search over subset
     sizes below it makes the result exact; ties resolve to the
     lexicographically smallest set of points.
     """
     target = tuple(concept)
-    fc.index_of(target)  # raises if the concept is not in the class
+    others = fc.all_ids ^ (1 << fc.index_of(target))
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    disagreements = _disagreement_sets(fc, target)
-    if not disagreements:
+    if not others:
         return TeachingSet(target=target, examples=())
+    label = dict(zip(fc.domain, target))
+    rules_out = {x: fc.labelled(x, 1 - y) for x, y in label.items()}
+    candidates = sorted(x for x, ids in rules_out.items() if ids)
 
-    candidates = sorted(set().union(*disagreements))
-
-    uncovered = list(disagreements)
+    uncovered = others
     greedy: list[int] = []
     while uncovered:
-        x = max(candidates, key=lambda p: sum(p in d for d in uncovered))
-        # Every disagreement set is nonempty (concepts are deduplicated), so
-        # greedy always makes progress.
+        x = max(candidates, key=lambda p: (rules_out[p] & uncovered).bit_count())
+        # Every other concept disagrees somewhere (concepts are deduplicated),
+        # so greedy always makes progress.
         greedy.append(x)
-        uncovered = [d for d in uncovered if x not in d]
+        uncovered &= ~rules_out[x]
     upper = len(greedy)
 
     checked = 0
@@ -303,13 +304,11 @@ def teaching_set(
                 raise BudgetExceededError(
                     f"teaching_set exceeded {limit} subset checks at size {size}"
                 )
-            chosen = set(points)
-            if all(chosen & d for d in disagreements):
-                cols = {x: fc.column(x) for x in points}
-                return TeachingSet(
-                    target=target,
-                    examples=tuple((x, target[cols[x]]) for x in points),
-                )
+            covered = 0
+            for x in points:
+                covered |= rules_out[x]
+            if covered == others:
+                return TeachingSet(target=target, examples=tuple((x, label[x]) for x in points))
     raise AssertionError("greedy cover bounds the exact search")
 
 

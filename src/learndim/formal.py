@@ -110,7 +110,7 @@ def system_from_spec(spec: Mapping) -> FormalSystem:
     """Build a toy system from a config mapping.
 
     Accepted forms: {"kind": "consistent"}, {"kind": "inconsistent"},
-    {"kind": "inconsistent_at", "onset": k}.
+    {"kind": "inconsistent_at", "onset": k}, k an int or a decimal string.
     """
     kind = spec.get("kind")
     if kind == "consistent":
@@ -118,7 +118,8 @@ def system_from_spec(spec: Mapping) -> FormalSystem:
     if kind == "inconsistent":
         return inconsistent_toy()
     if kind == "inconsistent_at":
-        if "onset" not in spec:
-            raise ValueError("inconsistent_at requires an 'onset' entry")
-        return inconsistent_toy_at(int(spec["onset"]))
+        onset = spec.get("onset")
+        if isinstance(onset, bool) or not isinstance(onset, (int, str)):
+            raise ValueError(f"inconsistent_at requires an integer 'onset' entry, got {onset!r}")
+        return inconsistent_toy_at(int(onset))
     raise ValueError(f"unknown system kind {kind!r}")

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .classes import FiniteClass
 from .errors import ProtocolViolationError
-from .dimensions import LittlestoneTree, littlestone_dim
+from .dimensions import DEFAULT_SEARCH_BUDGET, LittlestoneTree, littlestone_memo
 
 
 @dataclass(frozen=True)
@@ -36,60 +36,48 @@ class GameTranscript:
         }
 
 
-class _VersionSpace:
-    """Concept ids of a finite class consistent with the history so far."""
-
-    def __init__(self, fc: FiniteClass):
-        self.fc = fc
-        self.ids = list(range(len(fc.concepts)))
-
-    def split(self, x: int) -> tuple[list[int], list[int]]:
-        col = self.fc.column(x)
-        zeros = [i for i in self.ids if self.fc.concepts[i][col] == 0]
-        ones = [i for i in self.ids if self.fc.concepts[i][col] == 1]
-        return zeros, ones
-
-    def observe(self, x: int, y: int) -> None:
-        col = self.fc.column(x)
-        self.ids = [i for i in self.ids if self.fc.concepts[i][col] == y]
-
-
-def soa_predict(version_space: FiniteClass, x: int) -> int:
-    """Label whose restriction keeps the larger Littlestone dimension.
-
-    Ties predict 0.  Guarantees at most Ldim mistakes against any
-    realizable adversary.  Raises on an empty version space, which can only
-    mean the adversary violated realizability.
-    """
-    if not version_space.concepts:
-        raise ValueError("version space is empty: adversary violated realizability")
-    col = version_space.column(x)
-    zeros = [c for c in version_space.concepts if c[col] == 0]
-    ones = [c for c in version_space.concepts if c[col] == 1]
-    if not zeros:
-        return 1
-    if not ones:
-        return 0
-    dim0 = littlestone_dim(FiniteClass.from_rows(version_space.domain, zeros)).value
-    dim1 = littlestone_dim(FiniteClass.from_rows(version_space.domain, ones)).value
-    return 1 if dim1 > dim0 else 0
+def _first_concept(fc: FiniteClass, ids: int) -> tuple[int, ...]:
+    """The concept at the lowest set bit of a nonempty id mask."""
+    return fc.concepts[(ids & -ids).bit_length() - 1]
 
 
 class SOALearner:
-    """Standard optimal algorithm: predict the argmax-dimension restriction."""
+    """Standard optimal algorithm: predict the label whose restriction of the
+    version space keeps the larger Littlestone dimension; ties predict 0.
+
+    Makes at most Ldim mistakes against any realizable adversary.  The
+    version space is a bitmask of concept ids, and one Littlestone memo
+    serves every round of the game.  Every state it visits is a state of the
+    full class's recursion, charged against DEFAULT_SEARCH_BUDGET.
+    """
 
     def __init__(self, fc: FiniteClass):
-        self.space = _VersionSpace(fc)
+        self.fc = fc
+        self.ids = fc.all_ids
+        self.dim = littlestone_memo(fc.masks, DEFAULT_SEARCH_BUDGET)
 
     def predict(self, x: int) -> int:
-        fc = self.space.fc
-        current = FiniteClass.from_rows(
-            fc.domain, [fc.concepts[i] for i in self.space.ids]
-        )
-        return soa_predict(current, x)
+        if not self.ids:
+            raise ValueError("version space is empty: adversary violated realizability")
+        ones = self.ids & self.fc.labelled(x, 1)
+        zeros = self.ids ^ ones
+        if not zeros:
+            return 1
+        if not ones:
+            return 0
+        return 1 if self.dim(ones) > self.dim(zeros) else 0
 
     def observe(self, x: int, y: int) -> None:
-        self.space.observe(x, y)
+        self.ids &= self.fc.labelled(x, y)
+
+
+def soa_predict(version_space: FiniteClass, x: int) -> int:
+    """SOA's prediction at x with the whole class as the version space.
+
+    Raises on an empty version space, which can only mean the adversary
+    violated realizability.
+    """
+    return SOALearner(version_space).predict(x)
 
 
 class ConstantLearner:
@@ -128,7 +116,7 @@ class TreeAdversary:
         self.fc = fc
         self.tree = tree
         self.prefix: tuple[int, ...] = ()
-        self.space = _VersionSpace(fc)
+        self.ids = fc.all_ids
         self.committed: tuple[int, ...] | None = None
         self._cycle = 0
 
@@ -145,11 +133,11 @@ class TreeAdversary:
             self.prefix = self.prefix + (truth,)
         else:
             if self.committed is None:
-                if not self.space.ids:
+                if not self.ids:
                     raise ValueError("no concept consistent with the tree history")
-                self.committed = self.fc.concepts[self.space.ids[0]]
+                self.committed = _first_concept(self.fc, self.ids)
             truth = self.committed[self.fc.column(x)]
-        self.space.observe(x, truth)
+        self.ids &= self.fc.labelled(x, truth)
         return truth
 
 
@@ -158,19 +146,19 @@ class RandomConsistentAdversary:
 
     def __init__(self, fc: FiniteClass, seed: int = 0):
         self.fc = fc
-        self.space = _VersionSpace(fc)
+        self.ids = fc.all_ids
         self.rng = random.Random(seed)
 
     def question(self) -> int:
         return self.rng.choice(self.fc.domain)
 
     def reveal(self, x: int, guess: int) -> int:
-        zeros, ones = self.space.split(x)
-        if zeros and ones:
+        ones = self.ids & self.fc.labelled(x, 1)
+        if ones and ones != self.ids:
             truth = self.rng.randint(0, 1)
         else:
             truth = 1 if ones else 0
-        self.space.observe(x, truth)
+        self.ids &= self.fc.labelled(x, truth)
         return truth
 
 
@@ -183,28 +171,20 @@ class MajorityFlipAdversary:
 
     def __init__(self, fc: FiniteClass):
         self.fc = fc
-        self.space = _VersionSpace(fc)
+        self.ids = fc.all_ids
 
     def question(self) -> int:
-        best_x = self.fc.domain[0]
-        best_minority = -1
-        for x in self.fc.domain:
-            zeros, ones = self.space.split(x)
-            minority = min(len(zeros), len(ones))
-            if minority > best_minority:
-                best_minority = minority
-                best_x = x
-        return best_x
+        size = self.ids.bit_count()
+        counts = [(self.ids & ones).bit_count() for ones in self.fc.masks]
+        minorities = [min(size - count, count) for count in counts]
+        return self.fc.domain[minorities.index(max(minorities))]
 
     def reveal(self, x: int, guess: int) -> int:
-        zeros, ones = self.space.split(x)
-        if not ones:
-            truth = 0
-        elif not zeros:
-            truth = 1
-        else:
-            truth = 0 if len(zeros) <= len(ones) else 1
-        self.space.observe(x, truth)
+        ones = (self.ids & self.fc.labelled(x, 1)).bit_count()
+        zeros = self.ids.bit_count() - ones
+        # The label fewer concepts carry (ties 0), unless no concept carries it.
+        truth = 1 if ones and not 0 < zeros <= ones else 0
+        self.ids &= self.fc.labelled(x, truth)
         return truth
 
 
@@ -225,7 +205,7 @@ def play_online_game(
     """
     rounds: list[tuple[int, int, int]] = []
     witnesses: list[tuple[int, ...]] = []
-    history: list[tuple[int, int]] = []
+    consistent = fc.all_ids
     mistakes = 0
     for t in range(1, max_rounds + 1):
         x = adversary.question()
@@ -233,26 +213,15 @@ def play_online_game(
         truth = adversary.reveal(x, guess)
         if truth not in (0, 1):
             raise ProtocolViolationError(f"adversary revealed non-bit label {truth!r}", t)
-        history.append((x, truth))
-        witness = _consistent_concept(fc, history)
-        if witness is None:
+        consistent &= fc.labelled(x, truth)
+        if not consistent:
             raise ProtocolViolationError("revealed history is unrealizable", t)
-        witnesses.append(witness)
+        witnesses.append(_first_concept(fc, consistent))
         rounds.append((x, guess, truth))
         if guess != truth:
             mistakes += 1
         learner.observe(x, truth)
     return GameTranscript(rounds=tuple(rounds), mistakes=mistakes, witnesses=tuple(witnesses))
-
-
-def _consistent_concept(
-    fc: FiniteClass, history: Sequence[tuple[int, int]]
-) -> tuple[int, ...] | None:
-    cols = [(fc.column(x), y) for x, y in history]
-    for concept in fc.concepts:
-        if all(concept[col] == y for col, y in cols):
-            return concept
-    return None
 
 
 def erm(fc: FiniteClass, sample: Sequence[tuple[int, int]]) -> tuple[int, ...]:

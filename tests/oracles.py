@@ -3,7 +3,9 @@
 Everything here works straight from the definitions with exhaustive or
 backtracking search and no shared code with the optimized routines: VC by
 checking every subset, the mistake-tree dimension by direct tree search,
-teaching sets by trying every example set in size order, the gated-class
+teaching sets by trying every example set in size order, the Littlestone
+recursion's state count by breadth-first search, SOA predictions by
+comparing the mistake-tree dimensions of the two restrictions, the gated-class
 evaluators by literal transcription of their two-clause definitions, machine
 runs by walking the transition table, and prefix consistency by comparing
 every pair of theorems.
@@ -50,6 +52,37 @@ def naive_littlestone_dim(fc: FiniteClass) -> int:
     while _tree_exists(fc, ids, depth + 1):
         depth += 1
     return depth
+
+
+def naive_littlestone_states(fc: FiniteClass) -> int:
+    """Number of distinct concept sets the Littlestone recursion visits: the
+    whole class and every proper split of a visited set of two or more."""
+    seen = {frozenset(range(len(fc.concepts)))}
+    todo = list(seen)
+    while todo:
+        ids = todo.pop()
+        for col in range(len(fc.domain)):
+            zeros = frozenset(i for i in ids if fc.concepts[i][col] == 0)
+            for part in (zeros, ids - zeros):
+                if part and part != ids and part not in seen:
+                    seen.add(part)
+                    todo.append(part)
+    return len(seen)
+
+
+def naive_soa_predict(fc: FiniteClass, x: int) -> int:
+    """SOA on version space fc: the label whose restriction has the larger
+    mistake-tree dimension, ties predicting 0."""
+    col = fc.domain.index(x)
+    zeros = [c for c in fc.concepts if c[col] == 0]
+    ones = [c for c in fc.concepts if c[col] == 1]
+    if not zeros:
+        return 1
+    if not ones:
+        return 0
+    dim0 = naive_littlestone_dim(FiniteClass.from_rows(fc.domain, zeros))
+    dim1 = naive_littlestone_dim(FiniteClass.from_rows(fc.domain, ones))
+    return 1 if dim1 > dim0 else 0
 
 
 def naive_min_teaching_size(fc: FiniteClass, target: tuple[int, ...]) -> int:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from learndim import dimensions
 from learndim.cli import main
 
 from conftest import MACHINES_DIR
@@ -252,3 +253,18 @@ def test_goedel_prefix_onset_spec(capsys):
     )
     assert code == 0
     assert "vc on window (6, 128): 3" in out
+
+
+def test_game_tree_adversary_reuses_the_littlestone_report(capsys, monkeypatch):
+    calls = []
+    real = dimensions.littlestone_dim
+
+    def counting(fc, **kwargs):
+        calls.append(fc)
+        return real(fc, **kwargs)
+
+    monkeypatch.setattr(dimensions, "littlestone_dim", counting)
+    code, out, _ = run_cli(capsys, "game", "--class", f"halting:{HALT3}", "--adversary", "tree")
+    assert code == 0
+    assert len(calls) == 1
+    assert out == "mistakes: 3, Ldim: 3\n"
