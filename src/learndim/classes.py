@@ -33,8 +33,9 @@ DEFAULT_EVAL_BUDGET = 2**24
 
 
 def eval_budget() -> int:
-    """Evaluator-call budget for materialization, overridable via env var,
-    which must then hold a positive integer (ValueError otherwise)."""
+    """Evaluator-call budget for materialization, also the bound on a PAC
+    experiment's total sample draws; overridable via env var, which must
+    then hold a positive integer (ValueError otherwise)."""
     raw = os.environ.get(EVAL_BUDGET_ENV, "").strip()
     if raw and (not raw.isdecimal() or int(raw) == 0):
         raise ValueError(f"{EVAL_BUDGET_ENV} must be a positive integer, got {raw!r}")
@@ -92,8 +93,12 @@ class FiniteClass:
 
     Concepts are bit vectors over `domain`; `witnesses[i]` is the smallest
     index realizing concept i (or the row's first position for synthetic
-    classes built via from_rows).  Sets of concepts are `int` bitmasks over
-    concept ids: bit i stands for concept i.
+    classes built via from_rows).  from_rows and materialize list concepts
+    in strictly increasing witness order, so the lowest id of a set of
+    concepts is the one with the smallest witness.  Sets of concepts are
+    `int` bitmasks over concept ids: bit i stands for concept i.  `masks`
+    packs the class by column (one id mask per point), `codes` by row (one
+    column mask per concept).
     """
 
     domain: tuple[int, ...]
@@ -135,6 +140,13 @@ class FiniteClass:
             int("".join(["1" if concept[col] else "0" for concept in rows]) or "0", 2)
             for col in range(len(self.domain))
         )
+
+    @cached_property
+    def codes(self) -> tuple[int, ...]:
+        """Per concept, its row packed into an int: bit j set when the
+        concept labels column j with 1 (linear in the number of cells)."""
+        table = bytes.maketrans(b"\x00\x01", b"01")
+        return tuple(int(bytes(row[::-1]).translate(table) or b"0", 2) for row in self.concepts)
 
     @cached_property
     def all_ids(self) -> int:
@@ -230,6 +242,11 @@ def saturating_index_count(domain_max: int) -> int:
     return 2 ** (domain_max + 1)
 
 
+def _magnitude(n: int) -> str:
+    """n in decimal, or as a power of two once it is too long to print."""
+    return str(n) if n.bit_length() <= 256 else f"at least 2**{n.bit_length() - 1}"
+
+
 def materialize(
     ic: IndexedClass,
     domain_max: int,
@@ -251,8 +268,8 @@ def materialize(
     cost = (domain_max + 1) * index_count
     if cost > limit:
         raise BudgetExceededError(
-            f"window ({domain_max}, {index_count}) needs {cost} evaluator calls, "
-            f"budget is {limit}"
+            f"window ({_magnitude(domain_max)}, {_magnitude(index_count)}) needs "
+            f"{_magnitude(cost)} evaluator calls, budget is {limit}"
         )
     domain = tuple(range(domain_max + 1))
 

@@ -6,8 +6,9 @@ configuration plus seed produces byte-identical JSON output.
 
 Exit codes: 0 success, 1 input/parse errors, 2 still-running or no-answer
 verdicts, 3 budget exhausted (partial results), 4 online-protocol violation.
-The evaluation budget for materialization can be overridden with the
-LEARNDIM_EVAL_BUDGET environment variable.
+The evaluation budget (materialization's evaluator calls, pac's total
+sample draws) can be overridden with the LEARNDIM_EVAL_BUDGET environment
+variable.  Usage errors print one line and exit 1.
 """
 
 from __future__ import annotations
@@ -78,8 +79,16 @@ def _window(args, default: tuple[int, int] = (5, 64)) -> tuple[int, int]:
     if len(args.window) > 2:
         raise ValueError(f"--window takes N [M], got {len(args.window)} integers")
     n = args.window[0]
-    m = args.window[1] if len(args.window) > 1 else classes.saturating_index_count(n)
-    return n, m
+    if len(args.window) > 1:
+        return n, args.window[1]
+    # 2**(n+1) > limit whenever n + 1 reaches limit's bit length: refuse
+    # before building the index count (or printing it).
+    limit = classes.eval_budget()
+    if n + 1 >= limit.bit_length():
+        raise BudgetExceededError(
+            f"window ({n}, 2**{n + 1}) needs over {limit} evaluator calls, budget is {limit}"
+        )
+    return n, classes.saturating_index_count(n)
 
 
 def cmd_simulate(args) -> int:
@@ -258,8 +267,15 @@ def cmd_suite(args) -> int:
     return EXIT_OK if report.disagreements == 0 else EXIT_INPUT
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error: ...` line and exit code 1."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="learndim",
         description="Exact learnability dimensions, machine simulation, games, and reductions.",
     )

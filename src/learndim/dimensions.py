@@ -158,16 +158,18 @@ class LittlestoneTree:
 def is_shattered(fc: FiniteClass, subset: Iterable[int]) -> bool:
     """True iff every label pattern on `subset` occurs among the concepts.
 
-    Counts row patterns, linear in the number of concepts; splitting id
-    masks point by point would cost 2**|subset| masks as wide as the class.
+    Counts the distinct restrictions of the packed rows `fc.codes` to the
+    subset's columns: linear in the number of concepts.  A subset that
+    repeats a point is never shattered.
     """
     points = tuple(subset)
-    cols = [fc.column(x) for x in points]
+    selector = 0
+    for x in points:
+        selector |= 1 << fc.column(x)
     want = 2 ** len(points)
     if len(fc.concepts) < want:
         return False
-    patterns = {tuple(concept[i] for i in cols) for concept in fc.concepts}
-    return len(patterns) == want
+    return len({code & selector for code in fc.codes}) == want
 
 
 def _require_nonempty(fc: FiniteClass) -> None:

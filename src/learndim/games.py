@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .classes import FiniteClass
-from .errors import ProtocolViolationError
+from .classes import FiniteClass, eval_budget
+from .errors import BudgetExceededError, ProtocolViolationError
 from .dimensions import DEFAULT_SEARCH_BUDGET, LittlestoneTree, littlestone_memo
 
 
@@ -226,16 +226,12 @@ def play_online_game(
 
 def erm(fc: FiniteClass, sample: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     """Concept minimizing empirical disagreement; ties go to the smallest
-    witness index."""
+    witness index.  Agnostic: the sample need not be realizable."""
     if not sample:
         raise ValueError("erm requires a nonempty sample")
     counts: dict[tuple[int, int], int] = {}
     for x, y in sample:
         counts[(x, y)] = counts.get((x, y), 0) + 1
-    return _erm_from_counts(fc, counts)
-
-
-def _erm_from_counts(fc: FiniteClass, counts: Mapping[tuple[int, int], int]) -> tuple[int, ...]:
     cols = {x: fc.column(x) for x, _ in counts}
     best_row: tuple[int, ...] | None = None
     best_key: tuple[int, int] | None = None
@@ -301,6 +297,14 @@ def pac_experiment(
     distribution labelled by `target`, fits ERM, and reports the fraction of
     trials whose true error under the distribution is at most epsilon.
     Per-trial randomness derives deterministically from the master seed.
+
+    The target is in the class, so ERM's minimum empirical error is 0 and
+    its fit is the smallest-witness concept agreeing with the target on the
+    distinct drawn points: the lowest id in the AND of their agreement
+    masks (concepts are listed in increasing witness order).  Each
+    hypothesis's true-error verdict is computed once per experiment.
+    Raises BudgetExceededError before drawing anything when trials times
+    the sum of the sample sizes exceeds eval_budget().
     """
     if not (0 < epsilon < 1 and 0 < delta < 1):
         raise ValueError("epsilon and delta must lie in (0, 1)")
@@ -325,32 +329,37 @@ def pac_experiment(
         sizes = tuple(sample_sizes)
         if any(m < 1 for m in sizes):
             raise ValueError("sample sizes must be positive")
+    limit = eval_budget()
+    if trials * sum(sizes) > limit:
+        raise BudgetExceededError(
+            f"pac experiment needs over {limit} draws (trials x sum of sample sizes)"
+        )
 
     master = random.Random(seed)
-    trial_seeds = [master.randrange(2**63) for _ in range(trials * len(sizes))]
     cum = [float(sum(probs[: k + 1])) for k in range(len(probs))]
+    agree = {x: fc.labelled(x, target_row[col]) for x, col in point_cols.items()}
+    good: dict[int, bool] = {}  # hypothesis id -> true error <= epsilon
 
     frequencies: list[float] = []
-    seed_iter = iter(trial_seeds)
     for m in sizes:
         successes = 0
         for _ in range(trials):
-            rng = random.Random(next(seed_iter))
-            drawn = rng.choices(points, cum_weights=cum, k=m)
-            counts: dict[tuple[int, int], int] = {}
-            for x in drawn:
-                key = (x, target_row[point_cols[x]])
-                counts[key] = counts.get(key, 0) + 1
-            hypothesis = _erm_from_counts(fc, counts)
-            true_error = float(
-                sum(
-                    p
-                    for p, x in zip(probs, points)
-                    if hypothesis[point_cols[x]] != target_row[point_cols[x]]
+            rng = random.Random(master.randrange(2**63))
+            ids = fc.all_ids
+            for x in set(rng.choices(points, cum_weights=cum, k=m)):
+                ids &= agree[x]
+            best = (ids & -ids).bit_length() - 1
+            if best not in good:
+                hypothesis = fc.concepts[best]
+                true_error = float(
+                    sum(
+                        p
+                        for p, x in zip(probs, points)
+                        if hypothesis[point_cols[x]] != target_row[point_cols[x]]
+                    )
                 )
-            )
-            if true_error <= epsilon:
-                successes += 1
+                good[best] = true_error <= epsilon
+            successes += good[best]
         frequencies.append(successes / trials)
     return PacReport(
         epsilon=epsilon,

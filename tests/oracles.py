@@ -7,12 +7,15 @@ teaching sets by trying every example set in size order, the Littlestone
 recursion's state count by breadth-first search, SOA predictions by
 comparing the mistake-tree dimensions of the two restrictions, the gated-class
 evaluators by literal transcription of their two-clause definitions, machine
-runs by walking the transition table, and prefix consistency by comparing
-every pair of theorems.
+runs by walking the transition table, prefix consistency by comparing
+every pair of theorems, and the PAC experiment by scoring every row on every
+drawn example.
 """
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
 from itertools import combinations
 
 from learndim import FiniteClass
@@ -156,3 +159,34 @@ def inconsistency_onset_oracle(theorem, limit: int) -> int | None:
         if any(theorem(i) == theorem(k) ^ 1 for i in range(k)):
             return k
     return None
+
+
+def naive_pac_experiment(fc: FiniteClass, target, dist, epsilon: float, trials: int,
+                         sizes, seed: int) -> list[float]:
+    """Success frequency per sample size: the documented seeded draws (one
+    per-trial seed from the master stream, then `choices` on the sorted
+    support with float cumulative weights), ERM as the row minimizing
+    (empirical errors, witness), and its true error summed in Fractions."""
+    points = sorted(dist)
+    total = sum(Fraction(dist[x]) for x in points)
+    probs = {x: Fraction(dist[x]) / total for x in points}
+    cum, acc = [], Fraction(0)
+    for x in points:
+        acc += probs[x]
+        cum.append(float(acc))
+    col = {x: fc.domain.index(x) for x in points}
+    master = random.Random(seed)
+    frequencies = []
+    for m in sizes:
+        successes = 0
+        for _ in range(trials):
+            rng = random.Random(master.randrange(2**63))
+            sample = [(x, target[col[x]]) for x in rng.choices(points, cum_weights=cum, k=m)]
+            _, _, best = min(
+                (sum(row[col[x]] != y for x, y in sample), witness, row)
+                for row, witness in zip(fc.concepts, fc.witnesses)
+            )
+            error = sum((probs[x] for x in points if best[col[x]] != target[col[x]]), Fraction(0))
+            successes += float(error) <= epsilon
+        frequencies.append(successes / trials)
+    return frequencies

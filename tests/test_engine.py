@@ -1,12 +1,13 @@
 """Differential tests: the concept-id bitmask engine behind the Littlestone
-and teaching measures, SOA and the online harness, and the row-based VC
-search, against the naive row-based oracles on small random classes whose
-domains come in shuffled order; plus cost guards on large full-cube
-windows."""
+and teaching measures, SOA, the online harness and the PAC experiment's ERM
+fits, and the packed-row VC search, against the naive row-based oracles on
+small random classes whose domains come in shuffled order; plus cost guards
+on large full-cube windows."""
 
 from __future__ import annotations
 
 import itertools
+import random
 import time
 import tracemalloc
 from pathlib import Path
@@ -22,12 +23,19 @@ from learndim import (
     RandomConsistentAdversary,
     RandomLearner,
     SOALearner,
+    goedel_class,
+    goedel_prefix_class,
     halting_class,
+    inconsistent_toy,
+    inconsistent_toy_at,
     is_shattered,
     littlestone_dim,
     load_tm,
     materialize,
+    pac_experiment,
     play_online_game,
+    sample_size_bound,
+    step_class,
     soa_predict,
     teaching_dim,
     tree_adversary,
@@ -39,6 +47,7 @@ from oracles import (
     naive_littlestone_dim,
     naive_littlestone_states,
     naive_min_teaching_size,
+    naive_pac_experiment,
     naive_soa_predict,
     naive_teaching_dim,
     naive_vc_dim,
@@ -205,3 +214,59 @@ def test_adversaries_follow_their_rules_on_rows(fc, rounds):
         n0 = len(rows) - n1
         assert y == (0 if n1 == 0 else 1 if n0 == 0 else int(n0 > n1))
         history.append((x, y))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    finite_classes(),
+    st.data(),
+    st.sampled_from([0.05, 0.1, 0.25, 0.3, 0.5]),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_pac_experiment_matches_row_erm(fc, data, epsilon, trials, seed):
+    target = data.draw(st.sampled_from(fc.concepts))
+    support = data.draw(st.lists(st.sampled_from(fc.domain), min_size=1, unique=True))
+    weights = data.draw(
+        st.lists(st.integers(min_value=0, max_value=5), min_size=len(support), max_size=len(support))
+    )
+    if not any(weights):
+        weights[0] = 1  # zero-weight points stay in the support, never drawn
+    dist = dict(zip(support, weights))
+    sizes = data.draw(
+        st.none() | st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=3)
+    )
+    report = pac_experiment(fc, target, dist, epsilon, 0.1, trials, sample_sizes=sizes, seed=seed)
+    if sizes is None:
+        sizes = [sample_size_bound(naive_vc_dim(fc), epsilon, 0.1)]
+    assert report.sample_sizes == tuple(sizes)
+    assert list(report.success_frequencies) == naive_pac_experiment(
+        fc, target, dist, epsilon, trials, sizes, seed
+    )
+
+
+def test_witnesses_strictly_increase():
+    # The lowest id of a set of concepts has its smallest witness: ERM in
+    # pac_experiment and the online witnesses rely on this order.
+    def increasing(fc):
+        return all(a < b for a, b in zip(fc.witnesses, fc.witnesses[1:]))
+
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        rows = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(rng.randint(1, 40))]
+        fc = FiniteClass.from_rows(rng.sample(range(3 * n), n), rows)
+        assert increasing(fc) and fc.witnesses[0] == 0
+
+    looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
+    halter = load_tm(Path(__file__).resolve().parents[1] / "machines" / "halt3.tm")
+    for ic in (
+        halting_class(looper),
+        halting_class(halter),
+        goedel_class(inconsistent_toy()),
+        goedel_prefix_class(inconsistent_toy_at(3)),
+        step_class(),
+    ):
+        for window in ((5, 64), (5, 40), (6, 100), (4, 16)):  # masked and generic paths
+            fc = materialize(ic, *window)
+            assert increasing(fc), (ic.label, window)

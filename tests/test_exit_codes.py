@@ -88,6 +88,20 @@ MATRIX = [
     (["pac", "--class", "step", "--trials", "0"], None, 1),
     (["pac", "--class", "step", "--epsilon", "2"], None, 1),
     (["pac", "--class", "step", "--sizes", "0"], None, 1),
+    # Budgets checked before allocating: the saturating window's 2**(N+1)
+    # and the PAC sample draws (trials x sum of sizes, 20 here).
+    (["dim", "--class", "step", "--window", "20000"], None, 3),
+    (["dim", "--class", "step", "--window", "100000000"], None, 3),
+    (["pac", "--class", "step", "--sizes", "1000000000", "--trials", "1000000000"], None, 3),
+    (["pac", "--class", "step", "--window", "1", "2", "--sizes", "4", "6", "--trials", "2"],
+     {"LEARNDIM_EVAL_BUDGET": "19"}, 3),
+    (["pac", "--class", "step", "--window", "1", "2", "--sizes", "4", "6", "--trials", "2"],
+     {"LEARNDIM_EVAL_BUDGET": "20"}, 0),
+    # Usage errors the argument parser reports itself.
+    (["dim", "--class", "step", "--window", "x"], None, 1),
+    (["dim", "--class", "step", "--measure", "bogus"], None, 1),
+    (["dim"], None, 1),
+    (["bogus"], None, 1),
     # --escape samples.
     (["teach", "--escape", "a,b"], None, 1),
     (["teach", "--escape", " , "], None, 1),
@@ -101,6 +115,20 @@ MATRIX = [
 )
 def test_exit_code_matrix(argv, env, code):
     check_run(run_cli(*argv, env=env), code)
+
+
+def test_budget_and_usage_messages():
+    proc = run_cli("dim", "--class", "step", "--window", "20000")
+    assert proc.stderr == (
+        "budget exceeded: window (20000, 2**20001) needs over 16777216 evaluator calls, "
+        "budget is 16777216\n"
+    )
+    # A cost past Python's 4300-digit str limit is printed as a power of two.
+    proc = run_cli("dim", "--class", "step", "--window", "9" * 2200, "9" * 2200)
+    check_run(proc, 3)
+    assert "needs at least 2**14616 evaluator calls" in proc.stderr
+    proc = run_cli("dim", "--class", "step", "--window", "x")
+    assert proc.stderr == "error: argument --window: invalid int value: 'x'\n"
 
 
 def test_window_third_integer_message():
