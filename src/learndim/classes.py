@@ -47,9 +47,10 @@ class IndexedClass:
     """A class { n -> evaluate(m, n) : m in N } given by a total evaluator.
 
     `active` is set for the bit-masking constructions above: evaluate(m, n)
-    equals seq_bit(m, n) when active(n) and 0 otherwise.  It powers witness
-    construction and fast exact materialization; leave it None for classes
-    not of that shape.
+    equals seq_bit(m, n) when active(n) and 0 otherwise.  materialize builds
+    every window of such a class from `active` alone and tree_witness takes
+    its layer points from it, so a class that sets `active` must keep this
+    contract; leave it None for classes not of that shape.
     """
 
     evaluate: Callable[[int, int], int]
@@ -256,9 +257,14 @@ def materialize(
 ) -> FiniteClass:
     """Deduplicated window { evaluate(m, .)|[0, domain_max] : m < index_count }.
 
-    Keeps the smallest witness index per concept, ordered by witness.  Fails
-    with BudgetExceededError when (domain_max + 1) * index_count exceeds the
-    evaluation budget, signalling the caller to shrink the window.
+    Keeps the smallest witness index per concept, ordered by witness.  A
+    class without `active` is read cell by cell through its evaluator.  A
+    class with `active` never calls the evaluator: the row of index m is the
+    set S of active points <= domain_max that m carries, the smallest index
+    carrying S is S itself, so the window is every such S below index_count,
+    witnessed by S.  Either way, fails with BudgetExceededError when
+    (domain_max + 1) * index_count exceeds the evaluation budget, signalling
+    the caller to shrink the window.
     """
     if domain_max < 0:
         raise ValueError("domain_max must be nonnegative")
@@ -272,45 +278,21 @@ def materialize(
             f"{_magnitude(cost)} evaluator calls, budget is {limit}"
         )
     domain = tuple(range(domain_max + 1))
-
-    if ic.active is not None and index_count & (index_count - 1) == 0:
-        return _materialize_masked(ic, domain, index_count)
-
-    seen: dict[tuple[int, ...], int] = {}
-    for m in range(index_count):
-        row = tuple(ic.evaluate(m, n) for n in domain)
-        seen.setdefault(row, m)
-    return FiniteClass(
-        domain=domain, concepts=tuple(seen.keys()), witnesses=tuple(seen.values())
-    )
-
-
-def _materialize_masked(
-    ic: IndexedClass, domain: tuple[int, ...], index_count: int
-) -> FiniteClass:
-    """Exact fast path for bit-masked classes with a power-of-two index window.
-
-    Indices m < 2**t realize precisely the patterns over the active positions
-    below t (bits at or above t are 0 for every such m), and the smallest
-    witness of a pattern is the index with exactly those bits set.  Agrees
-    with the generic scan by construction; the test suite cross-checks.
-    """
-    assert ic.active is not None
-    t = index_count.bit_length() - 1  # index_count == 2**t
-    # Active positions at or beyond t are constantly 0 for every m < 2**t.
-    free = [n for n in domain if n < t and ic.active(n)]
-
-    entries: list[tuple[int, tuple[int, ...]]] = []
-    for bits in range(2**len(free)):
-        assignment = {n: (bits >> k) & 1 for k, n in enumerate(free)}
-        row = tuple(assignment.get(n, 0) for n in domain)
-        witness = sum(1 << n for n, b in assignment.items() if b)
-        entries.append((witness, row))
-    entries.sort()
+    if ic.active is None:
+        return FiniteClass.from_rows(
+            domain, (tuple(ic.evaluate(m, n) for n in domain) for m in range(index_count))
+        )
+    # Adding active point n appends only sets >= 2**n, above every earlier
+    # set, so the list stays in strictly increasing witness order.
+    witnesses = [0]
+    for n in range(min(domain_max + 1, (index_count - 1).bit_length())):
+        if ic.active(n):
+            bit = 1 << n
+            witnesses += [w | bit for w in witnesses if w | bit < index_count]
     return FiniteClass(
         domain=domain,
-        concepts=tuple(row for _, row in entries),
-        witnesses=tuple(w for w, _ in entries),
+        concepts=tuple(tuple(w >> n & 1 for n in domain) for w in witnesses),
+        witnesses=tuple(witnesses),
     )
 
 

@@ -14,6 +14,7 @@ variable.  Usage errors print one line and exit 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -106,10 +107,7 @@ def cmd_dim(args) -> int:
         n, m = _window(args)
         fc = classes.materialize(ic, n, m)
         report = dimensions.MEASURES[args.measure](fc)
-        report = dimensions.DimensionReport(
-            measure=report.measure, value=report.value,
-            certificate=report.certificate, window=(n, m),
-        )
+        report = dataclasses.replace(report, window=(n, m))
         if args.export_class:
             path = Path(args.export_class)
             if path.suffix == ".csv":

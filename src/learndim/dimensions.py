@@ -26,6 +26,9 @@ from .errors import BudgetExceededError, WitnessUnresolvedError
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
+# Points scanned for active ones by tree_witness and growth_schedule.
+ACTIVE_SCAN_LIMIT = 100_000
+
 # Largest exhaustive saturating windows comfortably inside the default
 # evaluation budget; used when a class has no sparse activity structure.
 DEFAULT_SCHEDULE: tuple[tuple[int, int], ...] = (
@@ -43,7 +46,6 @@ class DimensionReport:
     value: int
     certificate: object
     window: tuple[int, int] | None = None
-    saturated: bool | None = None
 
     def to_json_dict(self) -> dict:
         cert = self.certificate
@@ -57,8 +59,6 @@ class DimensionReport:
         out = {"measure": self.measure, "value": self.value, "certificate": cert}
         if self.window is not None:
             out["window"] = list(self.window)
-        if self.saturated is not None:
-            out["saturated"] = self.saturated
         return out
 
 
@@ -344,7 +344,7 @@ def tree_witness(
     depth: int,
     labeling: str = "layer",
     *,
-    scan_limit: int = 100_000,
+    scan_limit: int = ACTIVE_SCAN_LIMIT,
 ) -> LittlestoneTree:
     """Uniform-layer mistake tree witness of the given depth, fully verified.
 
@@ -452,25 +452,22 @@ def saturation_scan(
     )
 
 
-def growth_schedule(
-    ic: IndexedClass,
-    *,
-    windows: int = 5,
-    scan_limit: int = 100_000,
-    budget: int | None = None,
-) -> tuple[tuple[int, int], ...]:
-    """Active-milestone schedule for sparse bit-masked classes.
+def growth_schedule(ic: IndexedClass) -> tuple[tuple[int, int], ...]:
+    """Active-milestone schedule of five windows for sparse bit-masked classes.
 
     Each window ends at a discovered active point with its saturating index
     count, so every step of the schedule picks up exactly one new active
-    point and window dimensions grow strictly.  Falls back to
-    DEFAULT_SCHEDULE when no affordable active point exists.
+    point and window dimensions grow strictly.  Points are scanned up to
+    ACTIVE_SCAN_LIMIT, and a window costing more than eval_budget() ends
+    the scan.  Falls back to DEFAULT_SCHEDULE when no affordable active
+    point exists.
     """
     if ic.active is None:
         return DEFAULT_SCHEDULE
-    limit = eval_budget() if budget is None else budget
+    windows = 5
+    limit = eval_budget()
     actives: list[int] = []
-    for n in range(scan_limit + 1):
+    for n in range(ACTIVE_SCAN_LIMIT + 1):
         if ic.active(n):
             if (n + 1) * 2 ** (n + 1) > limit:
                 break

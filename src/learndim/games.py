@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .classes import FiniteClass, eval_budget
@@ -260,6 +261,12 @@ def sample_size_bound(vcdim: int, epsilon: float, delta: float) -> int:
     )
 
 
+# pac_experiment draws each sample in chunks of this many points, so memory
+# stays bounded whatever the sample size; `choices` spends one random() per
+# draw, so the points drawn do not depend on it.
+DRAW_CHUNK = 2**16
+
+
 @dataclass(frozen=True)
 class PacReport:
     epsilon: float
@@ -336,7 +343,7 @@ def pac_experiment(
         )
 
     master = random.Random(seed)
-    cum = [float(sum(probs[: k + 1])) for k in range(len(probs))]
+    cum = [float(c) for c in accumulate(probs)]
     agree = {x: fc.labelled(x, target_row[col]) for x, col in point_cols.items()}
     good: dict[int, bool] = {}  # hypothesis id -> true error <= epsilon
 
@@ -346,8 +353,10 @@ def pac_experiment(
         for _ in range(trials):
             rng = random.Random(master.randrange(2**63))
             ids = fc.all_ids
-            for x in set(rng.choices(points, cum_weights=cum, k=m)):
-                ids &= agree[x]
+            for start in range(0, m, DRAW_CHUNK):
+                chunk = rng.choices(points, cum_weights=cum, k=min(DRAW_CHUNK, m - start))
+                for x in set(chunk):
+                    ids &= agree[x]
             best = (ids & -ids).bit_length() - 1
             if best not in good:
                 hypothesis = fc.concepts[best]

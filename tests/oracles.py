@@ -8,8 +8,8 @@ recursion's state count by breadth-first search, SOA predictions by
 comparing the mistake-tree dimensions of the two restrictions, the gated-class
 evaluators by literal transcription of their two-clause definitions, machine
 runs by walking the transition table, prefix consistency by comparing
-every pair of theorems, and the PAC experiment by scoring every row on every
-drawn example.
+every pair of theorems, class windows by evaluating every cell, and the
+PAC experiment by scoring every row on every drawn example.
 """
 
 from __future__ import annotations
@@ -151,6 +151,30 @@ def prefix_consistent_oracle(theorem, n: int) -> bool:
     theorem(j), checked pair by pair."""
     codes = [theorem(i) for i in range(n + 1)]
     return not any(a == b ^ 1 for a in codes for b in codes)
+
+
+def goedel_prefix_eval_oracle(theorem, m: int, n: int) -> int:
+    """Literal two-clause evaluator of the prefix-consistency-gated class."""
+    if prefix_consistent_oracle(theorem, n):
+        return bit_of(m, n)
+    return 0
+
+
+def step_eval_oracle(m: int, n: int) -> int:
+    """The zero function at m = 0, the threshold at m - 1 for m >= 1."""
+    return 1 if m > 0 and n >= m - 1 else 0
+
+
+def naive_materialize(evaluate, domain_max: int, index_count: int):
+    """The window by its definition: the row of every index below
+    index_count on points 0..domain_max, each distinct row listed once with
+    the first index realizing it.  Returns (rows, witnesses)."""
+    first: dict[tuple[int, ...], int] = {}
+    for m in range(index_count):
+        row = tuple(evaluate(m, n) for n in range(domain_max + 1))
+        if row not in first:
+            first[row] = m
+    return list(first), list(first.values())
 
 
 def inconsistency_onset_oracle(theorem, limit: int) -> int | None:

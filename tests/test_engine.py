@@ -1,8 +1,9 @@
 """Differential tests: the concept-id bitmask engine behind the Littlestone
 and teaching measures, SOA, the online harness and the PAC experiment's ERM
 fits, and the packed-row VC search, against the naive row-based oracles on
-small random classes whose domains come in shuffled order; plus cost guards
-on large full-cube windows."""
+small random classes whose domains come in shuffled order; materialize
+against the cell-by-cell window scan; plus cost guards on large full-cube
+windows, wide PAC supports and large PAC samples."""
 
 from __future__ import annotations
 
@@ -19,10 +20,12 @@ from learndim import (
     BudgetExceededError,
     ConstantLearner,
     FiniteClass,
+    IndexedClass,
     MajorityFlipAdversary,
     RandomConsistentAdversary,
     RandomLearner,
     SOALearner,
+    consistent_toy,
     goedel_class,
     goedel_prefix_class,
     halting_class,
@@ -42,15 +45,23 @@ from learndim import (
     vc_dim,
 )
 
+from learndim.games import DRAW_CHUNK
+
 from oracles import (
     all_patterns_present,
+    bit_of,
+    goedel_eval_oracle,
+    goedel_prefix_eval_oracle,
+    halting_eval_oracle,
     naive_littlestone_dim,
     naive_littlestone_states,
+    naive_materialize,
     naive_min_teaching_size,
     naive_pac_experiment,
     naive_soa_predict,
     naive_teaching_dim,
     naive_vc_dim,
+    step_eval_oracle,
 )
 
 
@@ -270,3 +281,97 @@ def test_witnesses_strictly_increase():
         for window in ((5, 64), (5, 40), (6, 100), (4, 16)):  # masked and generic paths
             fc = materialize(ic, *window)
             assert increasing(fc), (ic.label, window)
+
+
+def _pac_rare_point_setup(support: int):
+    # Two concepts on `support` points: zero (witness 0) and the target, 1
+    # only at the last point.  ERM fits the target exactly when a sample
+    # draws that point, which carries about 2**-16 of the weight.
+    last = support - 1
+    fc = FiniteClass.from_rows(range(support), [(0,) * support, (0,) * last + (1,)])
+    dist = {x: 2**16 if x < last else support - 1 for x in range(support)}
+    return fc, fc.concepts[1], dist
+
+
+def test_pac_chunked_draws_match_one_list_draws():
+    fc, target, dist = _pac_rare_point_setup(2)
+    sizes = [DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1]
+    report = pac_experiment(fc, target, dist, 2**-20, 0.1, 8, sample_sizes=sizes, seed=7)
+    expected = naive_pac_experiment(fc, target, dist, 2**-20, 8, sizes, 7)
+    assert list(report.success_frequencies) == expected
+    assert 0 < sum(expected) < len(expected)  # the rare point decides some trials
+
+
+def test_pac_sample_memory_is_bounded():
+    # One list of 2M draws held about 16 MB; chunks of DRAW_CHUNK hold 0.5.
+    fc, target, dist = _pac_rare_point_setup(4)
+    tracemalloc.start()
+    try:
+        pac_experiment(fc, target, dist, 0.1, 0.1, 1, sample_sizes=[2_000_000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_pac_cumulative_weights_are_linear_in_the_support():
+    # Re-summing each Fraction prefix took about 13 s on 3001 points.
+    fc, target, dist = _pac_rare_point_setup(3001)
+    start = time.perf_counter()
+    pac_experiment(fc, target, dist, 0.1, 0.1, 1, sample_sizes=[1])
+    assert time.perf_counter() - start < 2.0
+
+
+def _window_cases(halters, loopers, beaver):
+    """(class, oracle evaluator) pairs: every gated construction and step."""
+    cases = [
+        (halting_class(tm), lambda m, n, tm=tm: halting_eval_oracle(tm, m, n))
+        for tm in [*halters.values(), *loopers, beaver]
+    ]
+    for fs in (consistent_toy(), inconsistent_toy(), inconsistent_toy_at(3)):
+        cases.append((goedel_class(fs), lambda m, n, t=fs.theorem: goedel_eval_oracle(t, m, n)))
+        cases.append(
+            (goedel_prefix_class(fs), lambda m, n, t=fs.theorem: goedel_prefix_eval_oracle(t, m, n))
+        )
+    cases.append((step_class(), step_eval_oracle))
+    return cases
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.data(),
+    st.integers(min_value=0, max_value=9),
+    st.integers(min_value=1, max_value=1100),
+)
+def test_materialize_matches_definitional_scan(halters, loopers, beaver, data, domain_max, index_count):
+    ic, evaluate = data.draw(st.sampled_from(_window_cases(halters, loopers, beaver)))
+    fc = materialize(ic, domain_max, index_count)
+    rows, witnesses = naive_materialize(evaluate, domain_max, index_count)
+    assert list(fc.concepts) == rows
+    assert list(fc.witnesses) == witnesses
+
+
+def test_masked_materialize_reads_only_the_activity_predicate(halters, loopers):
+    for base in (halting_class(halters[3]), halting_class(loopers[0]), goedel_class(inconsistent_toy())):
+        calls = {"evaluate": 0, "active": 0}
+
+        def evaluate(m, n):
+            calls["evaluate"] += 1
+            return base.evaluate(m, n)
+
+        def active(n):
+            calls["active"] += 1
+            return base.active(n)
+
+        ic = IndexedClass(evaluate=evaluate, provenance=base.provenance, label=base.label, active=active)
+        for domain_max in (0, 1, 5, 12):
+            for index_count in (1, 2, 3, 7, 64, 100, 4096, 5000):
+                calls.update(evaluate=0, active=0)
+                fc = materialize(ic, domain_max, index_count)
+                assert calls["evaluate"] == 0
+                assert calls["active"] <= min(domain_max + 1, (index_count - 1).bit_length())
+                assert fc.witnesses[-1] < index_count
+                assert all(
+                    row == tuple(bit_of(w, n) if base.active(n) else 0 for n in fc.domain)
+                    for row, w in zip(fc.concepts, fc.witnesses)
+                )
