@@ -206,6 +206,19 @@ def littlestone_memo(masks: Sequence[int], limit: int) -> Callable[[int], int]:
 
     The recursion: one concept has dimension 0, otherwise the max over points
     splitting the set of 1 + min of the two label-restriction dimensions.
+    A mistake tree of depth d needs 2**d concepts, so a set of n concepts has
+    dimension at most cap = floor(log2 n) (the halving bound).  Two rules
+    prune the scan over the points, and both keep values exact:
+
+    - a split whose smaller side has fewer than 2**best concepts is skipped:
+      that side's dimension is below best, so the split cannot beat best.
+      This also skips the points that do not split the set;
+    - the scan stops once best reaches cap, since no split can beat it.
+      The first rule would skip every later split anyway, so this saves
+      only the scan, not states.
+
+    So every state returns the value of the unpruned recursion, and callers
+    that read values (the tree fill, SOA) see exactly what it would give.
     Every memo miss counts against `limit` (BudgetExceededError past it).
     """
     memo: dict[int, int] = {}
@@ -219,15 +232,19 @@ def littlestone_memo(masks: Sequence[int], limit: int) -> Callable[[int], int]:
         misses += 1
         if misses > limit:
             raise BudgetExceededError(f"littlestone_dim exceeded {limit} recursion states")
+        n = ids.bit_count()
+        cap = n.bit_length() - 1
         best = 0
-        if ids & (ids - 1):
-            for ones in masks:
-                ones &= ids
-                if not ones or ones == ids:
-                    continue
-                d = 1 + min(dim(ids ^ ones), dim(ones))
-                if d > best:
-                    best = d
+        for ones in masks:
+            if best == cap:
+                break
+            ones &= ids
+            k = ones.bit_count()
+            if min(k, n - k).bit_length() <= best:
+                continue
+            d = 1 + min(dim(ids ^ ones), dim(ones))
+            if d > best:
+                best = d
         memo[ids] = best
         return best
 
@@ -239,8 +256,10 @@ def littlestone_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionR
 
     Uses the game recursion of `littlestone_memo`, memoized on concept-id
     bitmasks; the same memo then picks the first splitting point at each
-    node of the tree.  Equivalent to the maximal realizable tree depth
-    (cross-checked against direct tree search in the test suite).
+    node of the tree, skipping splits whose smaller side has too few
+    concepts to carry the remaining depth.  Equivalent to the maximal
+    realizable tree depth (cross-checked against direct tree search in the
+    test suite).
     """
     _require_nonempty(fc)
     dim = littlestone_memo(fc.masks, DEFAULT_SEARCH_BUDGET if budget is None else budget)
@@ -252,9 +271,12 @@ def littlestone_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionR
         remaining = value - len(prefix)
         if remaining == 0:
             return
+        n = ids.bit_count()
         for x, ones in zip(fc.domain, fc.masks):
             ones &= ids
-            if not ones or ones == ids:
+            k = ones.bit_count()
+            # Both subtrees need depth remaining - 1, so 2**(remaining - 1) concepts.
+            if min(k, n - k).bit_length() < remaining:
                 continue
             zeros = ids ^ ones
             if min(dim(zeros), dim(ones)) >= remaining - 1:

@@ -48,8 +48,11 @@ class SOALearner:
 
     Makes at most Ldim mistakes against any realizable adversary.  The
     version space is a bitmask of concept ids, and one Littlestone memo
-    serves every round of the game.  Every state it visits is a state of the
-    full class's recursion, charged against DEFAULT_SEARCH_BUDGET.
+    serves every round of the game, charged against DEFAULT_SEARCH_BUDGET.
+    SOA may ask for splits that the pruned value pass over the full class
+    skipped, so its states are not all states of that pass; each is still a
+    split of a version space, so all lie inside the unpruned recursion's
+    closure of the full class.
     """
 
     def __init__(self, fc: FiniteClass):

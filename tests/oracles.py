@@ -4,7 +4,9 @@ Everything here works straight from the definitions with exhaustive or
 backtracking search and no shared code with the optimized routines: VC by
 checking every subset, the mistake-tree dimension by direct tree search,
 teaching sets by trying every example set in size order, the Littlestone
-recursion's state count by breadth-first search, SOA predictions by
+recursion's state count by breadth-first search (and, for the bound-pruned
+recursion, by replaying its two pruning rules over frozensets), optimal
+tree labels from unpruned frozenset values, SOA predictions by
 comparing the mistake-tree dimensions of the two restrictions, the gated-class
 evaluators by literal transcription of their two-clause definitions, machine
 runs by walking the transition table, prefix consistency by comparing
@@ -70,6 +72,103 @@ def naive_littlestone_states(fc: FiniteClass) -> int:
                 if part and part != ids and part not in seen:
                     seen.add(part)
                     todo.append(part)
+    return len(seen)
+
+
+def _littlestone_values(fc: FiniteClass):
+    """Exact Littlestone dimension of any set of concept indexes, by the
+    unpruned recursion over every splitting point, memoized on frozensets."""
+    memo: dict[frozenset, int] = {}
+
+    def value(ids: frozenset) -> int:
+        if ids not in memo:
+            best = 0
+            for col in range(len(fc.domain)):
+                zeros, ones = _split(fc, ids, col)
+                if zeros and ones:
+                    best = max(best, 1 + min(value(zeros), value(ones)))
+            memo[ids] = best
+        return memo[ids]
+
+    return value
+
+
+def _split(fc: FiniteClass, ids: frozenset, col: int) -> tuple[frozenset, frozenset]:
+    zeros = frozenset(i for i in ids if fc.concepts[i][col] == 0)
+    return zeros, ids - zeros
+
+
+def naive_littlestone_tree(fc: FiniteClass) -> dict[tuple[int, ...], int]:
+    """Labels of the optimal mistake tree that puts at each node the first
+    point, in domain order, whose two restrictions both keep the remaining
+    depth minus one, from unpruned values."""
+    value = _littlestone_values(fc)
+    labels: dict[tuple[int, ...], int] = {}
+
+    def fill(ids: frozenset, prefix: tuple[int, ...], remaining: int) -> None:
+        if remaining == 0:
+            return
+        for col, x in enumerate(fc.domain):
+            zeros, ones = _split(fc, ids, col)
+            if zeros and ones and min(value(zeros), value(ones)) >= remaining - 1:
+                labels[prefix] = x
+                fill(zeros, prefix + (0,), remaining - 1)
+                fill(ones, prefix + (1,), remaining - 1)
+                return
+        raise AssertionError("an exact value always has a splitting point")
+
+    full = frozenset(range(len(fc.concepts)))
+    fill(full, (), value(full))
+    return labels
+
+
+def naive_pruned_littlestone_states(fc: FiniteClass) -> int:
+    """Number of distinct concept sets that the bound-pruned Littlestone
+    recursion and its tree fill visit.
+
+    A visited set of n >= 2 concepts scans the points in domain order,
+    skips a split with an empty side or with a smaller side of fewer than
+    2**best concepts, visits both sides of every other split, and stops
+    once 2**(best + 1) > n.  The fill then walks the optimal tree as in
+    `naive_littlestone_tree`, skipping splits whose smaller side has fewer
+    than 2**(remaining - 1) concepts and visiting both sides of each split
+    it tests.  Split values come from the unpruned recursion.
+    """
+    value = _littlestone_values(fc)
+    seen: set[frozenset] = set()
+
+    def visit(ids: frozenset) -> None:
+        if ids in seen:
+            return
+        seen.add(ids)
+        best = 0
+        for col in range(len(fc.domain)):
+            if 2 ** (best + 1) > len(ids):
+                break
+            zeros, ones = _split(fc, ids, col)
+            if not zeros or not ones or min(len(zeros), len(ones)) < 2**best:
+                continue
+            visit(zeros)
+            visit(ones)
+            best = max(best, 1 + min(value(zeros), value(ones)))
+
+    def fill(ids: frozenset, remaining: int) -> None:
+        if remaining == 0:
+            return
+        for col in range(len(fc.domain)):
+            zeros, ones = _split(fc, ids, col)
+            if not zeros or not ones or min(len(zeros), len(ones)) < 2 ** (remaining - 1):
+                continue
+            visit(zeros)
+            visit(ones)
+            if min(value(zeros), value(ones)) >= remaining - 1:
+                fill(zeros, remaining - 1)
+                fill(ones, remaining - 1)
+                return
+
+    full = frozenset(range(len(fc.concepts)))
+    visit(full)
+    fill(full, value(full))
     return len(seen)
 
 

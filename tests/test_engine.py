@@ -1,9 +1,11 @@
 """Differential tests: the concept-id bitmask engine behind the Littlestone
 and teaching measures, SOA, the online harness and the PAC experiment's ERM
 fits, and the packed-row VC search, against the naive row-based oracles on
-small random classes whose domains come in shuffled order; materialize
-against the cell-by-cell window scan; plus cost guards on large full-cube
-windows, wide PAC supports and large PAC samples."""
+small random classes whose domains come in shuffled order (for the
+bound-pruned Littlestone recursion: every state's value, the tree labels
+and the states it charges); materialize against the cell-by-cell window
+scan; plus cost guards on large full-cube windows, wide PAC supports and
+large PAC samples."""
 
 from __future__ import annotations
 
@@ -45,6 +47,7 @@ from learndim import (
     vc_dim,
 )
 
+from learndim.dimensions import DEFAULT_SEARCH_BUDGET, littlestone_memo
 from learndim.games import DRAW_CHUNK
 
 from oracles import (
@@ -55,9 +58,11 @@ from oracles import (
     halting_eval_oracle,
     naive_littlestone_dim,
     naive_littlestone_states,
+    naive_littlestone_tree,
     naive_materialize,
     naive_min_teaching_size,
     naive_pac_experiment,
+    naive_pruned_littlestone_states,
     naive_soa_predict,
     naive_teaching_dim,
     naive_vc_dim,
@@ -114,10 +119,25 @@ def test_measures_match_oracles_with_verified_certificates(fc):
 @settings(max_examples=100, deadline=None)
 @given(finite_classes())
 def test_littlestone_budget_counts_each_state_once(fc):
-    states = naive_littlestone_states(fc)
+    states = naive_pruned_littlestone_states(fc)
+    assert states <= naive_littlestone_states(fc)
     assert littlestone_dim(fc, budget=states).value == naive_littlestone_dim(fc)
     with pytest.raises(BudgetExceededError):
         littlestone_dim(fc, budget=states - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(finite_classes(), st.data())
+def test_pruned_littlestone_values_are_exact_on_every_state(fc, data):
+    # SOA reads the values of arbitrary version spaces from one shared memo,
+    # so a prune that returned only a lower bound on some state would
+    # corrupt its predictions even where the whole class's value is right.
+    dim = littlestone_memo(fc.masks, DEFAULT_SEARCH_BUDGET)
+    subsets = st.integers(min_value=1, max_value=fc.all_ids)
+    for ids in data.draw(st.lists(subsets, min_size=1, max_size=8)):
+        rows = [row for i, row in enumerate(fc.concepts) if ids >> i & 1]
+        assert dim(ids) == naive_littlestone_dim(FiniteClass.from_rows(fc.domain, rows))
+    assert littlestone_dim(fc).certificate.labels == naive_littlestone_tree(fc)
 
 
 @settings(max_examples=100, deadline=None)
@@ -141,6 +161,35 @@ def test_vc_dim_memory_is_linear_on_a_full_cube_window():
         tracemalloc.stop()
     assert report.value == 13
     assert peak < 32 * len(fc.concepts) * len(fc.domain)
+
+
+def test_littlestone_states_on_a_full_cube_window_stay_linear():
+    # The looper's (9, 1024) window is the full 10-cube.  The halving bound
+    # stops each state's scan at its first split, which leaves 2**11 - 1
+    # states: the subcubes fixing a prefix of the points.  Expanding every
+    # split visited all 3**10 = 59049 restrictions.
+    looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
+    fc = materialize(halting_class(looper), 9, 1024)
+    assert littlestone_dim(fc, budget=2**11 - 1).value == 10
+    with pytest.raises(BudgetExceededError):
+        littlestone_dim(fc, budget=2**11 - 2)
+
+
+def test_littlestone_memory_on_a_full_cube_window():
+    # The (11, 4096) window's 2**13 - 1 pruned states of 512-byte id masks
+    # held about 5 MB here; the 3**12 states of the unpruned recursion
+    # peaked near 300 MB.
+    looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
+    fc = materialize(halting_class(looper), 11, 4096)
+    fc.masks  # cached: built outside the traced peak
+    tracemalloc.start()
+    try:
+        report = littlestone_dim(fc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.value == 12
+    assert peak < 16 * 2**20
 
 
 def test_masks_build_in_linear_time():
@@ -171,6 +220,26 @@ def test_soa_matches_naive_rule_along_a_realizable_history(fc, data):
         y = target[fc.domain.index(x)]
         learner.observe(x, y)
         history.append((x, y))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    finite_classes(),
+    st.sampled_from(["tree", "random", "flip"]),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_soa_stays_inside_the_unpruned_closure(fc, adversary, seed):
+    # SOA may ask for splits the pruned value pass skipped, but each is a
+    # split of a version space, so the unpruned closure bounds its memo.
+    learner = SOALearner(fc)
+    learner.dim = littlestone_memo(fc.masks, naive_littlestone_states(fc))
+    opponent = {
+        "tree": lambda: tree_adversary(fc, littlestone_dim(fc).certificate),
+        "random": lambda: RandomConsistentAdversary(fc, seed),
+        "flip": lambda: MajorityFlipAdversary(fc),
+    }[adversary]()
+    transcript = play_online_game(fc, learner, opponent, 2 * len(fc.domain))
+    assert transcript.mistakes <= naive_littlestone_dim(fc)
 
 
 @settings(max_examples=100, deadline=None)

@@ -131,6 +131,15 @@ def test_budget_and_usage_messages():
     assert proc.stderr == "error: argument --window: invalid int value: 'x'\n"
 
 
+def test_littlestone_window_past_the_unpruned_state_budget():
+    # The looper's window 13 is the full 14-cube: its 3**14 unpruned
+    # Littlestone states exceed the search budget, its 2**15 - 1 bound-pruned
+    # ones do not.
+    proc = run_cli("dim", "--class", f"halting:{LOOP}", "--measure", "littlestone", "--window", "13")
+    check_run(proc, 0)
+    assert proc.stdout == "littlestone on window (13, 16384): 14\n"
+
+
 def test_window_third_integer_message():
     proc = run_cli("dim", "--class", "step", "--window", "3", "4", "5")
     assert proc.stdout == ""
