@@ -10,7 +10,8 @@ stabilization flag), never a proof of the infinite-class value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
+from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .classes import (
@@ -297,49 +298,83 @@ def teaching_set(
     """Minimum teaching set for `concept`, as a minimum cover of the other
     concepts by the points that rule them out (disagree with `concept`).
 
-    A greedy cover gives the upper bound, then exhaustive search over subset
-    sizes below it makes the result exact; ties resolve to the
-    lexicographically smallest set of points.
+    A point is forced when some other concept is ruled out by it alone (a
+    Hamming neighbour of `concept`); every teaching set contains every
+    forced point (Goldman & Kearns 1995).  The search starts from the forced
+    set F and tries the remaining points by subset size, against the
+    concepts F leaves uncovered, so F alone answers when it covers them.
+    Ties resolve to the lexicographically smallest set of points: two sets
+    of equal size compare by the least point of their symmetric difference,
+    which never lies in F, so the first hit is also the first hit of the
+    plain size-ordered search over all subsets of the candidate points.
+
+    The budget charges what that plain search would check: for c candidate
+    points (those ruling out some concept) and an answer of size k, the sum
+    of C(c, s) for s < k plus the answer's lexicographic rank among the
+    size-k subsets, plus 1.  A charge past the budget raises
+    BudgetExceededError naming the size at which the plain search would
+    have run out; the subsets actually checked never exceed the budget.
     """
-    target = tuple(concept)
-    others = fc.all_ids ^ (1 << fc.index_of(target))
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    if not others:
+    return _teaching_set(fc, fc.index_of(concept), limit)
+
+
+def _teaching_set(fc: FiniteClass, i: int, limit: int) -> TeachingSet:
+    """`teaching_set` for concept id `i` of `fc`."""
+    target = fc.concepts[i]
+    if len(fc.concepts) == 1:
         return TeachingSet(target=target, examples=())
     label = dict(zip(fc.domain, target))
-    rules_out = {x: fc.labelled(x, 1 - y) for x, y in label.items()}
+    full = fc.all_ids
+    rules_out = {x: ones ^ full if y else ones for x, y, ones in zip(fc.domain, target, fc.masks)}
     candidates = sorted(x for x, ids in rules_out.items() if ids)
+    c = len(candidates)
+    once = twice = 0
+    for ids in rules_out.values():
+        twice |= once & ids
+        once |= ids
+    alone = once & ~twice
+    forced = [x for x in candidates if rules_out[x] & alone]
+    taught = 0
+    for x in forced:
+        taught |= rules_out[x]
+    uncovered = once ^ taught
+    # Points ruling out nothing F leaves are in no minimum set.
+    rest = [x for x in candidates if rules_out[x] & uncovered]
 
-    uncovered = others
-    greedy: list[int] = []
-    while uncovered:
-        x = max(candidates, key=lambda p: (rules_out[p] & uncovered).bit_count())
-        # Every other concept disagrees somewhere (concepts are deduplicated),
-        # so greedy always makes progress.
-        greedy.append(x)
-        uncovered &= ~rules_out[x]
-    upper = len(greedy)
-
-    checked = 0
-    for size in range(upper + 1):
-        for points in combinations(candidates, size):
-            checked += 1
-            if checked > limit:
-                raise BudgetExceededError(
-                    f"teaching_set exceeded {limit} subset checks at size {size}"
-                )
+    # The plain search checks below[s] subsets before size s.  Each subset
+    # tried here maps, in order, onto a distinct one it checks at the same
+    # size, so once these counts pass the budget, it has run out too.
+    below = list(accumulate((comb(c, s) for s in range(c)), initial=0))
+    for r in range(len(rest) + 1):
+        size = len(forced) + r
+        for checked, extra in enumerate(combinations(rest, r), 1):
+            if below[size] + checked > limit:
+                raise _teaching_budget_error(below, limit)
             covered = 0
-            for x in points:
+            for x in extra:
                 covered |= rules_out[x]
-            if covered == others:
+            if covered & uncovered == uncovered:
+                points = sorted(forced + list(extra))
+                # Its lexicographic rank is C(c, size) - 1 less the subsets after it.
+                after = (comb(c - 1 - candidates.index(x), size - j) for j, x in enumerate(points))
+                if below[size] + comb(c, size) - sum(after) > limit:
+                    raise _teaching_budget_error(below, limit)
                 return TeachingSet(target=target, examples=tuple((x, label[x]) for x in points))
-    raise AssertionError("greedy cover bounds the exact search")
+    raise AssertionError("the candidate points rule out every other concept")
+
+
+def _teaching_budget_error(below: list[int], limit: int) -> BudgetExceededError:
+    """The plain search runs out at the first size it cannot finish."""
+    size = sum(checks <= limit for checks in below[1:])
+    return BudgetExceededError(f"teaching_set exceeded {limit} subset checks at size {size}")
 
 
 def teaching_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionReport:
     """Worst-case minimum teaching set size, with all per-concept sets."""
     _require_nonempty(fc)
-    sets = [teaching_set(fc, concept, budget=budget) for concept in fc.concepts]
+    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
+    sets = [_teaching_set(fc, i, limit) for i in range(len(fc.concepts))]
     value = max(len(ts.examples) for ts in sets)
     return DimensionReport(measure="teaching", value=value, certificate=sets)
 

@@ -3,7 +3,8 @@
 Everything here works straight from the definitions with exhaustive or
 backtracking search and no shared code with the optimized routines: VC by
 checking every subset, the mistake-tree dimension by direct tree search,
-teaching sets by trying every example set in size order, the Littlestone
+teaching sets by trying every example set in size order (and, for the
+budget charge, counting the subsets that search checks), the Littlestone
 recursion's state count by breadth-first search (and, for the bound-pruned
 recursion, by replaying its two pruning rules over frozensets), optimal
 tree labels from unpruned frozenset values, SOA predictions by
@@ -20,7 +21,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from learndim import FiniteClass
+from learndim import BudgetExceededError, FiniteClass
 
 
 def all_patterns_present(fc: FiniteClass, points: tuple[int, ...]) -> bool:
@@ -198,6 +199,33 @@ def naive_min_teaching_size(fc: FiniteClass, target: tuple[int, ...]) -> int:
 
 def naive_teaching_dim(fc: FiniteClass) -> int:
     return max(naive_min_teaching_size(fc, c) for c in fc.concepts)
+
+
+def naive_teaching_search(
+    fc: FiniteClass, target: tuple[int, ...], limit: int
+) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The first minimum teaching set of the plain size-ordered search over
+    the points some other concept disagrees on, and the subsets it checked.
+
+    Raises BudgetExceededError past `limit` checks, naming the size it was
+    searching.  A class of one concept checks nothing.
+    """
+    label = dict(zip(fc.domain, target))
+    others = [dict(zip(fc.domain, c)) for c in fc.concepts if c != target]
+    if not others:
+        return (), 0
+    candidates = sorted(x for x in fc.domain if any(c[x] != label[x] for c in others))
+    checked = 0
+    for size in range(len(candidates) + 1):
+        for points in combinations(candidates, size):
+            checked += 1
+            if checked > limit:
+                raise BudgetExceededError(
+                    f"teaching_set exceeded {limit} subset checks at size {size}"
+                )
+            if all(any(c[x] != label[x] for x in points) for c in others):
+                return tuple((x, label[x]) for x in points), checked
+    raise AssertionError("all candidate points rule out every other concept")
 
 
 def bit_of(m: int, n: int) -> int:

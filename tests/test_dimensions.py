@@ -31,7 +31,13 @@ from learndim import (
 )
 
 from conftest import hypercube_class, random_finite_class
-from oracles import naive_littlestone_dim, naive_min_teaching_size, naive_teaching_dim, naive_vc_dim
+from oracles import (
+    naive_littlestone_dim,
+    naive_min_teaching_size,
+    naive_teaching_dim,
+    naive_teaching_search,
+    naive_vc_dim,
+)
 
 SINGLETON = FiniteClass.from_rows(range(3), [(0, 1, 0)])
 
@@ -250,6 +256,17 @@ def test_budget_guards_raise():
         littlestone_dim(cube, budget=3)
     with pytest.raises(BudgetExceededError):
         teaching_set(cube, cube.concepts[0], budget=2)
+
+
+def test_teaching_budget_charges_the_plain_search_on_a_cube():
+    # All four points are forced for the 4-cube's zero concept, so they are
+    # the first set tried; the charge is still the plain search's 1 + 4 + 6
+    # + 4 subsets below size 4 plus the first of size 4.
+    cube = hypercube_class(4)
+    assert naive_teaching_search(cube, cube.concepts[0], 16)[1] == 16
+    assert len(teaching_set(cube, cube.concepts[0], budget=16).examples) == 4
+    with pytest.raises(BudgetExceededError, match="exceeded 15 subset checks at size 4"):
+        teaching_set(cube, cube.concepts[0], budget=15)
 
 
 def test_empty_class_rejected():

@@ -140,6 +140,15 @@ def test_littlestone_window_past_the_unpruned_state_budget():
     assert proc.stdout == "littlestone on window (13, 16384): 14\n"
 
 
+def test_teaching_window_taught_by_its_forced_points():
+    # The looper's window 11 is the full 12-cube: every concept is taught by
+    # its 12 forced points, so no subset search runs (about 0.3 s end to end
+    # on a 2-core x86 VM; a greedy cover and a search from size 0 took 21 s).
+    proc = run_cli("teach", "--class", f"halting:{LOOP}", "--window", "11")
+    check_run(proc, 0)
+    assert proc.stdout == "teaching dimension on window (11, 4096): 12\n"
+
+
 def test_window_third_integer_message():
     proc = run_cli("dim", "--class", "step", "--window", "3", "4", "5")
     assert proc.stdout == ""
