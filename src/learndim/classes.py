@@ -159,20 +159,6 @@ class FiniteClass:
         ones = self.masks[self.column(x)]
         return ones if y else ones ^ self.all_ids
 
-    def to_csv_text(self) -> str:
-        header = "witness," + ",".join(str(x) for x in self.domain)
-        lines = [header]
-        for w, concept in zip(self.witnesses, self.concepts):
-            lines.append(str(w) + "," + ",".join(str(b) for b in concept))
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "domain": list(self.domain),
-            "concepts": [list(c) for c in self.concepts],
-            "witnesses": list(self.witnesses),
-        }
-
 
 def masked_sequence_class(
     active: Callable[[int], bool], provenance: str, label: str

@@ -9,6 +9,10 @@ verdicts, 3 budget exhausted (partial results), 4 online-protocol violation.
 The evaluation budget (materialization's evaluator calls, pac's total
 sample draws) can be overridden with the LEARNDIM_EVAL_BUDGET environment
 variable.  Usage errors print one line and exit 1.
+
+JSON output writes a result dataclass as its fields by name (keys sorted,
+tuples as lists, nested results in turn); a LittlestoneTree's edge-bit
+prefixes become bit strings such as "01".
 """
 
 from __future__ import annotations
@@ -60,11 +64,24 @@ def _concept(fc: classes.FiniteClass, index: int, flag: str) -> tuple[int, ...]:
     return fc.concepts[index]
 
 
-def _emit(args, payload: dict, text_lines: list[str], csv_text: str | None = None) -> None:
+def _fields(obj) -> dict:
+    """JSON shape of a result dataclass: its fields by name, except that a
+    LittlestoneTree's tuple prefixes become bit strings."""
+    if isinstance(obj, dimensions.LittlestoneTree):
+        labels = {"".join(map(str, prefix)): x for prefix, x in obj.labels.items()}
+        return {"depth": obj.depth, "labels": labels}
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def _json(payload, indent: int | None = None) -> str:
+    return json.dumps(payload, sort_keys=True, indent=indent, default=_fields)
+
+
+def _emit(args, payload, text_lines: list[str], csv_text: str | None = None) -> None:
     if args.format == "json":
-        rendered = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        rendered = _json(payload, indent=2) + "\n"
     elif args.format == "csv":
-        rendered = csv_text if csv_text is not None else json.dumps(payload, sort_keys=True) + "\n"
+        rendered = csv_text if csv_text is not None else _json(payload) + "\n"
     else:
         rendered = "\n".join(text_lines) + "\n"
     if args.out:
@@ -103,20 +120,17 @@ def cmd_dim(args) -> int:
     ic = parse_class_arg(args.class_spec)
     if args.window is not None and args.schedule:
         raise ValueError("--window and --schedule are mutually exclusive")
+    if args.export_class and args.window is None:
+        raise ValueError("--export-class needs --window")
     if args.window is not None:
         n, m = _window(args)
         fc = classes.materialize(ic, n, m)
         report = dimensions.MEASURES[args.measure](fc)
-        report = dataclasses.replace(report, window=(n, m))
         if args.export_class:
-            path = Path(args.export_class)
-            if path.suffix == ".csv":
-                path.write_text(fc.to_csv_text(), encoding="utf-8")
-            else:
-                path.write_text(json.dumps(fc.to_json_dict(), sort_keys=True, indent=2), encoding="utf-8")
+            _export_class(fc, Path(args.export_class))
         _emit(
             args,
-            report.to_json_dict(),
+            {**_fields(report), "window": [n, m]},
             [f"{args.measure} on window ({n}, {m}): {report.value}"],
             csv_text=f"measure,N,M,value\n{args.measure},{n},{m},{report.value}\n",
         )
@@ -130,12 +144,25 @@ def cmd_dim(args) -> int:
     ]
     csv_rows = ["measure,N,M,value"]
     csv_rows += [f"{args.measure},{w[0]},{w[1]},{v}" for w, v in zip(scan.windows, scan.values)]
-    _emit(args, scan.to_json_dict(), lines, csv_text="\n".join(csv_rows) + "\n")
+    _emit(args, scan, lines, csv_text="\n".join(csv_rows) + "\n")
     return EXIT_BUDGET if scan.incomplete else EXIT_OK
+
+
+def _export_class(fc: classes.FiniteClass, path: Path) -> None:
+    """Write a window as CSV (a witness column, then one per point) or JSON."""
+    if path.suffix == ".csv":
+        lines = ["witness," + ",".join(map(str, fc.domain))]
+        lines += [f"{w}," + ",".join(map(str, c)) for w, c in zip(fc.witnesses, fc.concepts)]
+        text = "\n".join(lines) + "\n"
+    else:
+        text = _json(fc, indent=2)
+    path.write_text(text, encoding="utf-8")
 
 
 def cmd_teach(args) -> int:
     if args.escape:
+        if (args.class_spec, args.window, args.index) != (None, None, None):
+            raise ValueError("--escape takes no --class, --window or --index")
         points = [int(tok) for tok in args.escape.replace(",", " ").split()]
         concept = dimensions.escape_witness([(x, 0) for x in points])
         payload = {"threshold": concept.threshold, "kind": concept.kind}
@@ -148,15 +175,10 @@ def cmd_teach(args) -> int:
     fc = classes.materialize(ic, n, m)
     if args.index is not None:
         ts = dimensions.teaching_set(fc, _concept(fc, args.index, "--index"))
-        payload = ts.to_json_dict()
-        _emit(args, payload, [f"teaching set for concept {args.index}: {list(ts.examples)}"])
+        _emit(args, ts, [f"teaching set for concept {args.index}: {list(ts.examples)}"])
         return EXIT_OK
     report = dimensions.teaching_dim(fc)
-    _emit(
-        args,
-        report.to_json_dict(),
-        [f"teaching dimension on window ({n}, {m}): {report.value}"],
-    )
+    _emit(args, report, [f"teaching dimension on window ({n}, {m}): {report.value}"])
     return EXIT_OK
 
 
@@ -166,12 +188,11 @@ def cmd_tree(args) -> int:
     if labeling is None:
         labeling = "active" if ic.provenance in ("goedel", "goedel_prefix") else "layer"
     tree = dimensions.tree_witness(ic, args.depth, labeling)
-    payload = tree.to_json_dict()
-    payload["verified_paths"] = 2**tree.depth
+    paths = 2**tree.depth
     _emit(
         args,
-        payload,
-        [f"depth-{tree.depth} witness verified on all {2 ** tree.depth} paths"],
+        {**_fields(tree), "verified_paths": paths},
+        [f"depth-{tree.depth} witness verified on all {paths} paths"],
     )
     return EXIT_OK
 
@@ -202,8 +223,7 @@ def cmd_game(args) -> int:
     adversary = ADVERSARIES[args.adversary](fc, args.seed, report.certificate)
     rounds = args.max_rounds if args.max_rounds is not None else max(ldim, 1) + len(fc.domain)
     transcript = games.play_online_game(fc, learner, adversary, rounds)
-    payload = transcript.to_json_dict()
-    payload["ldim"] = ldim
+    payload = {**_fields(transcript), "ldim": ldim}
     _emit(args, payload, [f"mistakes: {transcript.mistakes}, Ldim: {ldim}"])
     return EXIT_OK
 
@@ -228,7 +248,7 @@ def cmd_pac(args) -> int:
         f"m={size}: success frequency {freq:.4f}"
         for size, freq in zip(report.sample_sizes, report.success_frequencies)
     ]
-    _emit(args, report.to_json_dict(), lines)
+    _emit(args, report, lines)
     return EXIT_OK
 
 
@@ -261,7 +281,14 @@ def cmd_suite(args) -> int:
         f"{e.name},{e.reduction_verdict},{'' if e.reduction_steps is None else e.reduction_steps}"
         for e in report.entries
     ]
-    _emit(args, report.to_json_dict(), lines, csv_text="\n".join(csv_rows) + "\n")
+    payload = {
+        **_fields(report),
+        "entries": [{**_fields(e), "agree": e.agree} for e in report.entries],
+        "halts": report.halts_count,
+        "no_answer": report.no_answer_count,
+        "disagreements": report.disagreements,
+    }
+    _emit(args, payload, lines, csv_text="\n".join(csv_rows) + "\n")
     return EXIT_OK if report.disagreements == 0 else EXIT_INPUT
 
 

@@ -46,21 +46,6 @@ class DimensionReport:
     measure: str  # "vc" | "littlestone" | "teaching"
     value: int
     certificate: object
-    window: tuple[int, int] | None = None
-
-    def to_json_dict(self) -> dict:
-        cert = self.certificate
-        if isinstance(cert, (LittlestoneTree, TeachingSet)):
-            cert = cert.to_json_dict()
-        elif isinstance(cert, (list, tuple)):
-            cert = [
-                c.to_json_dict() if isinstance(c, TeachingSet) else c
-                for c in cert
-            ]
-        out = {"measure": self.measure, "value": self.value, "certificate": cert}
-        if self.window is not None:
-            out["window"] = list(self.window)
-        return out
 
 
 @dataclass(frozen=True)
@@ -81,9 +66,6 @@ class TeachingSet:
             if all(concept[cols[x]] == y for x, y in self.examples):
                 return False
         return True
-
-    def to_json_dict(self) -> dict:
-        return {"target": list(self.target), "examples": [list(e) for e in self.examples]}
 
 
 @dataclass(frozen=True)
@@ -148,12 +130,6 @@ class LittlestoneTree:
             if any(ic.evaluate(m, x) != y for x, y in self.path_points(path)):
                 return False
         return True
-
-    def to_json_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "labels": {"".join(map(str, k)): v for k, v in sorted(self.labels.items())},
-        }
 
 
 def is_shattered(fc: FiniteClass, subset: Iterable[int]) -> bool:
@@ -457,15 +433,6 @@ class SaturationReport:
     @property
     def final_value(self) -> int | None:
         return self.values[-1] if self.values else None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "measure": self.measure,
-            "windows": [list(w) for w in self.windows],
-            "values": list(self.values),
-            "stabilized": self.stabilized,
-            "incomplete": self.incomplete,
-        }
 
 
 def saturation_scan(

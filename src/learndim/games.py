@@ -29,13 +29,6 @@ class GameTranscript:
     mistakes: int
     witnesses: tuple[tuple[int, ...], ...]  # per-round consistent concept
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rounds": [list(r) for r in self.rounds],
-            "mistakes": self.mistakes,
-            "witnesses": [list(w) for w in self.witnesses],
-        }
-
 
 def _first_concept(fc: FiniteClass, ids: int) -> tuple[int, ...]:
     """The concept at the lowest set bit of a nonempty id mask."""
@@ -205,8 +198,14 @@ def play_online_game(
 
     Every revealed prefix must be consistent with some class concept; the
     witness found per round goes into the transcript.  Raises
-    ProtocolViolationError naming the (1-based) round otherwise.
+    ProtocolViolationError naming the (1-based) round otherwise, and
+    BudgetExceededError before the first round when max_rounds exceeds
+    DEFAULT_SEARCH_BUDGET.
     """
+    if max_rounds > DEFAULT_SEARCH_BUDGET:
+        raise BudgetExceededError(
+            f"{max_rounds} rounds exceed the game budget of {DEFAULT_SEARCH_BUDGET}"
+        )
     rounds: list[tuple[int, int, int]] = []
     witnesses: list[tuple[int, ...]] = []
     consistent = fc.all_ids
@@ -278,16 +277,6 @@ class PacReport:
     seed: int
     sample_sizes: tuple[int, ...]
     success_frequencies: tuple[float, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "trials": self.trials,
-            "seed": self.seed,
-            "sample_sizes": list(self.sample_sizes),
-            "success_frequencies": list(self.success_frequencies),
-        }
 
 
 def pac_experiment(

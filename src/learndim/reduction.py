@@ -119,16 +119,6 @@ class AgreementEntry:
     def agree(self) -> bool:
         return (self.reduction_verdict == HALTS) == self.direct_halted
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "reduction_verdict": self.reduction_verdict,
-            "reduction_steps": self.reduction_steps,
-            "direct_halted": self.direct_halted,
-            "direct_steps": self.direct_steps,
-            "agree": self.agree,
-        }
-
 
 @dataclass(frozen=True)
 class AgreementReport:
@@ -146,15 +136,6 @@ class AgreementReport:
     @property
     def disagreements(self) -> int:
         return sum(1 for e in self.entries if not e.agree)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "budget": self.budget,
-            "entries": [e.to_json_dict() for e in self.entries],
-            "halts": self.halts_count,
-            "no_answer": self.no_answer_count,
-            "disagreements": self.disagreements,
-        }
 
 
 def agreement_check(

@@ -24,8 +24,9 @@ from learndim import (
     step_class,
 )
 from learndim import active_index
+from learndim.cli import main
 
-from conftest import halter_text
+from conftest import MACHINES_DIR, halter_text
 from oracles import goedel_eval_oracle, halting_eval_oracle
 
 
@@ -214,13 +215,15 @@ def test_full_coverage_index_window(halters):
     assert len(fc.concepts) == 2**actives
 
 
-def test_finite_class_exports(halters):
-    fc = materialize(halting_class(halters[1]), 2, 8)
-    csv_text = fc.to_csv_text()
-    assert csv_text.splitlines()[0] == "witness,0,1,2"
-    payload = fc.to_json_dict()
-    assert payload["witnesses"][0] == 0
-    assert json.dumps(payload)  # JSON-serializable
+def test_finite_class_exports(tmp_path, capsys):
+    # Windows are exported by the CLI, which owns every output format.
+    for suffix in ("csv", "json"):
+        path = tmp_path / f"x.{suffix}"
+        argv = ["dim", "--class", f"halting:{MACHINES_DIR / 'halt2.tm'}", "--window", "2", "8"]
+        assert main(argv + ["--export-class", str(path)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "x.csv").read_text().splitlines()[0] == "witness,0,1,2"
+    assert json.loads((tmp_path / "x.json").read_text())["witnesses"][0] == 0
 
 
 def test_class_from_spec(tmp_path, halters):

@@ -72,6 +72,10 @@ MATRIX = [
     (["teach", "--class", "step", "--index", "-1"], None, 1),
     (["pac", "--class", "step", "--target-index", "99"], None, 1),
     (["game", "--class", "step", "--max-rounds", "-1"], None, 1),
+    (["game", "--class", "step", "--max-rounds", "2000001"], None, 3),
+    # Flags that would be silently ignored.
+    (["dim", "--class", "step", "--export-class", "unused.csv"], None, 1),
+    (["teach", "--escape", "2,7", "--class", "step", "--window", "3", "--index", "1"], None, 1),
     # Depths.
     (["tree", "--class", "step", "--depth", "-1"], None, 1),
     (["tree", "--class", "step", "--depth", "25"], None, 3),

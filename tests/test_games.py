@@ -7,6 +7,7 @@ import random
 import pytest
 
 from learndim import (
+    BudgetExceededError,
     ConstantLearner,
     FiniteClass,
     MajorityFlipAdversary,
@@ -125,6 +126,17 @@ def test_cheating_adversary_detected():
     with pytest.raises(ProtocolViolationError) as err:
         play_online_game(fc, ConstantLearner(0), Liar(fc), 5)
     assert err.value.round_index == 2
+
+
+def test_game_rounds_bounded_before_the_first_question():
+    from learndim.dimensions import DEFAULT_SEARCH_BUDGET
+
+    class Mute:
+        def question(self):
+            raise AssertionError("asked a question past the round budget")
+
+    with pytest.raises(BudgetExceededError, match="2000001 rounds"):
+        play_online_game(SINGLETON, ConstantLearner(0), Mute(), DEFAULT_SEARCH_BUDGET + 1)
 
 
 def test_tree_adversary_requires_realizable_tree():
