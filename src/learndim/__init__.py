@@ -16,7 +16,6 @@ from .errors import (
     WitnessUnresolvedError,
 )
 from .turing import (
-    Configuration,
     RunResult,
     TuringMachine,
     decode_tm,

@@ -305,16 +305,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact learnability dimensions, machine simulation, games, and reductions.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
-    common.add_argument("--budget", type=int, default=10_000, help="step budget for simulations")
     common.add_argument("--out", help="write output to this path instead of stdout")
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    # --seed and --budget go only on the commands that read them, so that
+    # anywhere else they are rejected instead of ignored.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
+    budgeted = argparse.ArgumentParser(add_help=False)
+    budgeted.add_argument("--budget", type=int, default=10_000, help="step budget for simulations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name: str, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name: str, *flags: argparse.ArgumentParser, **kwargs):
+        return sub.add_parser(name, parents=[common, *flags], **kwargs)
 
-    p = add_parser("simulate", help="run a machine on the empty input")
+    p = add_parser("simulate", budgeted, help="run a machine on the empty input")
     p.add_argument("machine")
     p.set_defaults(func=cmd_simulate)
 
@@ -339,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labeling", choices=("layer", "active"))
     p.set_defaults(func=cmd_tree)
 
-    p = add_parser("game", help="play the online learning game")
+    p = add_parser("game", seeded, help="play the online learning game")
     p.add_argument("--class", dest="class_spec", required=True)
     p.add_argument("--window", type=int, nargs="+", metavar="N [M]")
     p.add_argument("--learner", choices=tuple(LEARNERS), default="soa")
@@ -347,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rounds", type=int)
     p.set_defaults(func=cmd_game)
 
-    p = add_parser("pac", help="seeded PAC/ERM experiment on a class window")
+    p = add_parser("pac", seeded, help="seeded PAC/ERM experiment on a class window")
     p.add_argument("--class", dest="class_spec", required=True)
     p.add_argument("--window", type=int, nargs="+", metavar="N [M]")
     p.add_argument("--epsilon", type=float, default=0.25)
@@ -357,11 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-index", type=int, default=0)
     p.set_defaults(func=cmd_pac)
 
-    p = add_parser("reduce", help="halting verdict through the class-code decider")
+    p = add_parser("reduce", budgeted, help="halting verdict through the class-code decider")
     p.add_argument("machine")
     p.set_defaults(func=cmd_reduce)
 
-    p = add_parser("suite", help="agreement check of reduction vs direct simulation")
+    p = add_parser("suite", budgeted, help="agreement check of reduction vs direct simulation")
     p.add_argument("machines", nargs="+")
     p.set_defaults(func=cmd_suite)
 

@@ -53,15 +53,19 @@ def contradiction_scanner(fs: FormalSystem) -> Callable[[int], int | None]:
 
     def onset(n: int) -> int | None:
         nonlocal scanned, found
-        if found is None:
-            theorem = fs.theorem
+        if found is None and n > scanned:
+            theorem, add = fs.theorem, seen.add
             for k in range(scanned + 1, n + 1):
                 code = theorem(k)
-                if negation(code) in seen:
+                if code < 0:
+                    negation(code)  # raises its ValueError
+                if code ^ 1 in seen:
                     found = k
                     break
-                seen.add(code)
-                scanned = k
+                add(code)
+            # A raise above leaves `scanned` behind; rescanning theorems
+            # already in `seen` is harmless, since no pair among them clashes.
+            scanned = n
         return found if found is not None and found <= n else None
 
     return onset

@@ -16,16 +16,30 @@ The transition table must be total over (non-halting state, symbol) pairs,
 and the halting state has no outgoing transitions.  Simulation always starts
 on the empty (all-blank) tape with the head at cell 0, matching the halting
 predicate used by the class constructions.
+
+Simulation compiles the machine once into a flat table of int tuples:
+symbols are numbered with the blank as 0, each state owns a row of one entry
+per symbol, and entry row(state) + symbol holds (written symbol, head move
++1 or -1, row of the next state).  The halting state's row is all None, and
+a table with any other gap is refused with MachineParseError, so None only
+ever means halted.  The tape is a flat array of symbol numbers: a bytearray
+when the alphabet has at most 256 symbols, a list of ints otherwise.  It
+doubles in place on the side the head approaches, and between growths the
+step loop runs without bounds or halting checks (see halt_scanner).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 from .errors import MachineParseError
 
 HEADER_KEYS = ("states", "alphabet", "blank", "initial", "halting")
+# Cells of a fresh tape, at least 4 so that a quarter of it is a cell.  The
+# head starts in the middle, at cell 128, so a machine that stays near its
+# start steps on CPython's cached small ints.
+TAPE_START = 256
 
 
 @dataclass(frozen=True)
@@ -37,19 +51,6 @@ class TuringMachine:
     halting: str
     # (state, symbol) -> (write, move, next_state); move is "L" or "R"
     transitions: Mapping[tuple[str, str], tuple[str, str, str]]
-
-    def transition(self, state: str, symbol: str) -> tuple[str, str, str]:
-        return self.transitions[(state, symbol)]
-
-
-@dataclass
-class Configuration:
-    """Machine snapshot: sparse tape (absent cell = blank), head, state."""
-
-    tape: dict[int, str] = field(default_factory=dict)
-    head: int = 0
-    state: str = ""
-    steps_taken: int = 0
 
 
 @dataclass(frozen=True)
@@ -165,50 +166,80 @@ def load_tm(path) -> TuringMachine:
         return parse_tm(fh.read())
 
 
-def initial_configuration(tm: TuringMachine) -> Configuration:
-    """Empty input: all-blank tape, head at cell 0, initial state."""
-    return Configuration(tape={}, head=0, state=tm.initial, steps_taken=0)
+def _compile(tm: TuringMachine) -> tuple[list[tuple[int, int, int] | None], int, int, int]:
+    """Flat transition table of `tm` (laid out as the module docstring says),
+    with the initial state's row, the halting state's row and the symbol count.
 
-
-def step(tm: TuringMachine, config: Configuration) -> Configuration:
-    """Apply one transition in place; caller must check for the halting state."""
-    symbol = config.tape.get(config.head, tm.blank)
-    write, move, nxt = tm.transitions[(config.state, symbol)]
-    if write == tm.blank:
-        config.tape.pop(config.head, None)
-    else:
-        config.tape[config.head] = write
-    config.head += 1 if move == "R" else -1
-    config.state = nxt
-    config.steps_taken += 1
-    return config
-
-
-def trace(tm: TuringMachine, budget: int) -> Iterator[Configuration]:
-    """Yield configurations from step 0 up to halting or the budget."""
-    config = initial_configuration(tm)
-    yield config
-    while config.state != tm.halting and config.steps_taken < budget:
-        yield step(tm, config)
+    State q's row starts at its position in tm.states times the symbol count.
+    Raises MachineParseError, as parse_tm would, on a missing transition.
+    """
+    symbols = {tm.blank: 0}
+    for symbol in tm.alphabet:
+        symbols.setdefault(symbol, len(symbols))
+    width = len(symbols)
+    rows = {state: i * width for i, state in enumerate(tm.states)}
+    table: list[tuple[int, int, int] | None] = [None] * (width * len(rows))
+    for (state, symbol), (write, move, nxt) in tm.transitions.items():
+        if state != tm.halting:
+            entry = (symbols[write], 1 if move == "R" else -1, rows[nxt])
+            table[rows[state] + symbols[symbol]] = entry
+    if table.count(None) > width:  # a gap besides the halting row
+        names = list(symbols)
+        for i, entry in enumerate(table):
+            state = tm.states[i // width]
+            if entry is None and state != tm.halting:
+                raise MachineParseError(f"missing transition for ({state}, {names[i % width]})")
+    return table, rows[tm.initial], rows[tm.halting], width
 
 
 def halt_scanner(tm: TuringMachine) -> Callable[[int], int | None]:
     """Resumable halting scan on the empty input.
 
     Returns onset(n): the halting step K if K <= n, else None.  One paused
-    configuration is shared by all calls, so each call only steps past the
-    budget earlier calls already covered, whatever order the queries come in.
+    run (tape, head, state row, steps taken) is shared by all calls, so each
+    call only steps past the budget earlier calls already covered, whatever
+    order the queries come in.
+
+    The machine is compiled once (see _compile).  Each stretch of the run
+    takes as many steps as neither tape edge nor the budget can interrupt,
+    with no check inside the loop: reading the halting state's None entry
+    ends the stretch, and the loop index is then the exact halting step.
     """
-    paused = initial_configuration(tm)
-    halting = tm.halting
+    table, start_row, halt_row, width = _compile(tm)
+    tape = bytearray(TAPE_START) if width <= 256 else [0] * TAPE_START
+    blank = tape[:1]  # one blank cell, of the tape's own type
+    head, row, steps = TAPE_START // 2, start_row, 0
+    halted_at = 0 if start_row == halt_row else None  # set as soon as the run halts
 
     def onset(n: int) -> int | None:
-        config = paused  # a local, not a closure cell: read on every step
-        while config.state != halting:
-            if config.steps_taken >= n:
-                return None
-            step(tm, config)
-        return config.steps_taken if config.steps_taken <= n else None
+        nonlocal head, row, steps, halted_at
+        if halted_at is None and n > steps:
+            # Locals, not closure cells: read on every step.
+            t, cells, h, r, s = table, tape, head, row, steps
+            while s < n:
+                size = len(cells)
+                # Double the tape on the head's nearer side once that edge is
+                # closer than both a quarter of the tape and the budget left.
+                if min(h, size - 1 - h) < min(n - s, size // 4):
+                    if h < size - 1 - h:
+                        cells[:0] = blank * size
+                        h += size
+                    else:
+                        cells.extend(blank * size)
+                room = min(h, len(cells) - 1 - h, n - s)
+                try:
+                    for i in range(room):
+                        cells[h], move, r = t[r + cells[h]]
+                        h += move
+                except TypeError:  # unpacked the halting row's None
+                    halted_at = s + i
+                    break
+                s += room
+            else:
+                if r == halt_row:
+                    halted_at = s
+            head, row, steps = h, r, s
+        return halted_at if halted_at is not None and halted_at <= n else None
 
     return onset
 

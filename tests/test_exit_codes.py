@@ -76,6 +76,10 @@ MATRIX = [
     # Flags that would be silently ignored.
     (["dim", "--class", "step", "--export-class", "unused.csv"], None, 1),
     (["teach", "--escape", "2,7", "--class", "step", "--window", "3", "--index", "1"], None, 1),
+    (["dim", "--class", "step", "--window", "3", "--budget", "1"], None, 1),
+    (["dim", "--class", "step", "--window", "3", "--seed", "9"], None, 1),
+    (["simulate", HALT3, "--seed", "9"], None, 1),
+    (["game", "--class", "step", "--budget", "1"], None, 1),
     # Depths.
     (["tree", "--class", "step", "--depth", "-1"], None, 1),
     (["tree", "--class", "step", "--depth", "25"], None, 3),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from learndim import (
+    FormalSystem,
     active_index,
     consistent_toy,
     inconsistency_onset,
@@ -16,6 +17,7 @@ from learndim import (
     prefix_consistent,
     system_from_spec,
 )
+from learndim.formal import contradiction_scanner
 
 
 def test_negation_values_and_involution():
@@ -24,6 +26,18 @@ def test_negation_values_and_involution():
     for s in range(10_000):
         assert negation(negation(s)) == s
         assert negation(s) != s
+
+
+def test_negative_theorem_code_rejected_by_scan():
+    # theorem(3) = -1 raises negation's ValueError, on a fresh scan and on a
+    # paused one, and again when the scan is retried.
+    fs = FormalSystem(name="negative", theorem=lambda i: -1 if i == 3 else 2 * i + 4)
+    onset = contradiction_scanner(fs)
+    assert onset(2) is None
+    for scan in (onset, contradiction_scanner(fs), onset):
+        with pytest.raises(ValueError, match="nonnegative"):
+            scan(10)
+    assert onset(2) is None
 
 
 def test_consistent_toy_enumeration():

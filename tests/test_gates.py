@@ -4,7 +4,10 @@ fall and repeat."""
 
 from __future__ import annotations
 
-from hypothesis import given, strategies as st
+import random
+from unittest import mock
+
+from hypothesis import example, given, strategies as st
 
 from learndim import (
     consistent_toy,
@@ -18,6 +21,7 @@ from learndim import (
     parse_tm,
     prefix_consistent,
     run_bounded,
+    turing,
 )
 
 from conftest import BEAVER2, LOOP_TEXTS, halter_text
@@ -39,6 +43,55 @@ systems = st.one_of(
     st.just(inconsistent_toy()),
     st.integers(min_value=0, max_value=30).map(inconsistent_toy_at),
 )
+
+
+def machine_text(states, alphabet, blank, initial, table) -> str:
+    rows = [f"{q} {a} -> {w} {m} {nxt}" for (q, a), (w, m, nxt) in table.items()]
+    header = [
+        f"states: {' '.join(states)}",
+        f"alphabet: {' '.join(alphabet)}",
+        f"blank: {blank}",
+        f"initial: {initial}",
+        "halting: halt",
+    ]
+    return "\n".join(header + rows) + "\n"
+
+
+@st.composite
+def total_machines(draw):
+    """Random total machines: 1-4 working states, 2-3 symbols, any blank,
+    moves both ways, and next states that include the halting state."""
+    working = [f"q{i}" for i in range(draw(st.integers(min_value=1, max_value=4)))]
+    states = working + ["halt"]
+    alphabet = ("_", "0", "1")[: draw(st.integers(min_value=2, max_value=3))]
+    table = {
+        (q, a): (draw(st.sampled_from(alphabet)), draw(st.sampled_from("LR")),
+                 draw(st.sampled_from(states)))
+        for q in working
+        for a in alphabet
+    }
+    blank, initial = draw(st.sampled_from(alphabet)), draw(st.sampled_from(working))
+    return parse_tm(machine_text(states, alphabet, blank, initial, table))
+
+
+# A machine that starts in its halting state, with a table that is never read.
+HALTS_AT_START = parse_tm(machine_text(
+    ["q0", "halt"], ("_", "1"), "1", "halt",
+    {("q0", "_"): ("1", "L", "q0"), ("q0", "1"): ("_", "R", "halt")},
+))
+
+
+def assert_scans_match_oracle(tm, queries) -> None:
+    """run_bounded, f_of_machine and halting_class(...).active against the
+    oracle; the last two share one paused run across the queries."""
+    f = f_of_machine(tm)
+    ic = halting_class(tm)
+    for n in queries:
+        k = halting_step_oracle(tm, n)
+        result = run_bounded(tm, n)
+        assert (result.halted, result.steps) == ((False, n) if k is None else (True, k))
+        assert f(n) == int(k is not None)
+        assert ic.active(n) == (k is None)
 
 
 def query_sequences(max_n: int):
@@ -84,3 +137,32 @@ def test_formal_scans_match_oracle(fs, queries):
     for n in queries:
         assert prefix_consistent(fs, n) == prefix_consistent_oracle(fs.theorem, n)
         assert inconsistency_onset(fs, n) == inconsistency_onset_oracle(fs.theorem, n)
+
+
+# From a 4-cell start tape, runs of up to 300 steps double the tape several
+# times on whichever sides the head visits.
+@given(total_machines(), query_sequences(300), st.sampled_from([4, turing.TAPE_START]))
+@example(HALTS_AT_START, [0, 3, 0], 4)
+def test_generated_machines_match_oracle(tm, queries, tape_start):
+    with mock.patch.object(turing, "TAPE_START", tape_start):
+        assert_scans_match_oracle(tm, queries)
+
+
+def test_wide_alphabet_machine_matches_oracle():
+    # 300 symbols do not fit a byte, so the run keeps its tape as a list.
+    # This seed's machine halts at step 283, on cells -4..12, having
+    # written 34 symbols past 255.
+    rng = random.Random(319)
+    alphabet = tuple(f"s{i:03d}" for i in range(300))
+    table = {
+        (q, a): (rng.choice(alphabet), rng.choice("LR"), rng.choice(("q0", "q1")))
+        for q in ("q0", "q1")
+        for a in alphabet
+    }
+    table[("q1", "s299")] = ("s299", "L", "halt")
+    tm = parse_tm(machine_text(["q0", "q1", "halt"], alphabet, "s150", "q0", table))
+    assert halting_step_oracle(tm, 1000) == 283
+    queries = [0, 5, 1, 40, 282, 2000, 283, 700, 3000]
+    for tape_start in (4, turing.TAPE_START):
+        with mock.patch.object(turing, "TAPE_START", tape_start):
+            assert_scans_match_oracle(tm, queries)

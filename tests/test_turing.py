@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from learndim import (
     MachineParseError,
+    TuringMachine,
     decode_tm,
     encode_tm,
     halts_within,
@@ -13,9 +16,8 @@ from learndim import (
     run_bounded,
     serialize_tm,
 )
-from learndim.turing import trace
 
-from conftest import BEAVER2, LOOP_TEXTS, halter_text
+from conftest import BEAVER2, LOOP_TEXTS, LOOP_WRITER, halter_text
 
 ONE_RULE = """\
 states: q0 halt
@@ -116,9 +118,37 @@ def test_halting_monotone_and_step_stable(halters):
         assert run_bounded(tm, budget).steps == 4
 
 
-def test_tape_sparsity(beaver):
-    for config in trace(beaver, 50):
-        assert len(config.tape) <= config.steps_taken + 1
+def test_long_walk_peak_memory():
+    # Two million written cells: a flat byte tape, not one object per cell.
+    tm = parse_tm(LOOP_WRITER)
+    tracemalloc.start()
+    try:
+        assert str(run_bounded(tm, 2_000_000)) == "StillRunning(2000000)"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2, 100])
+def test_hand_built_gap_is_refused_not_halted(budget):
+    # The run would first read the missing (q1, _) entry on its second step.
+    # The table is checked whole before any step, so budgets that stop short
+    # of the gap refuse the machine too, and no budget reads it as a halt.
+    tm = TuringMachine(
+        states=("halt", "q0", "q1"),
+        alphabet=("1", "_"),
+        blank="_",
+        initial="q0",
+        halting="halt",
+        transitions={
+            ("q0", "_"): ("1", "R", "q1"),
+            ("q0", "1"): ("1", "R", "q0"),
+            ("q1", "1"): ("1", "R", "q1"),
+        },
+    )
+    with pytest.raises(MachineParseError, match=r"missing transition for \(q1, _\)"):
+        run_bounded(tm, budget)
 
 
 def _fixture_suite():
