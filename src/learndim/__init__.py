@@ -90,7 +90,6 @@ from .reduction import (
     HALTS,
     NO_ANSWER,
     AgreementReport,
-    ClassCode,
     DeciderVerdict,
     agreement_check,
     budgeted_vc_decider,

@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from itertools import chain, islice
 from pathlib import Path
 
 from . import classes, dimensions, games, reduction, turing
@@ -77,18 +78,31 @@ def _json(payload, indent: int | None = None) -> str:
     return json.dumps(payload, sort_keys=True, indent=indent, default=_fields)
 
 
+# Chunks of an iterencode stream joined per write: one write per chunk is
+# much slower, one write for the whole document holds it all in memory.
+CHUNKS_PER_WRITE = 4096
+
+
 def _emit(args, payload, text_lines: list[str], csv_text: str | None = None) -> None:
+    """Write the result; a JSON document is streamed, never built whole."""
     if args.format == "json":
-        rendered = _json(payload, indent=2) + "\n"
+        encoder = json.JSONEncoder(sort_keys=True, indent=2, default=_fields)
+        chunks = chain(encoder.iterencode(payload), ["\n"])
     elif args.format == "csv":
-        rendered = csv_text if csv_text is not None else _json(payload) + "\n"
+        chunks = iter([csv_text if csv_text is not None else _json(payload) + "\n"])
     else:
-        rendered = "\n".join(text_lines) + "\n"
+        chunks = iter(["\n".join(text_lines) + "\n"])
     if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as stream:
+            _write_chunks(stream, chunks)
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(rendered)
+        _write_chunks(sys.stdout, chunks)
+
+
+def _write_chunks(stream, chunks) -> None:
+    while batch := "".join(islice(chunks, CHUNKS_PER_WRITE)):
+        stream.write(batch)
 
 
 def _window(args, default: tuple[int, int] = (5, 64)) -> tuple[int, int]:
@@ -189,11 +203,9 @@ def cmd_tree(args) -> int:
         labeling = "active" if ic.provenance in ("goedel", "goedel_prefix") else "layer"
     tree = dimensions.tree_witness(ic, args.depth, labeling)
     paths = 2**tree.depth
-    _emit(
-        args,
-        {**_fields(tree), "verified_paths": paths},
-        [f"depth-{tree.depth} witness verified on all {paths} paths"],
-    )
+    # The labels are 2**depth bit strings: text output does not build them.
+    payload = None if args.format == "text" else {**_fields(tree), "verified_paths": paths}
+    _emit(args, payload, [f"depth-{tree.depth} witness verified on all {paths} paths"])
     return EXIT_OK
 
 

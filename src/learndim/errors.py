@@ -31,4 +31,4 @@ class WitnessUnresolvedError(RuntimeError):
 
 
 class ClassCodeError(ValueError):
-    """A serialized class code is malformed or has an unsupported format."""
+    """An integer is not the class code of any machine."""

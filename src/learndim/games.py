@@ -351,14 +351,7 @@ def pac_experiment(
                     ids &= agree[x]
             best = (ids & -ids).bit_length() - 1
             if best not in good:
-                hypothesis = fc.concepts[best]
-                true_error = float(
-                    sum(
-                        p
-                        for p, x in zip(probs, points)
-                        if hypothesis[point_cols[x]] != target_row[point_cols[x]]
-                    )
-                )
+                true_error = float(sum(p for p, x in zip(probs, points) if not agree[x] >> best & 1))
                 good[best] = true_error <= epsilon
             successes += good[best]
         frequencies.append(successes / trials)

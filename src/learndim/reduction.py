@@ -1,11 +1,12 @@
 """Halting-problem reduction pipeline.
 
-Computes a self-describing code for the halting-gated class of a machine and
-converts any verdict function on class codes into a halting verdict.  The
-shipped decider is deliberately partial and sound: it reports a finite
-dimension only after positively observing the halt, and never claims the
-infinite case.  The point is to demonstrate the reduction's mechanics, not
-to contradict its impossibility in general.
+The code of a machine's halting-gated class is the machine's own natural
+number code (`encode_tm`), so the reduction maps an index to an index.  Any
+verdict function on class codes becomes a halting verdict.  The shipped
+decider is deliberately partial and sound: it reports a finite dimension
+only after positively observing the halt, and never claims the infinite
+case.  The point is to demonstrate the reduction's mechanics, not to
+contradict its impossibility in general.
 """
 
 from __future__ import annotations
@@ -15,60 +16,27 @@ from typing import Callable, Sequence
 
 from .classes import IndexedClass, halting_class
 from .errors import ClassCodeError
-from .turing import TuringMachine, run_bounded, parse_tm, serialize_tm
-
-MAGIC = b"HMC1"
-TAG_HALTING = 1
+from .turing import TuringMachine, decode_tm, encode_tm, run_bounded
 
 HALTS = "halts"
 NO_ANSWER = "no-answer"
 
 
-@dataclass(frozen=True)
-class ClassCode:
-    """Versioned byte code: magic, construction tag, length-prefixed
-    canonical machine serialization."""
-
-    raw: bytes
-
-    def as_natural(self) -> int:
-        """Natural-number packing for fidelity to the index-based framing."""
-        return int.from_bytes(self.raw, "big")
-
-    @classmethod
-    def from_natural(cls, n: int) -> "ClassCode":
-        if n <= 0:
-            raise ClassCodeError("class codes are positive naturals")
-        raw = n.to_bytes((n.bit_length() + 7) // 8, "big")
-        return cls(raw=raw)
+def class_code(tm: TuringMachine) -> int:
+    """Natural-number code of the halting-gated class of `tm`: encode_tm(tm)."""
+    return encode_tm(tm)
 
 
-def class_code(tm: TuringMachine) -> ClassCode:
-    """Deterministic code of the halting-gated class of `tm`."""
-    body = serialize_tm(tm).encode("utf-8")
-    raw = MAGIC + bytes([TAG_HALTING]) + len(body).to_bytes(4, "big") + body
-    return ClassCode(raw=raw)
-
-
-def decode_machine(code: ClassCode) -> TuringMachine:
-    raw = code.raw
-    if len(raw) < len(MAGIC) + 5 or raw[: len(MAGIC)] != MAGIC:
-        raise ClassCodeError("bad magic: not a class code")
-    tag = raw[len(MAGIC)]
-    if tag != TAG_HALTING:
-        raise ClassCodeError(f"unsupported construction tag {tag}")
-    offset = len(MAGIC) + 1
-    length = int.from_bytes(raw[offset : offset + 4], "big")
-    body = raw[offset + 4 :]
-    if len(body) != length:
-        raise ClassCodeError("length prefix does not match body")
+def decode_machine(code: int) -> TuringMachine:
+    """The machine a class code names; ClassCodeError if it names none (a
+    non-positive code, bytes that are not UTF-8, or text parse_tm refuses)."""
     try:
-        return parse_tm(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise ClassCodeError(f"embedded machine is invalid: {exc}") from exc
+        return decode_tm(code)
+    except ValueError as exc:
+        raise ClassCodeError(f"not a class code: {exc}") from exc
 
 
-def decode_class_code(code: ClassCode) -> IndexedClass:
+def decode_class_code(code: int) -> IndexedClass:
     """Rebuild the evaluator; pointwise equal to halting_class(machine)."""
     return halting_class(decode_machine(code))
 
@@ -85,7 +53,7 @@ class DeciderVerdict:
         return f"Finite({self.value})" if self.finite else f"Unknown({self.value})"
 
 
-def budgeted_vc_decider(code: ClassCode, budget: int) -> DeciderVerdict:
+def budgeted_vc_decider(code: int, budget: int) -> DeciderVerdict:
     """Sound partial stand-in for the impossible finiteness decider.
 
     Simulates the embedded machine for at most `budget` steps; halting at
@@ -99,7 +67,7 @@ def budgeted_vc_decider(code: ClassCode, budget: int) -> DeciderVerdict:
 
 
 def halting_from_vc(
-    decider: Callable[[ClassCode], DeciderVerdict], tm: TuringMachine
+    decider: Callable[[int], DeciderVerdict], tm: TuringMachine
 ) -> str:
     """Feed the machine's class code to a finiteness decider: a Finite verdict
     means the machine halts."""

@@ -1,0 +1,101 @@
+"""The public API: the names `learndim` exports, one per line, so that adding
+or removing a public name shows as a one-line diff here."""
+
+from __future__ import annotations
+
+from types import ModuleType
+
+import learndim
+
+PUBLIC_NAMES = {
+    "AgreementReport",
+    "BudgetExceededError",
+    "ClassCodeError",
+    "Concept",
+    "ConstantLearner",
+    "DEFAULT_SCHEDULE",
+    "DeciderVerdict",
+    "DimensionReport",
+    "FiniteClass",
+    "FormalSystem",
+    "GameTranscript",
+    "HALTS",
+    "IndexedClass",
+    "LittlestoneTree",
+    "MachineParseError",
+    "MajorityFlipAdversary",
+    "NO_ANSWER",
+    "PacReport",
+    "ProtocolViolationError",
+    "RandomConsistentAdversary",
+    "RandomLearner",
+    "RunResult",
+    "SOALearner",
+    "SaturationReport",
+    "TeachingSet",
+    "TreeAdversary",
+    "TuringMachine",
+    "WitnessUnresolvedError",
+    "active_index",
+    "agreement_check",
+    "budgeted_vc_decider",
+    "class_code",
+    "class_from_spec",
+    "consistent_toy",
+    "decode_class_code",
+    "decode_machine",
+    "decode_tm",
+    "default_schedule",
+    "encode_tm",
+    "erm",
+    "escape_witness",
+    "f_of_machine",
+    "f_of_system",
+    "goedel_class",
+    "goedel_prefix_class",
+    "growth_schedule",
+    "halting_class",
+    "halting_from_vc",
+    "halts_within",
+    "inconsistency_onset",
+    "inconsistent_toy",
+    "inconsistent_toy_at",
+    "index_of_pattern",
+    "is_shattered",
+    "littlestone_dim",
+    "load_tm",
+    "materialize",
+    "negation",
+    "pac_experiment",
+    "pair",
+    "parse_tm",
+    "play_online_game",
+    "prefix_consistent",
+    "run_bounded",
+    "sample_size_bound",
+    "saturating_index_count",
+    "saturation_scan",
+    "seq_bit",
+    "serialize_tm",
+    "soa_predict",
+    "step_class",
+    "step_concept",
+    "support",
+    "system_from_spec",
+    "teaching_dim",
+    "teaching_set",
+    "tree_adversary",
+    "tree_witness",
+    "unpair",
+    "vc_dim",
+    "zero_concept",
+}
+
+
+def test_public_names_are_pinned():
+    exported = {
+        name
+        for name, value in vars(learndim).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert exported == PUBLIC_NAMES

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -171,6 +172,26 @@ def test_json_output_byte_identical(capsys, tmp_path):
     assert main(argv + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_json_output_is_streamed(capsys, tmp_path):
+    # A 5000-round transcript: building the JSON document whole peaked at
+    # about 7x the text run; written in chunks it peaks below the text run.
+    argv = [
+        "game", "--class", "step", "--window", "5", "--max-rounds", "5000",
+        "--learner", "const0", "--adversary", "random",
+    ]
+    peaks = {}
+    for fmt in ("text", "json"):
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert json.loads((tmp_path / "json").read_text())["rounds"]
+    assert peaks["json"] <= 2 * peaks["text"], peaks
 
 
 def test_class_spec_json_file(capsys, tmp_path):

@@ -89,6 +89,7 @@ MATRIX = [
     # Budgets and PAC parameters.
     (["simulate", LOOP, "--budget", "-5"], None, 1),
     (["simulate", "/nonexistent/m.tm"], None, 1),
+    (["simulate", HALT3, "--format", "json", "--out", "/nonexistent/dir/out.json"], None, 1),
     (["reduce", LOOP, "--budget", "-1"], None, 1),
     (["suite", HALT3, "--budget", "-1"], None, 1),
     (["dim", "--class", "step", "--window", "3"], {"LEARNDIM_EVAL_BUDGET": "lots"}, 1),

@@ -5,17 +5,18 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from learndim import (
     HALTS,
     NO_ANSWER,
-    ClassCode,
     ClassCodeError,
     agreement_check,
     budgeted_vc_decider,
     class_code,
     decode_class_code,
     decode_machine,
+    encode_tm,
     halting_class,
     halting_from_vc,
     halts_within,
@@ -25,8 +26,11 @@ from learndim import (
     vc_dim,
 )
 
-from conftest import halter_text
+from conftest import BEAVER2, LOOP_TEXTS, halter_text
 from learndim import parse_tm
+
+FIXTURE_MACHINES = [parse_tm(halter_text(k)) for k in range(11)]
+FIXTURE_MACHINES += [parse_tm(text) for text in (*LOOP_TEXTS, BEAVER2)]
 
 
 def _suite(halters, loopers):
@@ -36,7 +40,7 @@ def _suite(halters, loopers):
 
 
 def test_class_codes_distinct(halters, loopers):
-    codes = {class_code(tm).raw for _, tm in _suite(halters, loopers)}
+    codes = {class_code(tm) for _, tm in _suite(halters, loopers)}
     assert len(codes) == 15
 
 
@@ -44,9 +48,10 @@ def test_class_code_deterministic(halters):
     assert class_code(halters[3]) == class_code(parse_tm(halter_text(3)))
 
 
-def test_decode_machine_roundtrip(halters, loopers):
-    for _, tm in _suite(halters, loopers):
+def test_decode_machine_roundtrip():
+    for tm in FIXTURE_MACHINES:
         assert decode_machine(class_code(tm)) == tm
+        assert class_code(decode_machine(class_code(tm))) == class_code(tm)
 
 
 def test_decoded_class_evaluates_identically(halters, loopers):
@@ -59,20 +64,49 @@ def test_decoded_class_evaluates_identically(halters, loopers):
             assert decoded.evaluate(m, n) == original.evaluate(m, n)
 
 
-def test_natural_packing_roundtrip(halters):
-    code = class_code(halters[1])
-    assert ClassCode.from_natural(code.as_natural()) == code
+def test_class_code_is_the_machine_code():
+    for tm in FIXTURE_MACHINES:
+        assert class_code(tm) == encode_tm(tm)
+
+
+def _code(raw: bytes) -> int:
+    return int.from_bytes(raw, "big")
 
 
 def test_malformed_codes_rejected():
+    # Text parse_tm refuses, bytes that are not UTF-8, and a non-positive code.
     with pytest.raises(ClassCodeError):
-        decode_machine(ClassCode(raw=b"NOPE" + b"\x00" * 8))
+        decode_machine(_code(b"NOPE" + b"\x00" * 8))
     with pytest.raises(ClassCodeError):
-        decode_machine(ClassCode(raw=b"HMC1\x01\x00\x00\x00\x05ab"))
+        decode_machine(_code(b"HMC1\x01\x00\x00\x00\x05ab"))
+    with pytest.raises(ClassCodeError, match="UTF-8|utf-8"):
+        decode_machine(_code(b"states: \xff"))
     with pytest.raises(ClassCodeError):
-        decode_machine(ClassCode(raw=b"HMC1\x07\x00\x00\x00\x00"))
-    with pytest.raises(ClassCodeError):
-        ClassCode.from_natural(0)
+        decode_machine(0)
+
+
+@st.composite
+def mutated_codes(draw) -> int:
+    """A fixture machine's code with one byte replaced."""
+    code = class_code(draw(st.sampled_from(FIXTURE_MACHINES)))
+    raw = bytearray(code.to_bytes((code.bit_length() + 7) // 8, "big"))
+    raw[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
+    return _code(bytes(raw))
+
+
+ANY_CODE = st.one_of(
+    st.integers(max_value=0), st.binary(max_size=64).map(_code), mutated_codes()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_CODE)
+def test_any_integer_decodes_or_raises_class_code_error(code):
+    try:
+        tm = decode_machine(code)
+    except ClassCodeError:
+        return
+    assert decode_machine(class_code(tm)) == tm
 
 
 def test_budgeted_decider_verdicts(halters, loopers):
