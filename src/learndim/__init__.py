@@ -83,7 +83,6 @@ from .games import (
     pac_experiment,
     play_online_game,
     sample_size_bound,
-    soa_predict,
     tree_adversary,
 )
 from .reduction import (

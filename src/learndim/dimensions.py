@@ -27,6 +27,10 @@ from .errors import BudgetExceededError, WitnessUnresolvedError
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
+# Cells that _splits_every_cell cuts side by side: about 8 MB of id masks on
+# a 2**15-concept class.
+CELL_BATCH = 1024
+
 # Points scanned for active ones by tree_witness and growth_schedule.
 ACTIVE_SCAN_LIMIT = 100_000
 
@@ -88,10 +92,7 @@ class LittlestoneTree:
         if depth >= DEFAULT_SEARCH_BUDGET.bit_length():
             raise BudgetExceededError(f"depth-{depth} tree has over {DEFAULT_SEARCH_BUDGET} paths")
         labels: dict[tuple[int, ...], int] = {}
-        for k, x in enumerate(layer_points):
-            for bits in range(2**k):
-                prefix = tuple((bits >> i) & 1 for i in range(k))
-                labels[prefix] = x
+        _label_uniform(labels, (), layer_points)
         return cls(depth=depth, labels=labels)
 
     def paths(self) -> Iterable[tuple[int, ...]]:
@@ -130,6 +131,68 @@ class LittlestoneTree:
             if any(ic.evaluate(m, x) != y for x, y in self.path_points(path)):
                 return False
         return True
+
+
+def _label_uniform(
+    labels: dict[tuple[int, ...], int], prefix: tuple[int, ...], points: Sequence[int]
+) -> None:
+    """Label the complete subtree under `prefix`: each node j edges below it
+    gets points[j]."""
+    level = [prefix]
+    for j, x in enumerate(points):
+        if j:
+            level = [p + (b,) for p in level for b in (0, 1)]
+        labels.update(dict.fromkeys(level, x))
+
+
+def _shattered_prefix(masks: Sequence[int], ids: int, count: int) -> list[int] | None:
+    """Positions of the `count` lowest points (in mask order) that split the
+    id set `ids`, if `ids` shatters them; None otherwise.
+
+    Each point of a shattered set of `count` points has 2**(count - 1)
+    patterns, so at least as many concepts, on either side: an unbalanced
+    split fails before any cut.
+    """
+    if not count:
+        return []
+    n = ids.bit_count()
+    half = 1 << (count - 1)
+    points: list[int] = []
+    splits: list[int] = []
+    for j, ones in enumerate(masks):
+        ones &= ids
+        k = ones.bit_count()
+        if 0 < k < n:
+            if k < half or n - k < half:
+                return None
+            points.append(j)
+            splits.append(ones)
+            if len(points) == count:
+                # The first point splits `ids` by choice: cut its two sides.
+                first = splits[0]
+                return points if _splits_every_cell([first, ids ^ first], splits[1:]) else None
+    return None
+
+
+def _splits_every_cell(cells: list[int], splits: Sequence[int]) -> bool:
+    """Whether cutting each cell (an id set) by every mask of `splits` in
+    turn leaves no cell empty.
+
+    Cuts level by level and stops at the first empty cell, so a set of n
+    concepts takes at most 2n cuts.  Each cell is an int as wide as the
+    class, so past CELL_BATCH cells it goes on one cell at a time.
+    """
+    for k, ones in enumerate(splits):
+        if len(cells) > CELL_BATCH:
+            return all(_splits_every_cell([cell], splits[k:]) for cell in cells)
+        cut = []
+        for cell in cells:
+            part = cell & ones
+            if not part or part == cell:
+                return False
+            cut += (part, cell ^ part)
+        cells = cut
+    return True
 
 
 def is_shattered(fc: FiniteClass, subset: Iterable[int]) -> bool:
@@ -184,19 +247,25 @@ def littlestone_memo(masks: Sequence[int], limit: int) -> Callable[[int], int]:
     The recursion: one concept has dimension 0, otherwise the max over points
     splitting the set of 1 + min of the two label-restriction dimensions.
     A mistake tree of depth d needs 2**d concepts, so a set of n concepts has
-    dimension at most cap = floor(log2 n) (the halving bound).  Two rules
-    prune the scan over the points, and both keep values exact:
+    dimension at most cap = floor(log2 n) (the halving bound).  Three rules
+    cut the work, and all keep values exact:
 
+    - the VC sandwich settles a state outright: if the set shatters P, its
+      cap lowest splitting points in mask order, then VC >= cap gives
+      Ldim >= cap, so its value is cap with no recursion (VC <= Ldim <=
+      floor(log2 n), Littlestone 1988).  A full cube is the case where P
+      is every point;
     - a split whose smaller side has fewer than 2**best concepts is skipped:
       that side's dimension is below best, so the split cannot beat best.
       This also skips the points that do not split the set;
     - the scan stops once best reaches cap, since no split can beat it.
-      The first rule would skip every later split anyway, so this saves
+      The second rule would skip every later split anyway, so this saves
       only the scan, not states.
 
     So every state returns the value of the unpruned recursion, and callers
     that read values (the tree fill, SOA) see exactly what it would give.
-    Every memo miss counts against `limit` (BudgetExceededError past it).
+    Every memo miss counts against `limit` (BudgetExceededError past it); a
+    settled state is one miss.
     """
     memo: dict[int, int] = {}
     misses = 0
@@ -211,6 +280,9 @@ def littlestone_memo(masks: Sequence[int], limit: int) -> Callable[[int], int]:
             raise BudgetExceededError(f"littlestone_dim exceeded {limit} recursion states")
         n = ids.bit_count()
         cap = n.bit_length() - 1
+        if _shattered_prefix(masks, ids, cap) is not None:
+            memo[ids] = cap
+            return cap
         best = 0
         for ones in masks:
             if best == cap:
@@ -237,6 +309,14 @@ def littlestone_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionR
     concepts to carry the remaining depth.  Equivalent to the maximal
     realizable tree depth (cross-checked against direct tree search in the
     test suite).
+
+    A node with r levels left whose set shatters Q, its r lowest splitting
+    points, gets the uniform subtree on Q (Q[j] at every node j levels
+    below it) without visiting its children.  That is the tree the scan
+    builds anyway: the points before Q[0] do not split the set, and Q[0]
+    is the first one that does, with both sides shattering Q[1:] and so
+    keeping r - 1 levels.  Q[0] and every point before Q[1] are constant on
+    both sides, so by induction each side picks Q[1], then Q[2], and so on.
     """
     _require_nonempty(fc)
     dim = littlestone_memo(fc.masks, DEFAULT_SEARCH_BUDGET if budget is None else budget)
@@ -247,6 +327,10 @@ def littlestone_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionR
     def fill(ids: int, prefix: tuple[int, ...]) -> None:
         remaining = value - len(prefix)
         if remaining == 0:
+            return
+        settled = _shattered_prefix(fc.masks, ids, remaining)
+        if settled is not None:
+            _label_uniform(labels, prefix, [fc.domain[j] for j in settled])
             return
         n = ids.bit_count()
         for x, ones in zip(fc.domain, fc.masks):

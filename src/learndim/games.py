@@ -68,15 +68,6 @@ class SOALearner:
         self.ids &= self.fc.labelled(x, y)
 
 
-def soa_predict(version_space: FiniteClass, x: int) -> int:
-    """SOA's prediction at x with the whole class as the version space.
-
-    Raises on an empty version space, which can only mean the adversary
-    violated realizability.
-    """
-    return SOALearner(version_space).predict(x)
-
-
 class ConstantLearner:
     def __init__(self, label: int):
         self.label = label

@@ -24,8 +24,9 @@ per symbol, and entry row(state) + symbol holds (written symbol, head move
 a table with any other gap is refused with MachineParseError, so None only
 ever means halted.  The tape is a flat array of symbol numbers: a bytearray
 when the alphabet has at most 256 symbols, a list of ints otherwise.  It
-doubles in place on the side the head approaches, and between growths the
-step loop runs without bounds or halting checks (see halt_scanner).
+doubles in place on the side the head approaches, up to TAPE_LIMIT bytes,
+and between growths the step loop runs without bounds or halting checks
+(see halt_scanner).
 """
 
 from __future__ import annotations
@@ -33,13 +34,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .errors import MachineParseError
+from .errors import BudgetExceededError, MachineParseError
 
 HEADER_KEYS = ("states", "alphabet", "blank", "initial", "halting")
 # Cells of a fresh tape, at least 4 so that a quarter of it is a cell.  The
 # head starts in the middle, at cell 128, so a machine that stays near its
 # start steps on CPython's cached small ints.
 TAPE_START = 256
+# Bytes a tape may grow to: one per cell for a bytearray, 8 (a pointer) per
+# cell for a list.  A growth past it raises BudgetExceededError.
+TAPE_LIMIT = 2**27
 
 
 @dataclass(frozen=True)
@@ -204,9 +208,12 @@ def halt_scanner(tm: TuringMachine) -> Callable[[int], int | None]:
     takes as many steps as neither tape edge nor the budget can interrupt,
     with no check inside the loop: reading the halting state's None entry
     ends the stretch, and the loop index is then the exact halting step.
+    A growth that would take the tape past TAPE_LIMIT bytes raises
+    BudgetExceededError before it allocates.
     """
     table, start_row, halt_row, width = _compile(tm)
     tape = bytearray(TAPE_START) if width <= 256 else [0] * TAPE_START
+    cell_bytes = 1 if width <= 256 else 8
     blank = tape[:1]  # one blank cell, of the tape's own type
     head, row, steps = TAPE_START // 2, start_row, 0
     halted_at = 0 if start_row == halt_row else None  # set as soon as the run halts
@@ -221,6 +228,12 @@ def halt_scanner(tm: TuringMachine) -> Callable[[int], int | None]:
                 # Double the tape on the head's nearer side once that edge is
                 # closer than both a quarter of the tape and the budget left.
                 if min(h, size - 1 - h) < min(n - s, size // 4):
+                    if 2 * size * cell_bytes > TAPE_LIMIT:
+                        head, row, steps = h, r, s  # the paused run stays resumable
+                        raise BudgetExceededError(
+                            f"tape of {size} cells would grow past {TAPE_LIMIT} bytes "
+                            f"at step {s}"
+                        )
                     if h < size - 1 - h:
                         cells[:0] = blank * size
                         h += size
@@ -249,7 +262,8 @@ def run_bounded(tm: TuringMachine, budget: int) -> RunResult:
 
     Returns Halted(K) when the halting state is first occupied after exactly
     K <= budget steps (K = 0 when the initial state is the halting state),
-    StillRunning(budget) otherwise.
+    StillRunning(budget) otherwise.  Raises BudgetExceededError when the run
+    would need a tape of over TAPE_LIMIT bytes (see halt_scanner).
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")

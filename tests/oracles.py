@@ -5,9 +5,9 @@ backtracking search and no shared code with the optimized routines: VC by
 checking every subset, the mistake-tree dimension by direct tree search,
 teaching sets by trying every example set in size order (and, for the
 budget charge, counting the subsets that search checks), the Littlestone
-recursion's state count by breadth-first search (and, for the bound-pruned
-recursion, by replaying its two pruning rules over frozensets), optimal
-tree labels from unpruned frozenset values, SOA predictions by
+recursion's state count by breadth-first search (and, for the pruned
+recursion, by replaying its settling and pruning rules over frozensets),
+optimal tree labels from unpruned frozenset values, SOA predictions by
 comparing the mistake-tree dimensions of the two restrictions, the gated-class
 evaluators by literal transcription of their two-clause definitions, machine
 runs by walking the transition table, prefix consistency by comparing
@@ -123,17 +123,31 @@ def naive_littlestone_tree(fc: FiniteClass) -> dict[tuple[int, ...], int]:
     return labels
 
 
-def naive_pruned_littlestone_states(fc: FiniteClass) -> int:
-    """Number of distinct concept sets that the bound-pruned Littlestone
-    recursion and its tree fill visit.
+def _shatters_lowest_splits(fc: FiniteClass, ids: frozenset, count: int) -> bool:
+    """Whether the concepts `ids` show every label pattern on the `count`
+    first columns, in domain order, on which they take both labels."""
+    splits = [col for col in range(len(fc.domain)) if len({fc.concepts[i][col] for i in ids}) == 2]
+    if len(splits) < count:
+        return False
+    patterns = {tuple(fc.concepts[i][col] for col in splits[:count]) for i in ids}
+    return len(patterns) == 2**count
 
-    A visited set of n >= 2 concepts scans the points in domain order,
-    skips a split with an empty side or with a smaller side of fewer than
-    2**best concepts, visits both sides of every other split, and stops
-    once 2**(best + 1) > n.  The fill then walks the optimal tree as in
-    `naive_littlestone_tree`, skipping splits whose smaller side has fewer
-    than 2**(remaining - 1) concepts and visiting both sides of each split
-    it tests.  Split values come from the unpruned recursion.
+
+def naive_pruned_littlestone_states(fc: FiniteClass) -> int:
+    """Number of distinct concept sets that the pruned Littlestone recursion
+    and its tree fill visit.
+
+    A visited set of n concepts that shows every label pattern on its
+    floor(log2 n) first splitting columns is settled and visits nothing
+    more.  Any other set of n >= 2 concepts scans the points in domain
+    order, skips a split with an empty side or with a smaller side of fewer
+    than 2**best concepts, visits both sides of every other split, and
+    stops once 2**(best + 1) > n.  The fill then walks the optimal tree as
+    in `naive_littlestone_tree`: a node whose set shows every pattern on
+    its `remaining` first splitting columns visits nothing more; any other
+    node skips splits whose smaller side has fewer than 2**(remaining - 1)
+    concepts and visits both sides of each split it tests.  Split values
+    come from the unpruned recursion.
     """
     value = _littlestone_values(fc)
     seen: set[frozenset] = set()
@@ -142,6 +156,8 @@ def naive_pruned_littlestone_states(fc: FiniteClass) -> int:
         if ids in seen:
             return
         seen.add(ids)
+        if _shatters_lowest_splits(fc, ids, len(ids).bit_length() - 1):
+            return
         best = 0
         for col in range(len(fc.domain)):
             if 2 ** (best + 1) > len(ids):
@@ -154,7 +170,7 @@ def naive_pruned_littlestone_states(fc: FiniteClass) -> int:
             best = max(best, 1 + min(value(zeros), value(ones)))
 
     def fill(ids: frozenset, remaining: int) -> None:
-        if remaining == 0:
+        if remaining == 0 or _shatters_lowest_splits(fc, ids, remaining):
             return
         for col in range(len(fc.domain)):
             zeros, ones = _split(fc, ids, col)

@@ -77,7 +77,6 @@ PUBLIC_NAMES = {
     "saturation_scan",
     "seq_bit",
     "serialize_tm",
-    "soa_predict",
     "step_class",
     "step_concept",
     "support",

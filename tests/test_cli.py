@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from learndim import dimensions
+from learndim import dimensions, turing
 from learndim.cli import main
 
 from conftest import MACHINES_DIR
@@ -32,6 +32,15 @@ def test_simulate_still_running_exit_2(capsys):
     code, out, _ = run_cli(capsys, "simulate", LOOP, "--budget", "100")
     assert code == 2
     assert "StillRunning(100)" in out
+
+
+def test_simulate_tape_past_the_byte_limit_exit_3(capsys, monkeypatch):
+    # loop.tm walks right: under a 4096-byte limit its tape cannot double
+    # past 4096 cells, so the run is refused before it allocates more.
+    monkeypatch.setattr(turing, "TAPE_LIMIT", 4096)
+    code, out, err = run_cli(capsys, "simulate", LOOP, "--budget", "1000000")
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: tape of 4096 cells would grow past 4096 bytes at step 3952\n"
 
 
 def test_simulate_malformed_file_exit_1(capsys, tmp_path):

@@ -252,8 +252,15 @@ def test_budget_guards_raise():
     with pytest.raises(BudgetExceededError):
         vc_dim(steps, budget=3)
     cube = hypercube_class(4)
+    # The VC sandwich settles a full cube at its root: one state.
+    assert littlestone_dim(cube, budget=1).value == 4
     with pytest.raises(BudgetExceededError):
-        littlestone_dim(cube, budget=3)
+        littlestone_dim(cube, budget=0)
+    # The step window's thresholds shatter no pair, so the sandwich settles
+    # only its small states: 24 states (27 with the halving bound alone).
+    assert littlestone_dim(steps, budget=24).value == 3
+    with pytest.raises(BudgetExceededError):
+        littlestone_dim(steps, budget=23)
     with pytest.raises(BudgetExceededError):
         teaching_set(cube, cube.concepts[0], budget=2)
 

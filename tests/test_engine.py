@@ -2,8 +2,9 @@
 and teaching measures, SOA, the online harness and the PAC experiment's ERM
 fits, and the packed-row VC search, against the naive row-based oracles on
 small random classes whose domains come in shuffled order (for the
-bound-pruned Littlestone recursion: every state's value, the tree labels
-and the states it charges); materialize against the cell-by-cell window
+pruned Littlestone recursion: every state's value, the tree labels and the
+states it charges; on cube-shaped classes, the states and subtrees the VC
+sandwich settles); materialize against the cell-by-cell window
 scan; plus cost guards on large full-cube windows, wide PAC supports and
 large PAC samples."""
 
@@ -23,6 +24,7 @@ from learndim import (
     ConstantLearner,
     FiniteClass,
     IndexedClass,
+    LittlestoneTree,
     MajorityFlipAdversary,
     RandomConsistentAdversary,
     RandomLearner,
@@ -41,7 +43,6 @@ from learndim import (
     play_online_game,
     sample_size_bound,
     step_class,
-    soa_predict,
     teaching_dim,
     teaching_set,
     tree_adversary,
@@ -195,6 +196,51 @@ def test_pruned_littlestone_values_are_exact_on_every_state(fc, data):
     assert littlestone_dim(fc).certificate.labels == naive_littlestone_tree(fc)
 
 
+@st.composite
+def sandwich_classes(draw) -> FiniteClass:
+    """Classes on which the VC sandwich settles some states and not others.
+
+    A k-cube, or a random subset of its rows, with extra columns inserted at
+    random places: constant columns, copies or negations of a cube column
+    (which split a state without adding a pattern), and random functions of
+    the row, which can make the lowest splitting points unshattered while
+    later ones are."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    codes = range(2**k)
+    if draw(st.booleans()):
+        codes = sorted(draw(st.sets(st.sampled_from(codes), min_size=1)))
+    columns = [[code >> i & 1 for code in codes] for i in range(k)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(["zero", "one", "copy", "negation", "random"]))
+        if kind in ("copy", "negation"):
+            source = draw(st.sampled_from(columns[:k]))
+            column = source if kind == "copy" else [1 - y for y in source]
+        elif kind == "random":
+            column = draw(st.lists(st.integers(0, 1), min_size=len(codes), max_size=len(codes)))
+        else:
+            column = [int(kind == "one")] * len(codes)
+        columns.insert(draw(st.integers(min_value=0, max_value=len(columns))), column)
+    domain = draw(st.permutations([3 * i for i in range(len(columns))]))
+    return FiniteClass.from_rows(domain, zip(*columns))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sandwich_classes(), st.data())
+def test_sandwich_keeps_values_trees_and_soa_exact(fc, data):
+    # A settled state's value, a settled node's uniform subtree and SOA's
+    # reads of settled version spaces must all be what the plain recursion
+    # gives.
+    report = littlestone_dim(fc)
+    assert report.value == naive_littlestone_dim(fc)
+    assert report.certificate.labels == naive_littlestone_tree(fc)
+    subsets = st.sets(st.sampled_from(fc.concepts), min_size=1)
+    for rows in data.draw(st.lists(subsets, min_size=1, max_size=4)):
+        version_space = FiniteClass.from_rows(fc.domain, sorted(rows))
+        learner = SOALearner(version_space)
+        for x in fc.domain:
+            assert learner.predict(x) == naive_soa_predict(version_space, x)
+
+
 @settings(max_examples=100, deadline=None)
 @given(finite_classes(), st.data())
 def test_is_shattered_matches_pattern_count(fc, data):
@@ -219,21 +265,42 @@ def test_vc_dim_memory_is_linear_on_a_full_cube_window():
 
 
 def test_littlestone_states_on_a_full_cube_window_stay_linear():
-    # The looper's (9, 1024) window is the full 10-cube.  The halving bound
-    # stops each state's scan at its first split, which leaves 2**11 - 1
-    # states: the subcubes fixing a prefix of the points.  Expanding every
-    # split visited all 3**10 = 59049 restrictions.
+    # The looper's (9, 1024) window is the full 10-cube.  It shatters its 10
+    # splitting points, so the VC sandwich settles the root and the tree
+    # fill emits the uniform tree: 1 state.  The halving bound alone left
+    # 2**11 - 1 states (the subcubes fixing a prefix of the points), and
+    # expanding every split visited all 3**10 = 59049 restrictions.
     looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
     fc = materialize(halting_class(looper), 9, 1024)
-    assert littlestone_dim(fc, budget=2**11 - 1).value == 10
+    report = littlestone_dim(fc, budget=1)
+    assert report.value == 10
+    assert report.certificate == LittlestoneTree.uniform(fc.domain)
     with pytest.raises(BudgetExceededError):
-        littlestone_dim(fc, budget=2**11 - 2)
+        littlestone_dim(fc, budget=0)
+
+
+def test_littlestone_cut_cells_on_a_large_cube_window_stay_small():
+    # The (13, 16384) window settles at its root.  Cutting its id set level
+    # by level would hold 2**14 cells of 2 KB at the last level; past
+    # CELL_BATCH cells the cuts go one cell at a time, about 6 MB here.
+    looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
+    fc = materialize(halting_class(looper), 13, 2**14)
+    fc.masks  # cached: built outside the traced peak
+    tracemalloc.start()
+    try:
+        report = littlestone_dim(fc, budget=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.value == 14
+    assert peak < 16 * 2**20
 
 
 def test_littlestone_memory_on_a_full_cube_window():
-    # The (11, 4096) window's 2**13 - 1 pruned states of 512-byte id masks
-    # held about 5 MB here; the 3**12 states of the unpruned recursion
-    # peaked near 300 MB.
+    # The VC sandwich settles the (11, 4096) window at its root: its cut
+    # cells and tree labels peak near 1.5 MB here.  The 2**13 - 1 states of
+    # 512-byte id masks left by the halving bound alone held about 5 MB; the
+    # 3**12 states of the unpruned recursion peaked near 300 MB.
     looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
     fc = materialize(halting_class(looper), 11, 4096)
     fc.masks  # cached: built outside the traced peak
@@ -262,7 +329,7 @@ def test_masks_build_in_linear_time():
 @given(finite_classes(), st.data())
 def test_soa_matches_naive_rule_along_a_realizable_history(fc, data):
     for x in fc.domain:
-        assert soa_predict(fc, x) == naive_soa_predict(fc, x)
+        assert SOALearner(fc).predict(x) == naive_soa_predict(fc, x)
     target = data.draw(st.sampled_from(fc.concepts))
     queries = data.draw(st.lists(st.sampled_from(fc.domain), max_size=2 * len(fc.domain)))
     learner = SOALearner(fc)
@@ -271,7 +338,7 @@ def test_soa_matches_naive_rule_along_a_realizable_history(fc, data):
         version_space = FiniteClass.from_rows(fc.domain, _consistent_rows(fc, history))
         expected = naive_soa_predict(version_space, x)
         assert learner.predict(x) == expected
-        assert soa_predict(version_space, x) == expected
+        assert SOALearner(version_space).predict(x) == expected
         y = target[fc.domain.index(x)]
         learner.observe(x, y)
         history.append((x, y))

@@ -142,11 +142,20 @@ def test_budget_and_usage_messages():
 
 def test_littlestone_window_past_the_unpruned_state_budget():
     # The looper's window 13 is the full 14-cube: its 3**14 unpruned
-    # Littlestone states exceed the search budget, its 2**15 - 1 bound-pruned
-    # ones do not.
+    # Littlestone states exceed the search budget; the VC sandwich settles
+    # it in one.
     proc = run_cli("dim", "--class", f"halting:{LOOP}", "--measure", "littlestone", "--window", "13")
     check_run(proc, 0)
     assert proc.stdout == "littlestone on window (13, 16384): 14\n"
+
+
+def test_littlestone_window_settled_by_the_vc_sandwich():
+    # Window 14 is the full 15-cube.  With the halving bound alone its
+    # 2**16 - 1 states took 8.8 s and 262 MB; settled at the root it takes
+    # under a second end to end on a 2-core x86 VM.
+    proc = run_cli("dim", "--class", f"halting:{LOOP}", "--measure", "littlestone", "--window", "14")
+    check_run(proc, 0)
+    assert proc.stdout == "littlestone on window (14, 32768): 15\n"
 
 
 def test_teaching_window_taught_by_its_forced_points():

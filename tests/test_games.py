@@ -22,7 +22,6 @@ from learndim import (
     pac_experiment,
     play_online_game,
     sample_size_bound,
-    soa_predict,
     tree_adversary,
 )
 
@@ -50,20 +49,20 @@ def _learners(fc, seed=0):
 
 
 def test_soa_predict_singleton():
-    assert soa_predict(SINGLETON, 0) == 0
-    assert soa_predict(SINGLETON, 1) == 1
+    assert SOALearner(SINGLETON).predict(0) == 0
+    assert SOALearner(SINGLETON).predict(1) == 1
 
 
 def test_soa_predict_empty_version_space():
     empty = FiniteClass(domain=(0,), concepts=(), witnesses=())
     with pytest.raises(ValueError):
-        soa_predict(empty, 0)
+        SOALearner(empty).predict(0)
 
 
 def test_soa_predict_hypercube_tie_breaks_to_zero():
     fc = hypercube_class(3)
     for x in fc.domain:
-        assert soa_predict(fc, x) == 0
+        assert SOALearner(fc).predict(x) == 0
 
 
 def test_soa_vs_tree_on_hypercube_exact_mistakes(halters):

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from learndim import (
+    BudgetExceededError,
     MachineParseError,
     TuringMachine,
     decode_tm,
@@ -15,6 +16,7 @@ from learndim import (
     parse_tm,
     run_bounded,
     serialize_tm,
+    turing,
 )
 
 from conftest import BEAVER2, LOOP_TEXTS, LOOP_WRITER, halter_text
@@ -128,6 +130,25 @@ def test_long_walk_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8_000_000
+
+
+def test_tape_growth_past_the_byte_limit_is_refused(monkeypatch):
+    # A right walker needs one more cell per step.  Under a 4096-byte limit
+    # a bytearray tape (a byte per cell) stops doubling at 4096 cells and a
+    # list tape (8 bytes per cell) at 512, before either is allocated.
+    monkeypatch.setattr(turing, "TAPE_LIMIT", 4096)
+    walker = parse_tm(LOOP_WRITER)
+    assert str(run_bounded(walker, 3000)) == "StillRunning(3000)"
+    with pytest.raises(BudgetExceededError, match="tape of 4096 cells would grow past 4096 bytes"):
+        run_bounded(walker, 10_000)
+    symbols = [f"s{i:03d}" for i in range(300)]
+    wide = parse_tm(
+        f"states: q0 halt\nalphabet: {' '.join(symbols)}\nblank: s000\n"
+        "initial: q0\nhalting: halt\n" + "".join(f"q0 {a} -> {a} R q0\n" for a in symbols)
+    )
+    assert str(run_bounded(wide, 300)) == "StillRunning(300)"
+    with pytest.raises(BudgetExceededError, match="tape of 512 cells would grow past 4096 bytes"):
+        run_bounded(wide, 1000)
 
 
 @pytest.mark.parametrize("budget", [0, 1, 2, 100])
