@@ -20,7 +20,6 @@ from .turing import (
     TuringMachine,
     decode_tm,
     encode_tm,
-    halts_within,
     load_tm,
     parse_tm,
     run_bounded,
@@ -51,7 +50,6 @@ from .classes import (
     saturating_index_count,
     step_class,
     step_concept,
-    zero_concept,
 )
 from .dimensions import (
     DEFAULT_SCHEDULE,

@@ -63,17 +63,13 @@ class IndexedClass:
 class Concept:
     """A single total 0/1 function with a finite description."""
 
-    kind: str  # "zero" | "threshold" | "system" | "machine"
+    kind: str  # "threshold" | "system" | "machine"
     fn: Callable[[int], int]
     threshold: int | None = None
     label: str = ""
 
     def __call__(self, n: int) -> int:
         return self.fn(n)
-
-
-def zero_concept() -> Concept:
-    return Concept(kind="zero", fn=lambda n: 0, label="zero")
 
 
 def step_concept(k: int) -> Concept:
@@ -88,43 +84,56 @@ def step_concept(k: int) -> Concept:
     )
 
 
+# Maps a row's 0/1 entries to the digits of its code, and back.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _pack(row: tuple[int, ...]) -> int:
+    """A 0/1 row as an int: bit j set when the row labels column j with 1."""
+    return int(bytes(row[::-1]).translate(_DIGITS) or b"0", 2)
+
+
 @dataclass(frozen=True)
 class FiniteClass:
     """Deduplicated restriction of a class to a finite domain window.
 
-    Concepts are bit vectors over `domain`; `witnesses[i]` is the smallest
-    index realizing concept i (or the row's first position for synthetic
-    classes built via from_rows).  from_rows and materialize list concepts
-    in strictly increasing witness order, so the lowest id of a set of
-    concepts is the one with the smallest witness.  Sets of concepts are
-    `int` bitmasks over concept ids: bit i stands for concept i.  `masks`
-    packs the class by column (one id mask per point), `codes` by row (one
-    column mask per concept).
+    Stored once, packed by row: `codes[i]` is concept i as an int whose bit
+    j is its label on column j (on point domain[j]), and `witnesses[i]` is
+    the smallest index realizing it (or the row's first position for
+    synthetic classes built via from_rows).  from_rows and materialize list
+    concepts in strictly increasing witness order, so the lowest id of a
+    set of concepts is the one with the smallest witness.  Sets of concepts
+    are `int` bitmasks over concept ids: bit i stands for concept i.
+
+    Derived and cached on first use: `masks`, the class packed by column
+    (one id mask per point), `concepts`, the rows as tuples of 0/1 for
+    output that lists them, and `all_ids`.
     """
 
     domain: tuple[int, ...]
-    concepts: tuple[tuple[int, ...], ...]
+    codes: tuple[int, ...]
     witnesses: tuple[int, ...]
 
     @classmethod
     def from_rows(cls, domain: Sequence[int], rows: Iterable[Sequence[int]]) -> "FiniteClass":
         dom = tuple(domain)
-        seen: dict[tuple[int, ...], int] = {}
+        seen: dict[int, int] = {}
         for i, row in enumerate(rows):
             vec = tuple(row)
             if len(vec) != len(dom):
                 raise ValueError("row length does not match domain size")
-            seen.setdefault(vec, i)
-        concepts = tuple(seen.keys())
-        witnesses = tuple(seen.values())
-        return cls(domain=dom, concepts=concepts, witnesses=witnesses)
+            if not set(vec) <= {0, 1}:
+                raise ValueError(f"row {i} {vec} has an entry other than 0 or 1")
+            seen.setdefault(_pack(vec), i)
+        return cls(domain=dom, codes=tuple(seen), witnesses=tuple(seen.values()))
 
     def index_of(self, row: Sequence[int]) -> int:
         vec = tuple(row)
-        for i, concept in enumerate(self.concepts):
-            if concept == vec:
-                return i
-        raise ValueError("concept not in class")
+        code = _pack(vec) if len(vec) == len(self.domain) and set(vec) <= {0, 1} else None
+        if code not in self.codes:
+            raise ValueError("concept not in class")
+        return self.codes.index(code)
 
     def column(self, x: int) -> int:
         try:
@@ -134,25 +143,24 @@ class FiniteClass:
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
-        """Per domain column, the bitmask of the concepts labelling it 1
-        (built from a binary string, linear in the number of concepts)."""
-        rows = self.concepts[::-1]
-        return tuple(
-            int("".join(["1" if concept[col] else "0" for concept in rows]) or "0", 2)
-            for col in range(len(self.domain))
-        )
+        """Per domain column, the bitmask of the concepts labelling it 1,
+        read off one string of the codes' binary digits, highest id first
+        (linear in the number of cells)."""
+        width = len(self.domain) + 3  # "0b", a 1 that fixes the width, a digit per column
+        top = 1 << len(self.domain)
+        block = "".join([bin(code | top) for code in reversed(self.codes)])
+        return tuple(int(block[width - 1 - j :: width] or "0", 2) for j in range(len(self.domain)))
 
     @cached_property
-    def codes(self) -> tuple[int, ...]:
-        """Per concept, its row packed into an int: bit j set when the
-        concept labels column j with 1 (linear in the number of cells)."""
-        table = bytes.maketrans(b"\x00\x01", b"01")
-        return tuple(int(bytes(row[::-1]).translate(table) or b"0", 2) for row in self.concepts)
+    def concepts(self) -> tuple[tuple[int, ...], ...]:
+        """Per concept, its row: its label on each domain column."""
+        top = 1 << len(self.domain)
+        return tuple([tuple(bin(c | top)[:2:-1].encode().translate(_BITS)) for c in self.codes])
 
     @cached_property
     def all_ids(self) -> int:
         """Bitmask of every concept."""
-        return (1 << len(self.concepts)) - 1
+        return (1 << len(self.codes)) - 1
 
     def labelled(self, x: int, y: int) -> int:
         """Bitmask of the concepts labelling point x with y."""
@@ -275,11 +283,9 @@ def materialize(
         if ic.active(n):
             bit = 1 << n
             witnesses += [w | bit for w in witnesses if w | bit < index_count]
-    return FiniteClass(
-        domain=domain,
-        concepts=tuple(tuple(w >> n & 1 for n in domain) for w in witnesses),
-        witnesses=tuple(witnesses),
-    )
+    # The row of witness S is S itself, so the witnesses are the codes.
+    codes = tuple(witnesses)
+    return FiniteClass(domain=domain, codes=codes, witnesses=codes)
 
 
 def class_from_spec(spec: Mapping) -> IndexedClass:

@@ -60,8 +60,8 @@ def parse_class_arg(text: str) -> classes.IndexedClass:
 
 def _concept(fc: classes.FiniteClass, index: int, flag: str) -> tuple[int, ...]:
     """Concept row `index` of the window; the CLI takes no negative indexes."""
-    if not 0 <= index < len(fc.concepts):
-        raise ValueError(f"{flag} {index} is outside the window's {len(fc.concepts)} concepts")
+    if not 0 <= index < len(fc.codes):
+        raise ValueError(f"{flag} {index} is outside the window's {len(fc.codes)} concepts")
     return fc.concepts[index]
 
 
@@ -169,7 +169,8 @@ def _export_class(fc: classes.FiniteClass, path: Path) -> None:
         lines += [f"{w}," + ",".join(map(str, c)) for w, c in zip(fc.witnesses, fc.concepts)]
         text = "\n".join(lines) + "\n"
     else:
-        text = _json(fc, indent=2)
+        window = {"concepts": fc.concepts, "domain": fc.domain, "witnesses": fc.witnesses}
+        text = _json(window, indent=2)
     path.write_text(text, encoding="utf-8")
 
 

@@ -60,16 +60,12 @@ class TeachingSet:
     examples: tuple[tuple[int, int], ...]
 
     def verify(self, fc: FiniteClass) -> bool:
-        """Target matches every example and every other concept misses one."""
-        cols = {x: fc.column(x) for x, _ in self.examples}
-        if any(self.target[cols[x]] != y for x, y in self.examples):
-            return False
-        for concept in fc.concepts:
-            if concept == self.target:
-                continue
-            if all(concept[cols[x]] == y for x, y in self.examples):
-                return False
-        return True
+        """Target matches every example and every other concept misses one
+        (ValueError when the target or an example point is not in `fc`)."""
+        consistent = fc.all_ids
+        for x, y in self.examples:
+            consistent &= fc.labelled(x, y)
+        return consistent == 1 << fc.index_of(self.target)
 
 
 @dataclass(frozen=True)
@@ -106,10 +102,10 @@ class LittlestoneTree:
     def verify_against(self, fc: FiniteClass) -> bool:
         """Every path is realized by some concept of the finite class."""
         for path in self.paths():
-            constraints = [(fc.column(x), y) for x, y in self.path_points(path)]
-            if not any(
-                all(concept[col] == y for col, y in constraints) for concept in fc.concepts
-            ):
+            consistent = fc.all_ids
+            for x, y in self.path_points(path):
+                consistent &= fc.labelled(x, y)
+            if not consistent:
                 return False
         return True
 
@@ -207,13 +203,13 @@ def is_shattered(fc: FiniteClass, subset: Iterable[int]) -> bool:
     for x in points:
         selector |= 1 << fc.column(x)
     want = 2 ** len(points)
-    if len(fc.concepts) < want:
+    if len(fc.codes) < want:
         return False
     return len({code & selector for code in fc.codes}) == want
 
 
 def _require_nonempty(fc: FiniteClass) -> None:
-    if not fc.concepts:
+    if not fc.codes:
         raise ValueError("dimension measures require a nonempty class")
 
 
@@ -227,7 +223,7 @@ def vc_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionReport:
     _require_nonempty(fc)
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
     checked = 0
-    upper = min(len(fc.domain), len(fc.concepts).bit_length() - 1)
+    upper = min(len(fc.domain), len(fc.codes).bit_length() - 1)
     for size in range(upper, -1, -1):
         for subset in combinations(fc.domain, size):
             checked += 1
@@ -240,9 +236,10 @@ def vc_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionReport:
     raise AssertionError("empty set is always shattered for a nonempty class")
 
 
-def littlestone_memo(masks: Sequence[int], limit: int) -> Callable[[int], int]:
+def littlestone_memo(masks: Sequence[int], limit: int) -> tuple[Callable[[int], int], dict]:
     """Memoized Littlestone dimension of a set of concepts, given as a bitmask
-    of concept ids over a class with these per-point `masks`.
+    of concept ids over a class with these per-point `masks`, and the points
+    P (as mask positions) of each state the VC sandwich below settled.
 
     The recursion: one concept has dimension 0, otherwise the max over points
     splitting the set of 1 + min of the two label-restriction dimensions.
@@ -268,6 +265,7 @@ def littlestone_memo(masks: Sequence[int], limit: int) -> Callable[[int], int]:
     settled state is one miss.
     """
     memo: dict[int, int] = {}
+    settled: dict[int, list[int]] = {}
     misses = 0
 
     def dim(ids: int) -> int:
@@ -280,7 +278,9 @@ def littlestone_memo(masks: Sequence[int], limit: int) -> Callable[[int], int]:
             raise BudgetExceededError(f"littlestone_dim exceeded {limit} recursion states")
         n = ids.bit_count()
         cap = n.bit_length() - 1
-        if _shattered_prefix(masks, ids, cap) is not None:
+        points = _shattered_prefix(masks, ids, cap)
+        if points is not None:
+            settled[ids] = points
             memo[ids] = cap
             return cap
         best = 0
@@ -297,7 +297,7 @@ def littlestone_memo(masks: Sequence[int], limit: int) -> Callable[[int], int]:
         memo[ids] = best
         return best
 
-    return dim
+    return dim, settled
 
 
 def littlestone_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionReport:
@@ -317,9 +317,11 @@ def littlestone_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionR
     is the first one that does, with both sides shattering Q[1:] and so
     keeping r - 1 levels.  Q[0] and every point before Q[1] are constant on
     both sides, so by induction each side picks Q[1], then Q[2], and so on.
+    A set the value pass settled shatters its cap >= r lowest splitting
+    points, so Q is their first r and the node repeats no check.
     """
     _require_nonempty(fc)
-    dim = littlestone_memo(fc.masks, DEFAULT_SEARCH_BUDGET if budget is None else budget)
+    dim, settled = littlestone_memo(fc.masks, DEFAULT_SEARCH_BUDGET if budget is None else budget)
     value = dim(fc.all_ids)
 
     labels: dict[tuple[int, ...], int] = {}
@@ -328,9 +330,11 @@ def littlestone_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionR
         remaining = value - len(prefix)
         if remaining == 0:
             return
-        settled = _shattered_prefix(fc.masks, ids, remaining)
-        if settled is not None:
-            _label_uniform(labels, prefix, [fc.domain[j] for j in settled])
+        points = settled.get(ids)
+        if points is None:
+            points = _shattered_prefix(fc.masks, ids, remaining)
+        if points is not None:
+            _label_uniform(labels, prefix, [fc.domain[j] for j in points[:remaining]])
             return
         n = ids.bit_count()
         for x, ones in zip(fc.domain, fc.masks):
@@ -382,11 +386,11 @@ def teaching_set(
 def _teaching_set(fc: FiniteClass, i: int, limit: int) -> TeachingSet:
     """`teaching_set` for concept id `i` of `fc`."""
     target = fc.concepts[i]
-    if len(fc.concepts) == 1:
+    if len(fc.codes) == 1:
         return TeachingSet(target=target, examples=())
-    label = dict(zip(fc.domain, target))
+    label = {x: fc.codes[i] >> j & 1 for j, x in enumerate(fc.domain)}
     full = fc.all_ids
-    rules_out = {x: ones ^ full if y else ones for x, y, ones in zip(fc.domain, target, fc.masks)}
+    rules_out = {x: ones ^ full if label[x] else ones for x, ones in zip(fc.domain, fc.masks)}
     candidates = sorted(x for x, ids in rules_out.items() if ids)
     c = len(candidates)
     once = twice = 0
@@ -434,7 +438,7 @@ def teaching_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionRepo
     """Worst-case minimum teaching set size, with all per-concept sets."""
     _require_nonempty(fc)
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    sets = [_teaching_set(fc, i, limit) for i in range(len(fc.concepts))]
+    sets = [_teaching_set(fc, i, limit) for i in range(len(fc.codes))]
     value = max(len(ts.examples) for ts in sets)
     return DimensionReport(measure="teaching", value=value, certificate=sets)
 

@@ -30,9 +30,9 @@ class GameTranscript:
     witnesses: tuple[tuple[int, ...], ...]  # per-round consistent concept
 
 
-def _first_concept(fc: FiniteClass, ids: int) -> tuple[int, ...]:
-    """The concept at the lowest set bit of a nonempty id mask."""
-    return fc.concepts[(ids & -ids).bit_length() - 1]
+def _lowest_id(ids: int) -> int:
+    """The concept id at the lowest set bit of a nonempty id mask."""
+    return (ids & -ids).bit_length() - 1
 
 
 class SOALearner:
@@ -51,7 +51,7 @@ class SOALearner:
     def __init__(self, fc: FiniteClass):
         self.fc = fc
         self.ids = fc.all_ids
-        self.dim = littlestone_memo(fc.masks, DEFAULT_SEARCH_BUDGET)
+        self.dim = littlestone_memo(fc.masks, DEFAULT_SEARCH_BUDGET)[0]
 
     def predict(self, x: int) -> int:
         if not self.ids:
@@ -105,7 +105,7 @@ class TreeAdversary:
         self.tree = tree
         self.prefix: tuple[int, ...] = ()
         self.ids = fc.all_ids
-        self.committed: tuple[int, ...] | None = None
+        self.committed: int | None = None  # concept id
         self._cycle = 0
 
     def question(self) -> int:
@@ -123,8 +123,8 @@ class TreeAdversary:
             if self.committed is None:
                 if not self.ids:
                     raise ValueError("no concept consistent with the tree history")
-                self.committed = _first_concept(self.fc, self.ids)
-            truth = self.committed[self.fc.column(x)]
+                self.committed = _lowest_id(self.ids)
+            truth = self.fc.codes[self.committed] >> self.fc.column(x) & 1
         self.ids &= self.fc.labelled(x, truth)
         return truth
 
@@ -210,7 +210,7 @@ def play_online_game(
         consistent &= fc.labelled(x, truth)
         if not consistent:
             raise ProtocolViolationError("revealed history is unrealizable", t)
-        witnesses.append(_first_concept(fc, consistent))
+        witnesses.append(fc.concepts[_lowest_id(consistent)])
         rounds.append((x, guess, truth))
         if guess != truth:
             mistakes += 1
@@ -227,15 +227,12 @@ def erm(fc: FiniteClass, sample: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     for x, y in sample:
         counts[(x, y)] = counts.get((x, y), 0) + 1
     cols = {x: fc.column(x) for x, _ in counts}
-    best_row: tuple[int, ...] | None = None
-    best_key: tuple[int, int] | None = None
-    for row, witness in zip(fc.concepts, fc.witnesses):
-        errors = sum(c for (x, y), c in counts.items() if row[cols[x]] != y)
-        key = (errors, witness)
-        if best_key is None or key < best_key:
-            best_key, best_row = key, row
-    assert best_row is not None
-    return best_row
+
+    def key(i: int) -> tuple[int, int]:
+        code = fc.codes[i]
+        return sum(c for (x, y), c in counts.items() if code >> cols[x] & 1 != y), fc.witnesses[i]
+
+    return fc.concepts[min(range(len(fc.codes)), key=key)]
 
 
 def sample_size_bound(vcdim: int, epsilon: float, delta: float) -> int:
@@ -300,8 +297,7 @@ def pac_experiment(
         raise ValueError("epsilon and delta must lie in (0, 1)")
     if trials < 1:
         raise ValueError("trials must be positive")
-    target_row = tuple(target)
-    fc.index_of(target_row)  # realizable regime: the target is in the class
+    target_id = fc.index_of(target)  # realizable regime: the target is in the class
 
     points = sorted(dist)
     weights = [Fraction(dist[x]) for x in points]
@@ -327,7 +323,7 @@ def pac_experiment(
 
     master = random.Random(seed)
     cum = [float(c) for c in accumulate(probs)]
-    agree = {x: fc.labelled(x, target_row[col]) for x, col in point_cols.items()}
+    agree = {x: fc.labelled(x, fc.codes[target_id] >> col & 1) for x, col in point_cols.items()}
     good: dict[int, bool] = {}  # hypothesis id -> true error <= epsilon
 
     frequencies: list[float] = []
@@ -340,7 +336,7 @@ def pac_experiment(
                 chunk = rng.choices(points, cum_weights=cum, k=min(DRAW_CHUNK, m - start))
                 for x in set(chunk):
                     ids &= agree[x]
-            best = (ids & -ids).bit_length() - 1
+            best = _lowest_id(ids)
             if best not in good:
                 true_error = float(sum(p for p, x in zip(probs, points) if not agree[x] >> best & 1))
                 good[best] = true_error <= epsilon

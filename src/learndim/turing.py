@@ -271,11 +271,6 @@ def run_bounded(tm: TuringMachine, budget: int) -> RunResult:
     return RunResult(halted=False, steps=budget) if k is None else RunResult(halted=True, steps=k)
 
 
-def halts_within(tm: TuringMachine, n: int) -> bool:
-    """True iff the machine halts after at most n steps on the empty input."""
-    return run_bounded(tm, n).halted
-
-
 def encode_tm(tm: TuringMachine) -> int:
     """Injective natural-number code: the canonical serialization as a big-endian
     integer.  decode_tm inverts it exactly."""

@@ -11,8 +11,9 @@ optimal tree labels from unpruned frozenset values, SOA predictions by
 comparing the mistake-tree dimensions of the two restrictions, the gated-class
 evaluators by literal transcription of their two-clause definitions, machine
 runs by walking the transition table, prefix consistency by comparing
-every pair of theorems, class windows by evaluating every cell, and the
-PAC experiment by scoring every row on every drawn example.
+every pair of theorems, class windows by evaluating every cell, a
+class's packed forms by reading its rows cell by cell, and the PAC
+experiment by scoring every row on every drawn example.
 """
 
 from __future__ import annotations
@@ -318,6 +319,22 @@ def naive_materialize(evaluate, domain_max: int, index_count: int):
         if row not in first:
             first[row] = m
     return list(first), list(first.values())
+
+
+def reference_codes(rows) -> tuple[int, ...]:
+    """Per row, its cells packed into an int: bit j set when the row has a
+    1 in column j."""
+    table = bytes.maketrans(b"\x00\x01", b"01")
+    return tuple(int(bytes(row[::-1]).translate(table) or b"0", 2) for row in rows)
+
+
+def reference_masks(rows, width: int) -> tuple[int, ...]:
+    """Per column, the id mask of the rows with a 1 there: bit i for row i."""
+    reverse = rows[::-1]
+    return tuple(
+        int("".join(["1" if row[col] else "0" for row in reverse]) or "0", 2)
+        for col in range(width)
+    )
 
 
 def inconsistency_onset_oracle(theorem, limit: int) -> int | None:

@@ -30,7 +30,6 @@ from learndim import (
     goedel_class,
     halting_class,
     halting_from_vc,
-    halts_within,
     inconsistent_toy,
     littlestone_dim,
     materialize,
@@ -38,6 +37,7 @@ from learndim import (
     pair,
     parse_tm,
     play_online_game,
+    run_bounded,
     sample_size_bound,
     saturating_index_count,
     seq_bit,
@@ -197,7 +197,7 @@ def test_criterion_09_reduction_fidelity(halters, loopers):
         for name, tm in suite:
             verdict = halting_from_vc(decider, tm)
             if verdict == HALTS:
-                assert halts_within(tm, budget), (name, budget)
+                assert run_bounded(tm, budget).halted, (name, budget)
             if name.startswith("loop"):
                 assert verdict == NO_ANSWER, (name, budget)
     _ok(9, "reduction matches simulation on 15 machines; sweep never unsound")

@@ -56,7 +56,6 @@ PUBLIC_NAMES = {
     "growth_schedule",
     "halting_class",
     "halting_from_vc",
-    "halts_within",
     "inconsistency_onset",
     "inconsistent_toy",
     "inconsistent_toy_at",
@@ -87,7 +86,6 @@ PUBLIC_NAMES = {
     "tree_witness",
     "unpair",
     "vc_dim",
-    "zero_concept",
 }
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from learndim import (
     BudgetExceededError,
+    FiniteClass,
     class_from_spec,
     consistent_toy,
     f_of_machine,
@@ -185,6 +186,13 @@ def test_masked_fast_path_equals_generic_scan(halters):
             rows, witnesses = _generic_materialize(ic, n, m)
             assert list(fc.concepts) == rows
             assert list(fc.witnesses) == witnesses
+
+
+def test_from_rows_rejects_entries_other_than_bits():
+    with pytest.raises(ValueError, match=r"row 0 \(0, 2\) has an entry other than 0 or 1"):
+        FiniteClass.from_rows([0, 1], [(0, 2), (1, 0)])
+    with pytest.raises(ValueError, match=r"row 1 \(-1, 0\)"):
+        FiniteClass.from_rows([0, 1], [(1, 0), (-1, 0)])
 
 
 def test_materialize_handles_non_power_of_two_windows():

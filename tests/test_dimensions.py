@@ -11,6 +11,7 @@ from learndim import (
     BudgetExceededError,
     FiniteClass,
     LittlestoneTree,
+    TeachingSet,
     WitnessUnresolvedError,
     consistent_toy,
     escape_witness,
@@ -119,6 +120,9 @@ def test_teaching_set_singleton_empty():
 def test_teaching_set_concept_must_belong():
     with pytest.raises(ValueError):
         teaching_set(SINGLETON, (1, 1, 1))
+    with pytest.raises(ValueError, match="concept not in class"):
+        TeachingSet(target=(1, 1, 1), examples=()).verify(SINGLETON)
+    assert not TeachingSet(target=(0, 1, 0), examples=((0, 1),)).verify(SINGLETON)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -277,7 +281,7 @@ def test_teaching_budget_charges_the_plain_search_on_a_cube():
 
 
 def test_empty_class_rejected():
-    empty = FiniteClass(domain=(0,), concepts=(), witnesses=())
+    empty = FiniteClass.from_rows((0,), [])
     for measure in (vc_dim, littlestone_dim, teaching_dim):
         with pytest.raises(ValueError):
             measure(empty)

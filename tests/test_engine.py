@@ -5,8 +5,9 @@ small random classes whose domains come in shuffled order (for the
 pruned Littlestone recursion: every state's value, the tree labels and the
 states it charges; on cube-shaped classes, the states and subtrees the VC
 sandwich settles); materialize against the cell-by-cell window
-scan; plus cost guards on large full-cube windows, wide PAC supports and
-large PAC samples."""
+scan, and every packed and derived form of a class against its rows; plus
+cost guards on large full-cube windows, wide PAC supports and large PAC
+samples."""
 
 from __future__ import annotations
 
@@ -49,6 +50,7 @@ from learndim import (
     vc_dim,
 )
 
+from learndim import dimensions
 from learndim.dimensions import DEFAULT_SEARCH_BUDGET, littlestone_memo
 from learndim.games import DRAW_CHUNK
 
@@ -69,6 +71,8 @@ from oracles import (
     naive_teaching_dim,
     naive_teaching_search,
     naive_vc_dim,
+    reference_codes,
+    reference_masks,
     step_eval_oracle,
 )
 
@@ -140,7 +144,7 @@ def test_teaching_sets_and_charges_match_the_plain_search(fc):
 
 def test_teaching_dim_resolves_no_concept_by_row(monkeypatch):
     # teaching_dim works by concept id: looking each concept up with
-    # index_of, a scan over the rows, would make it quadratic in |C|.
+    # index_of, a scan over the codes, would make it quadratic in |C|.
     calls = 0
     index_of = FiniteClass.index_of
 
@@ -188,7 +192,7 @@ def test_pruned_littlestone_values_are_exact_on_every_state(fc, data):
     # SOA reads the values of arbitrary version spaces from one shared memo,
     # so a prune that returned only a lower bound on some state would
     # corrupt its predictions even where the whole class's value is right.
-    dim = littlestone_memo(fc.masks, DEFAULT_SEARCH_BUDGET)
+    dim, _ = littlestone_memo(fc.masks, DEFAULT_SEARCH_BUDGET)
     subsets = st.integers(min_value=1, max_value=fc.all_ids)
     for ids in data.draw(st.lists(subsets, min_size=1, max_size=8)):
         rows = [row for i, row in enumerate(fc.concepts) if ids >> i & 1]
@@ -314,6 +318,41 @@ def test_littlestone_memory_on_a_full_cube_window():
     assert peak < 16 * 2**20
 
 
+def test_masked_materialize_memory_on_a_large_cube_window():
+    # The looper's (16, 2**17) window: its witness list, which is also its
+    # codes, peaks near 6 MB here.  Building a row tuple per concept as
+    # well peaked at 29 MB.
+    looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
+    ic = halting_class(looper)
+    materialize(ic, 3, 16)  # the machine's scan runs outside the traced peak
+    tracemalloc.start()
+    try:
+        fc = materialize(ic, 16, 2**17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fc.codes) == 2**17
+    assert peak < 12 * 2**20
+
+
+def test_settled_root_is_checked_for_shattering_once(monkeypatch):
+    # The value pass settles the cube's root by its shattered points; the
+    # tree fill reuses them rather than cutting every id mask again.
+    calls = []
+    shattered_prefix = dimensions._shattered_prefix
+
+    def counting(masks, ids, count):
+        calls.append(ids)
+        return shattered_prefix(masks, ids, count)
+
+    monkeypatch.setattr(dimensions, "_shattered_prefix", counting)
+    looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
+    fc = materialize(halting_class(looper), 9, 1024)
+    report = littlestone_dim(fc)
+    assert report.certificate == LittlestoneTree.uniform(fc.domain)
+    assert calls == [fc.all_ids]
+
+
 def test_masks_build_in_linear_time():
     # 2**17 concepts: about 0.2 s built from binary strings; summing shifted
     # bits, quadratic in the number of concepts, took over 5 s.
@@ -354,7 +393,7 @@ def test_soa_stays_inside_the_unpruned_closure(fc, adversary, seed):
     # SOA may ask for splits the pruned value pass skipped, but each is a
     # split of a version space, so the unpruned closure bounds its memo.
     learner = SOALearner(fc)
-    learner.dim = littlestone_memo(fc.masks, naive_littlestone_states(fc))
+    learner.dim = littlestone_memo(fc.masks, naive_littlestone_states(fc))[0]
     opponent = {
         "tree": lambda: tree_adversary(fc, littlestone_dim(fc).certificate),
         "random": lambda: RandomConsistentAdversary(fc, seed),
@@ -538,8 +577,46 @@ def test_materialize_matches_definitional_scan(halters, loopers, beaver, data, d
     ic, evaluate = data.draw(st.sampled_from(_window_cases(halters, loopers, beaver)))
     fc = materialize(ic, domain_max, index_count)
     rows, witnesses = naive_materialize(evaluate, domain_max, index_count)
+    _assert_packs_rows(fc, rows, witnesses)
+
+
+def _assert_packs_rows(fc: FiniteClass, rows, witnesses) -> None:
+    """Every stored and derived form of `fc` agrees with the distinct rows
+    `rows`, first seen at `witnesses`, as the row-based references read them."""
     assert list(fc.concepts) == rows
     assert list(fc.witnesses) == witnesses
+    assert fc.codes == reference_codes(rows)
+    assert fc.masks == reference_masks(rows, len(fc.domain))
+    assert fc.all_ids == 2 ** len(rows) - 1
+    for col, x in enumerate(fc.domain):
+        for y in (0, 1):
+            assert fc.labelled(x, y) == sum(1 << i for i, row in enumerate(rows) if row[col] == y)
+    for i, row in enumerate(rows):
+        assert fc.index_of(row) == i
+    width = len(fc.domain)
+    present = set(fc.codes)
+    missing = next(c for c in itertools.count() if c not in present)
+    absent = [(0,) * (width + 1)]
+    if width:
+        absent.append((2,) + (0,) * (width - 1))
+    if missing < 2**width:
+        absent.append(tuple(missing >> j & 1 for j in range(width)))
+    for row in absent:
+        with pytest.raises(ValueError, match="concept not in class"):
+            fc.index_of(row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(min_value=0, max_value=7))
+def test_from_rows_packs_like_the_row_reference(data, width):
+    # Rows drawn with repeats, and sometimes none at all, on a shuffled domain.
+    codes = data.draw(st.lists(st.integers(min_value=0, max_value=2**width - 1), max_size=40))
+    rows = [tuple(code >> j & 1 for j in range(width)) for code in codes]
+    domain = data.draw(st.permutations([3 * i for i in range(width)]))
+    first: dict[tuple[int, ...], int] = {}
+    for i, row in enumerate(rows):
+        first.setdefault(row, i)
+    _assert_packs_rows(FiniteClass.from_rows(domain, rows), list(first), list(first.values()))
 
 
 def test_masked_materialize_reads_only_the_activity_predicate(halters, loopers):

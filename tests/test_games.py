@@ -54,7 +54,7 @@ def test_soa_predict_singleton():
 
 
 def test_soa_predict_empty_version_space():
-    empty = FiniteClass(domain=(0,), concepts=(), witnesses=())
+    empty = FiniteClass.from_rows((0,), [])
     with pytest.raises(ValueError):
         SOALearner(empty).predict(0)
 

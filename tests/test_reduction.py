@@ -19,7 +19,6 @@ from learndim import (
     encode_tm,
     halting_class,
     halting_from_vc,
-    halts_within,
     materialize,
     run_bounded,
     saturating_index_count,
@@ -155,7 +154,7 @@ def test_budget_sweep_never_unsound(halters, loopers):
         for _, tm in suite:
             verdict = halting_from_vc(decider, tm)
             if verdict == HALTS:
-                assert halts_within(tm, budget)
+                assert run_bounded(tm, budget).halted
 
 
 def test_finite_verdicts_match_window_dimensions(halters):

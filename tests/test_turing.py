@@ -12,7 +12,6 @@ from learndim import (
     TuringMachine,
     decode_tm,
     encode_tm,
-    halts_within,
     parse_tm,
     run_bounded,
     serialize_tm,
@@ -104,17 +103,17 @@ def test_run_bounded_budgets():
     assert str(run_bounded(one, 5)) == "Halted(1)"
 
 
-def test_halts_within_basics_and_loop():
+def test_run_bounded_halted_basics_and_loop():
     one = parse_tm(halter_text(1))
-    assert not halts_within(one, 0)
-    assert halts_within(one, 1)
+    assert not run_bounded(one, 0).halted
+    assert run_bounded(one, 1).halted
     loop = parse_tm(LOOP_TEXTS[0])
-    assert not halts_within(loop, 10_000)
+    assert not run_bounded(loop, 10_000).halted
 
 
 def test_halting_monotone_and_step_stable(halters):
     tm = halters[4]
-    observed = [halts_within(tm, n) for n in range(8)]
+    observed = [run_bounded(tm, n).halted for n in range(8)]
     assert observed == [False] * 4 + [True] * 4
     for budget in range(4, 10):
         assert run_bounded(tm, budget).steps == 4
