@@ -55,38 +55,33 @@ class IndexedClass:
 
     evaluate: Callable[[int, int], int]
     provenance: str
-    label: str
     active: Callable[[int], bool] | None = None
 
 
 @dataclass(frozen=True)
 class Concept:
-    """A single total 0/1 function with a finite description."""
+    """Threshold function: 1 at points >= threshold, 0 below."""
 
-    kind: str  # "threshold" | "system" | "machine"
-    fn: Callable[[int], int]
-    threshold: int | None = None
-    label: str = ""
+    threshold: int
 
     def __call__(self, n: int) -> int:
-        return self.fn(n)
+        return 1 if n >= self.threshold else 0
 
 
 def step_concept(k: int) -> Concept:
     """Threshold function: 1 at points >= k, 0 below."""
     if k < 0:
         raise ValueError("threshold must be nonnegative")
-    return Concept(
-        kind="threshold",
-        fn=lambda n, _k=k: 1 if n >= _k else 0,
-        threshold=k,
-        label=f"threshold_{k}",
-    )
+    return Concept(threshold=k)
 
 
 # Maps a row's 0/1 entries to the digits of its code, and back.
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+# Concepts whose binary digits FiniteClass.masks joins into one string.
+MASK_CHUNK = 4096
 
 
 def _pack(row: tuple[int, ...]) -> int:
@@ -144,12 +139,19 @@ class FiniteClass:
     @cached_property
     def masks(self) -> tuple[int, ...]:
         """Per domain column, the bitmask of the concepts labelling it 1,
-        read off one string of the codes' binary digits, highest id first
-        (linear in the number of cells)."""
+        read off the codes' binary digits, highest id first (linear in the
+        number of cells).  The digits are joined MASK_CHUNK concepts at a
+        time and sliced into per-column pieces, so only the columns' digits
+        are held at once."""
         width = len(self.domain) + 3  # "0b", a 1 that fixes the width, a digit per column
         top = 1 << len(self.domain)
-        block = "".join([bin(code | top) for code in reversed(self.codes)])
-        return tuple(int(block[width - 1 - j :: width] or "0", 2) for j in range(len(self.domain)))
+        pieces: list[list[str]] = [[] for _ in self.domain]
+        for stop in range(len(self.codes), 0, -MASK_CHUNK):
+            chunk = self.codes[max(stop - MASK_CHUNK, 0) : stop]
+            block = "".join([bin(code | top) for code in reversed(chunk)])
+            for j, column in enumerate(pieces):
+                column.append(block[width - 1 - j :: width])
+        return tuple(int("".join(column) or "0", 2) for column in pieces)
 
     @cached_property
     def concepts(self) -> tuple[tuple[int, ...], ...]:
@@ -168,36 +170,30 @@ class FiniteClass:
         return ones if y else ones ^ self.all_ids
 
 
-def masked_sequence_class(
-    active: Callable[[int], bool], provenance: str, label: str
-) -> IndexedClass:
+def masked_sequence_class(active: Callable[[int], bool], provenance: str) -> IndexedClass:
     """Class whose m-th member is the m-th bit sequence gated by `active`."""
 
     def evaluate(m: int, n: int) -> int:
         return seq_bit(m, n) if active(n) else 0
 
-    return IndexedClass(evaluate=evaluate, provenance=provenance, label=label, active=active)
+    return IndexedClass(evaluate=evaluate, provenance=provenance, active=active)
 
 
 def goedel_class(fs: FormalSystem) -> IndexedClass:
     """Bits pass at points whose pair decodes to a contradictory theorem pair."""
-    return masked_sequence_class(
-        lambda n: active_index(fs, n), "goedel", f"goedel[{fs.name}]"
-    )
+    return masked_sequence_class(lambda n: active_index(fs, n), "goedel")
 
 
 def halting_class(tm: TuringMachine) -> IndexedClass:
     """Bits pass at point n while the machine has not halted within n steps."""
     onset = halt_scanner(tm)
-    return masked_sequence_class(lambda n: onset(n) is None, "halting", "halting")
+    return masked_sequence_class(lambda n: onset(n) is None, "halting")
 
 
 def goedel_prefix_class(fs: FormalSystem) -> IndexedClass:
     """Bits pass at point n while the theorem prefix 0..n is consistent."""
     onset = contradiction_scanner(fs)
-    return masked_sequence_class(
-        lambda n: onset(n) is None, "goedel_prefix", f"goedel_prefix[{fs.name}]"
-    )
+    return masked_sequence_class(lambda n: onset(n) is None, "goedel_prefix")
 
 
 def step_class() -> IndexedClass:
@@ -208,27 +204,23 @@ def step_class() -> IndexedClass:
             return 0
         return 1 if n >= m - 1 else 0
 
-    return IndexedClass(evaluate=evaluate, provenance="step", label="step")
+    return IndexedClass(evaluate=evaluate, provenance="step")
 
 
-def f_of_system(fs: FormalSystem) -> Concept:
+def f_of_system(fs: FormalSystem) -> Callable[[int], int]:
     """Indicator of prefix inconsistency; a member of the step family.
 
     Zero everywhere iff the system is consistent, otherwise a threshold at
     the inconsistency onset.
     """
     onset = contradiction_scanner(fs)
-    return Concept(
-        kind="system",
-        fn=lambda n: 0 if onset(n) is None else 1,
-        label=f"f[{fs.name}]",
-    )
+    return lambda n: 0 if onset(n) is None else 1
 
 
-def f_of_machine(tm: TuringMachine) -> Concept:
+def f_of_machine(tm: TuringMachine) -> Callable[[int], int]:
     """Indicator of halting within n steps; a member of the step family."""
     onset = halt_scanner(tm)
-    return Concept(kind="machine", fn=lambda n: 0 if onset(n) is None else 1, label="f[machine]")
+    return lambda n: 0 if onset(n) is None else 1
 
 
 def saturating_index_count(domain_max: int) -> int:
@@ -242,13 +234,7 @@ def _magnitude(n: int) -> str:
     return str(n) if n.bit_length() <= 256 else f"at least 2**{n.bit_length() - 1}"
 
 
-def materialize(
-    ic: IndexedClass,
-    domain_max: int,
-    index_count: int,
-    *,
-    budget: int | None = None,
-) -> FiniteClass:
+def materialize(ic: IndexedClass, domain_max: int, index_count: int) -> FiniteClass:
     """Deduplicated window { evaluate(m, .)|[0, domain_max] : m < index_count }.
 
     Keeps the smallest witness index per concept, ordered by witness.  A
@@ -257,14 +243,14 @@ def materialize(
     set S of active points <= domain_max that m carries, the smallest index
     carrying S is S itself, so the window is every such S below index_count,
     witnessed by S.  Either way, fails with BudgetExceededError when
-    (domain_max + 1) * index_count exceeds the evaluation budget, signalling
+    (domain_max + 1) * index_count exceeds eval_budget(), signalling
     the caller to shrink the window.
     """
     if domain_max < 0:
         raise ValueError("domain_max must be nonnegative")
     if index_count < 1:
         raise ValueError("index_count must be at least 1")
-    limit = eval_budget() if budget is None else budget
+    limit = eval_budget()
     cost = (domain_max + 1) * index_count
     if cost > limit:
         raise BudgetExceededError(

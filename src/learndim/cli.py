@@ -136,6 +136,8 @@ def cmd_dim(args) -> int:
         raise ValueError("--window and --schedule are mutually exclusive")
     if args.export_class and args.window is None:
         raise ValueError("--export-class needs --window")
+    if args.export_class and Path(args.export_class).suffix not in (".csv", ".json"):
+        raise ValueError(f"--export-class writes .csv or .json, got {args.export_class!r}")
     if args.window is not None:
         n, m = _window(args)
         fc = classes.materialize(ic, n, m)
@@ -180,7 +182,7 @@ def cmd_teach(args) -> int:
             raise ValueError("--escape takes no --class, --window or --index")
         points = [int(tok) for tok in args.escape.replace(",", " ").split()]
         concept = dimensions.escape_witness([(x, 0) for x in points])
-        payload = {"threshold": concept.threshold, "kind": concept.kind}
+        payload = {"threshold": concept.threshold, "kind": "threshold"}
         _emit(args, payload, [f"escape witness: threshold {concept.threshold}"])
         return EXIT_OK
     if not args.class_spec:
@@ -286,7 +288,7 @@ def cmd_suite(args) -> int:
         for e in report.entries
     ]
     lines.append(
-        f"{report.halts_count} halts, {report.no_answer_count} no-answer, "
+        f"{report.halts} halts, {report.no_answer} no-answer, "
         f"{report.disagreements} disagreements"
     )
     csv_rows = ["name,verdict,steps"]
@@ -294,14 +296,7 @@ def cmd_suite(args) -> int:
         f"{e.name},{e.reduction_verdict},{'' if e.reduction_steps is None else e.reduction_steps}"
         for e in report.entries
     ]
-    payload = {
-        **_fields(report),
-        "entries": [{**_fields(e), "agree": e.agree} for e in report.entries],
-        "halts": report.halts_count,
-        "no_answer": report.no_answer_count,
-        "disagreements": report.disagreements,
-    }
-    _emit(args, payload, lines, csv_text="\n".join(csv_rows) + "\n")
+    _emit(args, report, lines, csv_text="\n".join(csv_rows) + "\n")
     return EXIT_OK if report.disagreements == 0 else EXIT_INPUT
 
 

@@ -22,7 +22,7 @@ from .classes import (
     materialize,
     step_concept,
 )
-from .encoding import MAX_CODE, index_of_pattern
+from .encoding import MAX_CODE
 from .errors import BudgetExceededError, WitnessUnresolvedError
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
@@ -109,22 +109,24 @@ class LittlestoneTree:
                 return False
         return True
 
-    def path_witness_index(self, path: tuple[int, ...]) -> int:
-        """Index whose sequence carries exactly the path's labels at its points."""
-        wanted: dict[int, int] = {}
-        for x, y in self.path_points(path):
-            if wanted.setdefault(x, y) != y:
-                raise WitnessUnresolvedError(
-                    f"conflicting labels required at point {x} along path {path}"
-                )
-        width = max(wanted, default=-1) + 1
-        return index_of_pattern([wanted.get(n, 0) for n in range(width)])
-
     def verify_constructive(self, ic: IndexedClass) -> bool:
-        """Every path is realized by the index built from its own labels."""
+        """Every path is realized by the index built from its own labels:
+        bit x is set where the path labels point x with 1.  A path that
+        labels a point both ways, or whose index reaches the 2**64 ceiling,
+        raises WitnessUnresolvedError."""
         for path in self.paths():
-            m = self.path_witness_index(path)
-            if any(ic.evaluate(m, x) != y for x, y in self.path_points(path)):
+            points = self.path_points(path)
+            m = 0
+            for x, y in points:
+                m |= y << x
+            for x, y in points:
+                if m >> x & 1 != y:
+                    raise WitnessUnresolvedError(
+                        f"conflicting labels required at point {x} along path {path}"
+                    )
+            if m >= MAX_CODE:
+                raise WitnessUnresolvedError(f"path {path} needs an index past 2**64")
+            if any(ic.evaluate(m, x) != y for x, y in points):
                 return False
         return True
 
@@ -460,21 +462,15 @@ def escape_witness(sample: Sequence[tuple[int, int]]) -> Concept:
     return step_concept(max(x for x, _ in sample) + 1)
 
 
-def tree_witness(
-    ic: IndexedClass,
-    depth: int,
-    labeling: str = "layer",
-    *,
-    scan_limit: int = ACTIVE_SCAN_LIMIT,
-) -> LittlestoneTree:
+def tree_witness(ic: IndexedClass, depth: int, labeling: str = "layer") -> LittlestoneTree:
     """Uniform-layer mistake tree witness of the given depth, fully verified.
 
     labeling "layer" puts point k at every node of layer k; "active" uses
     the first `depth` points where the class's activity predicate holds.
     Raises BudgetExceededError for trees of over DEFAULT_SEARCH_BUDGET paths,
-    and WitnessUnresolvedError when the labels cannot be found within the
-    scan limit, need an index past the 2**64 ceiling, or any path fails
-    verification; never returns an unverified tree.
+    and WitnessUnresolvedError when the labels cannot be found among the
+    first ACTIVE_SCAN_LIMIT points, need an index past the 2**64 ceiling, or
+    any path fails verification; never returns an unverified tree.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -483,11 +479,11 @@ def tree_witness(
     elif labeling == "active":
         if ic.active is None:
             raise ValueError("active labeling requires a class with an activity predicate")
-        actives = (n for n in range(scan_limit + 1) if ic.active(n))
+        actives = (n for n in range(ACTIVE_SCAN_LIMIT + 1) if ic.active(n))
         layer_points = list(islice(actives, depth))
         if len(layer_points) < depth:
             raise WitnessUnresolvedError(
-                f"found only {len(layer_points)} active points below {scan_limit}, "
+                f"found only {len(layer_points)} active points below {ACTIVE_SCAN_LIMIT}, "
                 f"need {depth}; witness unresolved"
             )
         if layer_points and 1 << layer_points[-1] >= MAX_CODE:
@@ -524,16 +520,12 @@ class SaturationReport:
 
 
 def saturation_scan(
-    ic: IndexedClass,
-    measure: str,
-    schedule: Sequence[tuple[int, int]],
-    *,
-    eval_budget: int | None = None,
+    ic: IndexedClass, measure: str, schedule: Sequence[tuple[int, int]]
 ) -> SaturationReport:
     """Run a measure over a nondecreasing window schedule.
 
     Stabilization (equal values over the last three windows) is evidence
-    about the infinite class, never a proof.  A window exceeding the budget
+    about the infinite class, never a proof.  A window exceeding eval_budget()
     truncates the scan and flags the report incomplete.
     """
     if measure not in MEASURES:
@@ -548,7 +540,7 @@ def saturation_scan(
     incomplete = False
     for domain_max, index_count in windows:
         try:
-            fc = materialize(ic, domain_max, index_count, budget=eval_budget)
+            fc = materialize(ic, domain_max, index_count)
             values.append(MEASURES[measure](fc).value)
             done.append((domain_max, index_count))
         except BudgetExceededError:
@@ -594,10 +586,10 @@ def growth_schedule(ic: IndexedClass) -> tuple[tuple[int, int], ...]:
     return tuple(schedule)
 
 
-def default_schedule(ic: IndexedClass | None = None) -> tuple[tuple[int, int], ...]:
+def default_schedule(ic: IndexedClass) -> tuple[tuple[int, int], ...]:
     """Scan schedule for a class: active-milestone windows for the sparse
     contradiction-gated constructions, the generic saturating windows
     otherwise."""
-    if ic is not None and ic.provenance in ("goedel", "goedel_prefix"):
+    if ic.provenance in ("goedel", "goedel_prefix"):
         return growth_schedule(ic)
     return DEFAULT_SCHEDULE

@@ -18,7 +18,6 @@ from .encoding import unpair
 
 @dataclass(frozen=True)
 class FormalSystem:
-    name: str
     theorem: Callable[[int], int]  # total enumeration of provable statement codes
 
 
@@ -87,12 +86,12 @@ def inconsistency_onset(fs: FormalSystem, scan_limit: int) -> int | None:
 
 def consistent_toy() -> FormalSystem:
     """Enumerates the even codes 2i: infinitely many theorems, no contradiction."""
-    return FormalSystem(name="consistent", theorem=lambda i: 2 * i)
+    return FormalSystem(theorem=lambda i: 2 * i)
 
 
 def inconsistent_toy() -> FormalSystem:
     """Enumerates every code: proves each statement and its negation."""
-    return FormalSystem(name="inconsistent", theorem=lambda i: i)
+    return FormalSystem(theorem=lambda i: i)
 
 
 def inconsistent_toy_at(k: int) -> FormalSystem:
@@ -107,7 +106,7 @@ def inconsistent_toy_at(k: int) -> FormalSystem:
     def theorem(i: int) -> int:
         return 2 * i if i < k else i - k
 
-    return FormalSystem(name=f"inconsistent_at_{k}", theorem=theorem)
+    return FormalSystem(theorem=theorem)
 
 
 def system_from_spec(spec: Mapping) -> FormalSystem:

@@ -246,9 +246,13 @@ def sample_size_bound(vcdim: int, epsilon: float, delta: float) -> int:
         raise ValueError("vcdim must be nonnegative")
     if not (0 < epsilon < 1 and 0 < delta < 1):
         raise ValueError("epsilon and delta must lie in (0, 1)")
-    return math.ceil(
-        (8 / epsilon) * (vcdim * math.log2(16 / epsilon) + math.log2(2 / delta))
-    )
+    bound = (8 / epsilon) * (vcdim * math.log2(16 / epsilon) + math.log2(2 / delta))
+    if not math.isfinite(bound):
+        # No evaluation budget covers a sample past the largest float.
+        raise BudgetExceededError(
+            f"sample size bound for epsilon {epsilon} and delta {delta} is not finite"
+        )
+    return math.ceil(bound)
 
 
 # pac_experiment draws each sample in chunks of this many points, so memory

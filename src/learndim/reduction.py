@@ -82,28 +82,16 @@ class AgreementEntry:
     reduction_steps: int | None  # K when the verdict is halts
     direct_halted: bool
     direct_steps: int | None
-
-    @property
-    def agree(self) -> bool:
-        return (self.reduction_verdict == HALTS) == self.direct_halted
+    agree: bool  # the verdict is halts iff the direct run halted
 
 
 @dataclass(frozen=True)
 class AgreementReport:
     entries: tuple[AgreementEntry, ...]
     budget: int
-
-    @property
-    def halts_count(self) -> int:
-        return sum(1 for e in self.entries if e.reduction_verdict == HALTS)
-
-    @property
-    def no_answer_count(self) -> int:
-        return sum(1 for e in self.entries if e.reduction_verdict == NO_ANSWER)
-
-    @property
-    def disagreements(self) -> int:
-        return sum(1 for e in self.entries if not e.agree)
+    halts: int
+    no_answer: int
+    disagreements: int
 
 
 def agreement_check(
@@ -125,6 +113,14 @@ def agreement_check(
                 reduction_steps=verdict.value if verdict.finite else None,
                 direct_halted=direct.halted,
                 direct_steps=direct.steps if direct.halted else None,
+                agree=verdict.finite == direct.halted,
             )
         )
-    return AgreementReport(entries=tuple(entries), budget=budget)
+    halts = sum(e.reduction_verdict == HALTS for e in entries)
+    return AgreementReport(
+        entries=tuple(entries),
+        budget=budget,
+        halts=halts,
+        no_answer=len(entries) - halts,
+        disagreements=sum(not e.agree for e in entries),
+    )

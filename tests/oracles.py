@@ -12,8 +12,9 @@ comparing the mistake-tree dimensions of the two restrictions, the gated-class
 evaluators by literal transcription of their two-clause definitions, machine
 runs by walking the transition table, prefix consistency by comparing
 every pair of theorems, class windows by evaluating every cell, a
-class's packed forms by reading its rows cell by cell, and the PAC
-experiment by scoring every row on every drawn example.
+class's packed forms by reading its rows cell by cell, the PAC
+experiment by scoring every row on every drawn example, and a mistake
+tree's constructive check by collecting each path's wanted labels.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from learndim import BudgetExceededError, FiniteClass
+from learndim import BudgetExceededError, FiniteClass, WitnessUnresolvedError, index_of_pattern
 
 
 def all_patterns_present(fc: FiniteClass, points: tuple[int, ...]) -> bool:
@@ -335,6 +336,21 @@ def reference_masks(rows, width: int) -> tuple[int, ...]:
         int("".join(["1" if row[col] else "0" for row in reverse]) or "0", 2)
         for col in range(width)
     )
+
+
+def naive_verify_constructive(tree, ic) -> bool:
+    """Every path of `tree` is realized by the smallest index carrying its
+    wanted labels; WitnessUnresolvedError when a path wants a point both ways."""
+    for path in tree.paths():
+        wanted: dict[int, int] = {}
+        for x, y in tree.path_points(path):
+            if wanted.setdefault(x, y) != y:
+                raise WitnessUnresolvedError(f"conflicting labels at point {x} along {path}")
+        width = max(wanted, default=-1) + 1
+        m = index_of_pattern([wanted.get(n, 0) for n in range(width)])
+        if any(ic.evaluate(m, x) != y for x, y in tree.path_points(path)):
+            return False
+    return True
 
 
 def inconsistency_onset_oracle(theorem, limit: int) -> int | None:

@@ -189,8 +189,8 @@ def test_criterion_09_reduction_fidelity(halters, loopers):
     suite = [(f"halt{k}", halters[k]) for k in range(1, 11)]
     suite += [(f"loop{i}", tm) for i, tm in enumerate(loopers)]
     report = agreement_check(suite, budget=100)
-    assert report.halts_count == 10
-    assert report.no_answer_count == 5
+    assert report.halts == 10
+    assert report.no_answer == 5
     assert report.disagreements == 0
     for budget in (0, 1, 2, 4, 7, 11, 100):
         decider = lambda code: budgeted_vc_decider(code, budget)

@@ -1,8 +1,10 @@
-"""The public API: the names `learndim` exports, one per line, so that adding
-or removing a public name shows as a one-line diff here."""
+"""The public API: the names `learndim` exports, and the knobs of each
+function and class, one per line, so that adding or removing a public name
+or a knob shows as a one-line diff here."""
 
 from __future__ import annotations
 
+import inspect
 from types import ModuleType
 
 import learndim
@@ -88,6 +90,94 @@ PUBLIC_NAMES = {
     "vc_dim",
 }
 
+# Per public function or class, the names of its parameters that have
+# defaults, so that adding or removing a knob shows as a one-line diff too.
+KNOBS = {
+    "AgreementReport": (),
+    "BudgetExceededError": (),
+    "ClassCodeError": (),
+    "Concept": (),
+    "ConstantLearner": (),
+    "DeciderVerdict": (),
+    "DimensionReport": (),
+    "FiniteClass": (),
+    "FormalSystem": (),
+    "GameTranscript": (),
+    "IndexedClass": ("active",),
+    "LittlestoneTree": ("labels",),
+    "MachineParseError": ("line",),
+    "MajorityFlipAdversary": (),
+    "PacReport": (),
+    "ProtocolViolationError": (),
+    "RandomConsistentAdversary": ("seed",),
+    "RandomLearner": ("seed",),
+    "RunResult": (),
+    "SOALearner": (),
+    "SaturationReport": (),
+    "TeachingSet": (),
+    "TreeAdversary": (),
+    "TuringMachine": (),
+    "WitnessUnresolvedError": (),
+    "active_index": (),
+    "agreement_check": (),
+    "budgeted_vc_decider": (),
+    "class_code": (),
+    "class_from_spec": (),
+    "consistent_toy": (),
+    "decode_class_code": (),
+    "decode_machine": (),
+    "decode_tm": (),
+    "default_schedule": (),
+    "encode_tm": (),
+    "erm": (),
+    "escape_witness": (),
+    "f_of_machine": (),
+    "f_of_system": (),
+    "goedel_class": (),
+    "goedel_prefix_class": (),
+    "growth_schedule": (),
+    "halting_class": (),
+    "halting_from_vc": (),
+    "inconsistency_onset": (),
+    "inconsistent_toy": (),
+    "inconsistent_toy_at": (),
+    "index_of_pattern": (),
+    "is_shattered": (),
+    "littlestone_dim": ("budget",),
+    "load_tm": (),
+    "materialize": (),
+    "negation": (),
+    "pac_experiment": ("sample_sizes", "seed"),
+    "pair": (),
+    "parse_tm": (),
+    "play_online_game": (),
+    "prefix_consistent": (),
+    "run_bounded": (),
+    "sample_size_bound": (),
+    "saturating_index_count": (),
+    "saturation_scan": (),
+    "seq_bit": (),
+    "serialize_tm": (),
+    "step_class": (),
+    "step_concept": (),
+    "support": (),
+    "system_from_spec": (),
+    "teaching_dim": ("budget",),
+    "teaching_set": ("budget",),
+    "tree_adversary": (),
+    "tree_witness": ("labeling",),
+    "unpair": (),
+    "vc_dim": ("budget",),
+}
+
+
+def _knobs(value) -> tuple[str, ...]:
+    try:
+        parameters = inspect.signature(value).parameters.values()
+    except ValueError:  # an exception class that keeps Exception's signature
+        return ()
+    return tuple(p.name for p in parameters if p.default is not p.empty)
+
 
 def test_public_names_are_pinned():
     exported = {
@@ -96,3 +186,8 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert exported == PUBLIC_NAMES
+
+
+def test_knobs_are_pinned():
+    public = [getattr(learndim, name) for name in PUBLIC_NAMES]
+    assert {v.__name__: _knobs(v) for v in public if callable(v)} == KNOBS

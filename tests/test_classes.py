@@ -155,14 +155,15 @@ def test_f_of_machine_complements_activity(halters):
         assert f(n) == (0 if ic.active(n) else 1)
 
 
-def test_materialize_validates_and_guards():
+def test_materialize_validates_and_guards(monkeypatch):
     ic = step_class()
     with pytest.raises(ValueError):
         materialize(ic, -1, 4)
     with pytest.raises(ValueError):
         materialize(ic, 3, 0)
+    monkeypatch.setenv("LEARNDIM_EVAL_BUDGET", "16")
     with pytest.raises(BudgetExceededError):
-        materialize(ic, 3, 10, budget=16)
+        materialize(ic, 3, 10)
 
 
 def test_monotone_refinement(halters):

@@ -30,6 +30,7 @@ from learndim import (
     tree_witness,
     vc_dim,
 )
+from learndim import dimensions
 
 from conftest import hypercube_class, random_finite_class
 from oracles import (
@@ -203,10 +204,11 @@ def test_tree_witness_depth_beyond_halting_fails(halters):
         tree_witness(ic, 4, "layer")
 
 
-def test_tree_witness_insufficient_actives():
+def test_tree_witness_insufficient_actives(monkeypatch):
     ic = goedel_class(consistent_toy())
+    monkeypatch.setattr(dimensions, "ACTIVE_SCAN_LIMIT", 5000)
     with pytest.raises(WitnessUnresolvedError):
-        tree_witness(ic, 2, "active", scan_limit=5000)
+        tree_witness(ic, 2, "active")
 
 
 def test_saturation_scan_halting_stabilizes(halters):
@@ -233,13 +235,9 @@ def test_saturation_scan_consistent_constant_zero():
     assert report.stabilized
 
 
-def test_saturation_scan_flags_incomplete(loopers):
-    report = saturation_scan(
-        halting_class(loopers[0]),
-        "vc",
-        [(2, 8), (3, 16), (20, 2**21)],
-        eval_budget=10_000,
-    )
+def test_saturation_scan_flags_incomplete(loopers, monkeypatch):
+    monkeypatch.setenv("LEARNDIM_EVAL_BUDGET", "10000")
+    report = saturation_scan(halting_class(loopers[0]), "vc", [(2, 8), (3, 16), (20, 2**21)])
     assert report.incomplete
     assert report.values == (3, 4)
 

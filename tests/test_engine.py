@@ -30,6 +30,7 @@ from learndim import (
     RandomConsistentAdversary,
     RandomLearner,
     SOALearner,
+    WitnessUnresolvedError,
     consistent_toy,
     goedel_class,
     goedel_prefix_class,
@@ -50,7 +51,7 @@ from learndim import (
     vc_dim,
 )
 
-from learndim import dimensions
+from learndim import classes, dimensions
 from learndim.dimensions import DEFAULT_SEARCH_BUDGET, littlestone_memo
 from learndim.games import DRAW_CHUNK
 
@@ -71,6 +72,7 @@ from oracles import (
     naive_teaching_dim,
     naive_teaching_search,
     naive_vc_dim,
+    naive_verify_constructive,
     reference_codes,
     reference_masks,
     step_eval_oracle,
@@ -321,7 +323,8 @@ def test_littlestone_memory_on_a_full_cube_window():
 def test_masked_materialize_memory_on_a_large_cube_window():
     # The looper's (16, 2**17) window: its witness list, which is also its
     # codes, peaks near 6 MB here.  Building a row tuple per concept as
-    # well peaked at 29 MB.
+    # well peaked at 29 MB.  Its masks peak near 2.7 MB; joining one binary
+    # string of every concept's digits peaked at 12.2 MB.
     looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
     ic = halting_class(looper)
     materialize(ic, 3, 16)  # the machine's scan runs outside the traced peak
@@ -333,6 +336,17 @@ def test_masked_materialize_memory_on_a_large_cube_window():
         tracemalloc.stop()
     assert len(fc.codes) == 2**17
     assert peak < 12 * 2**20
+    tracemalloc.start()
+    try:
+        masks = fc.masks
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A full cube: concept i is the index i, so point j's mask has bit i of
+    # every i with bit j set.
+    for j, mask in enumerate(masks):
+        assert all(mask >> i & 1 == i >> j & 1 for i in range(0, 2**17, 97))
+    assert peak < 6 * 2**20
 
 
 def test_settled_root_is_checked_for_shattering_once(monkeypatch):
@@ -510,7 +524,7 @@ def test_witnesses_strictly_increase():
     ):
         for window in ((5, 64), (5, 40), (6, 100), (4, 16)):  # masked and generic paths
             fc = materialize(ic, *window)
-            assert increasing(fc), (ic.label, window)
+            assert increasing(fc), (ic.provenance, window)
 
 
 def _pac_rare_point_setup(support: int):
@@ -619,6 +633,54 @@ def test_from_rows_packs_like_the_row_reference(data, width):
     _assert_packs_rows(FiniteClass.from_rows(domain, rows), list(first), list(first.values()))
 
 
+def test_masks_across_chunk_boundaries(monkeypatch):
+    # Chunks of 3 concepts: the lowest ids fill a chunk, part of one, or none.
+    monkeypatch.setattr(classes, "MASK_CHUNK", 3)
+    rng = random.Random(13)
+    for count in range(12):
+        width = rng.randint(4, 6)
+        codes = rng.sample(range(2**width), count)
+        rows = [tuple(c >> j & 1 for j in range(width)) for c in codes]
+        fc = FiniteClass.from_rows(range(width), rows)
+        assert fc.masks == reference_masks(rows, width)
+
+
+def _verdict(check):
+    try:
+        return check()
+    except WitnessUnresolvedError:
+        return "unresolved"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(min_value=0, max_value=4))
+def test_verify_constructive_matches_the_wanted_labels_reference(halters, loopers, data, depth):
+    # Every node draws a point from 0-7, so some paths want a point both ways.
+    prefixes = [p for k in range(depth) for p in itertools.product((0, 1), repeat=k)]
+    tree = LittlestoneTree(
+        depth=depth, labels={p: data.draw(st.integers(min_value=0, max_value=7)) for p in prefixes}
+    )
+    for ic in (
+        step_class(),
+        halting_class(halters[3]),
+        halting_class(loopers[0]),
+        goedel_class(inconsistent_toy()),
+    ):
+        want = _verdict(lambda: naive_verify_constructive(tree, ic))
+        assert _verdict(lambda: tree.verify_constructive(ic)) == want
+
+
+def test_verify_constructive_refuses_conflicts_and_the_index_ceiling():
+    # Path (1, 0) wants point 3 labelled 1, then 0.
+    tree = LittlestoneTree(depth=2, labels={(): 3, (0,): 3, (1,): 3})
+    with pytest.raises(WitnessUnresolvedError, match="conflicting labels required at point 3"):
+        tree.verify_constructive(step_class())
+    # Path (1,) wants point 64 labelled 1, which needs the index 2**64.
+    tree = LittlestoneTree(depth=1, labels={(): 64})
+    with pytest.raises(WitnessUnresolvedError, match="past 2\\*\\*64"):
+        tree.verify_constructive(step_class())
+
+
 def test_masked_materialize_reads_only_the_activity_predicate(halters, loopers):
     for base in (halting_class(halters[3]), halting_class(loopers[0]), goedel_class(inconsistent_toy())):
         calls = {"evaluate": 0, "active": 0}
@@ -631,7 +693,7 @@ def test_masked_materialize_reads_only_the_activity_predicate(halters, loopers):
             calls["active"] += 1
             return base.active(n)
 
-        ic = IndexedClass(evaluate=evaluate, provenance=base.provenance, label=base.label, active=active)
+        ic = IndexedClass(evaluate=evaluate, provenance=base.provenance, active=active)
         for domain_max in (0, 1, 5, 12):
             for index_count in (1, 2, 3, 7, 64, 100, 4096, 5000):
                 calls.update(evaluate=0, active=0)

@@ -75,6 +75,7 @@ MATRIX = [
     (["game", "--class", "step", "--max-rounds", "2000001"], None, 3),
     # Flags that would be silently ignored.
     (["dim", "--class", "step", "--export-class", "unused.csv"], None, 1),
+    (["dim", "--class", "step", "--window", "3", "--export-class", "out.txt"], None, 1),
     (["teach", "--escape", "2,7", "--class", "step", "--window", "3", "--index", "1"], None, 1),
     (["dim", "--class", "step", "--window", "3", "--budget", "1"], None, 1),
     (["dim", "--class", "step", "--window", "3", "--seed", "9"], None, 1),
@@ -102,6 +103,9 @@ MATRIX = [
     (["dim", "--class", "step", "--window", "20000"], None, 3),
     (["dim", "--class", "step", "--window", "100000000"], None, 3),
     (["pac", "--class", "step", "--sizes", "1000000000", "--trials", "1000000000"], None, 3),
+    # A sample size bound past the largest float.
+    (["pac", "--class", "step", "--window", "3", "--delta", "1e-320"], None, 3),
+    (["pac", "--class", f"halting:{LOOP}", "--window", "3", "--epsilon", "1e-306"], None, 3),
     (["pac", "--class", "step", "--window", "1", "2", "--sizes", "4", "6", "--trials", "2"],
      {"LEARNDIM_EVAL_BUDGET": "19"}, 3),
     (["pac", "--class", "step", "--window", "1", "2", "--sizes", "4", "6", "--trials", "2"],

@@ -31,7 +31,7 @@ def test_negation_values_and_involution():
 def test_negative_theorem_code_rejected_by_scan():
     # theorem(3) = -1 raises negation's ValueError, on a fresh scan and on a
     # paused one, and again when the scan is retried.
-    fs = FormalSystem(name="negative", theorem=lambda i: -1 if i == 3 else 2 * i + 4)
+    fs = FormalSystem(theorem=lambda i: -1 if i == 3 else 2 * i + 4)
     onset = contradiction_scanner(fs)
     assert onset(2) is None
     for scan in (onset, contradiction_scanner(fs), onset):

@@ -131,8 +131,8 @@ def test_halts_verdicts_agree_with_simulation(halters, loopers):
 
 def test_agreement_check_suite(halters, loopers):
     report = agreement_check(_suite(halters, loopers), budget=100)
-    assert report.halts_count == 10
-    assert report.no_answer_count == 5
+    assert report.halts == 10
+    assert report.no_answer == 5
     assert report.disagreements == 0
     # Every machine halting within budget is answered at its exact step.
     for entry in report.entries:
