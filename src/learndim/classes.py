@@ -89,6 +89,11 @@ def _pack(row: tuple[int, ...]) -> int:
     return int(bytes(row[::-1]).translate(_DIGITS) or b"0", 2)
 
 
+def _unpack(code: int, top: int) -> tuple[int, ...]:
+    """The row packed as `code`, given top = 1 << (number of columns)."""
+    return tuple(bin(code | top)[:2:-1].encode().translate(_BITS))
+
+
 @dataclass(frozen=True)
 class FiniteClass:
     """Deduplicated restriction of a class to a finite domain window.
@@ -103,7 +108,8 @@ class FiniteClass:
 
     Derived and cached on first use: `masks`, the class packed by column
     (one id mask per point), `concepts`, the rows as tuples of 0/1 for
-    output that lists them, and `all_ids`.
+    output that lists them, and `all_ids`.  `row(i)` builds one row
+    without the others.
     """
 
     domain: tuple[int, ...]
@@ -157,7 +163,11 @@ class FiniteClass:
     def concepts(self) -> tuple[tuple[int, ...], ...]:
         """Per concept, its row: its label on each domain column."""
         top = 1 << len(self.domain)
-        return tuple([tuple(bin(c | top)[:2:-1].encode().translate(_BITS)) for c in self.codes])
+        return tuple([_unpack(code, top) for code in self.codes])
+
+    def row(self, i: int) -> tuple[int, ...]:
+        """Concept i's row, built alone: `concepts[i]` without the others."""
+        return _unpack(self.codes[i], 1 << len(self.domain))
 
     @cached_property
     def all_ids(self) -> int:

@@ -62,7 +62,7 @@ def _concept(fc: classes.FiniteClass, index: int, flag: str) -> tuple[int, ...]:
     """Concept row `index` of the window; the CLI takes no negative indexes."""
     if not 0 <= index < len(fc.codes):
         raise ValueError(f"{flag} {index} is outside the window's {len(fc.codes)} concepts")
-    return fc.concepts[index]
+    return fc.row(index)
 
 
 def _fields(obj) -> dict:

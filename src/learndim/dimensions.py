@@ -10,8 +10,10 @@ stabilization flag), never a proof of the infinite-class value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate, combinations, islice
 from math import comb
+from operator import and_, or_
 from typing import Callable, Iterable, Sequence
 
 from .classes import (
@@ -366,30 +368,69 @@ def teaching_set(
 
     A point is forced when some other concept is ruled out by it alone (a
     Hamming neighbour of `concept`); every teaching set contains every
-    forced point (Goldman & Kearns 1995).  The search starts from the forced
-    set F and tries the remaining points by subset size, against the
-    concepts F leaves uncovered, so F alone answers when it covers them.
-    Ties resolve to the lexicographically smallest set of points: two sets
-    of equal size compare by the least point of their symmetric difference,
-    which never lies in F, so the first hit is also the first hit of the
-    plain size-ordered search over all subsets of the candidate points.
+    forced point (Goldman & Kearns 1995).  The candidate points, those
+    ruling out some concept, are the columns on which the class varies.
+    When the neighbour across every candidate point is in the class, every
+    candidate is forced and they are the answer, read off the set of row
+    codes alone.  Otherwise the search starts from the forced set F and
+    tries the remaining points by subset size, against the concepts F
+    leaves uncovered, so F alone answers when it covers them.  Ties resolve
+    to the lexicographically smallest set of points: two sets of equal size
+    compare by the least point of their symmetric difference, which never
+    lies in F, so the first hit is also the first hit of the plain
+    size-ordered search over all subsets of the candidate points.
 
     The budget charges what that plain search would check: for c candidate
-    points (those ruling out some concept) and an answer of size k, the sum
-    of C(c, s) for s < k plus the answer's lexicographic rank among the
-    size-k subsets, plus 1.  A charge past the budget raises
+    points and an answer of size k, the sum of C(c, s) for s < k plus the
+    answer's lexicographic rank among the size-k subsets, plus 1 (2**c when
+    the answer is every candidate).  A charge past the budget raises
     BudgetExceededError naming the size at which the plain search would
     have run out; the subsets actually checked never exceed the budget.
     """
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    return _teaching_set(fc, fc.index_of(concept), limit)
+    i = fc.index_of(concept)
+    return _teacher(fc, limit)(i)
 
 
-def _teaching_set(fc: FiniteClass, i: int, limit: int) -> TeachingSet:
-    """`teaching_set` for concept id `i` of `fc`."""
-    target = fc.concepts[i]
-    if len(fc.codes) == 1:
-        return TeachingSet(target=target, examples=())
+def _teacher(fc: FiniteClass, limit: int) -> Callable[[int], TeachingSet]:
+    """`teaching_set` by concept id, with what the Hamming-neighbour check
+    needs computed once per class: the set of codes, and per candidate
+    point (in point order) its column's bit and its two labelled examples,
+    shared by every answer that lists the point."""
+    codes = set(fc.codes)
+    varying = reduce(or_, fc.codes) & ~reduce(and_, fc.codes)
+    columns = sorted((x, j) for j, x in enumerate(fc.domain) if varying >> j & 1)
+    flips = [1 << j for _, j in columns]
+    pairs = [(j, ((x, 0), (x, 1))) for x, j in columns]
+    charge = 1 << len(columns)
+
+    def teach(i: int) -> TeachingSet:
+        target = fc.row(i)
+        if len(fc.codes) == 1:
+            return TeachingSet(target=target, examples=())
+        code = fc.codes[i]
+        if not codes.issuperset([code ^ flip for flip in flips]):
+            return _search_teaching_set(fc, i, target, limit)
+        # Each candidate rules out the neighbour across it alone, so all are
+        # forced and they are the answer: the plain search's last subset.
+        if charge > limit:
+            raise _teaching_budget_error(_checks_below(len(columns)), limit)
+        examples = tuple([pair[code >> j & 1] for j, pair in pairs])
+        return TeachingSet(target=target, examples=examples)
+
+    return teach
+
+
+def _checks_below(c: int) -> list[int]:
+    """Per size s, the subsets the plain search over c points checks before
+    size s."""
+    return list(accumulate((comb(c, s) for s in range(c)), initial=0))
+
+
+def _search_teaching_set(
+    fc: FiniteClass, i: int, target: tuple[int, ...], limit: int
+) -> TeachingSet:
+    """The forced-set search of `teaching_set` for concept id `i` of `fc`."""
     label = {x: fc.codes[i] >> j & 1 for j, x in enumerate(fc.domain)}
     full = fc.all_ids
     rules_out = {x: ones ^ full if label[x] else ones for x, ones in zip(fc.domain, fc.masks)}
@@ -411,7 +452,7 @@ def _teaching_set(fc: FiniteClass, i: int, limit: int) -> TeachingSet:
     # The plain search checks below[s] subsets before size s.  Each subset
     # tried here maps, in order, onto a distinct one it checks at the same
     # size, so once these counts pass the budget, it has run out too.
-    below = list(accumulate((comb(c, s) for s in range(c)), initial=0))
+    below = _checks_below(c)
     for r in range(len(rest) + 1):
         size = len(forced) + r
         for checked, extra in enumerate(combinations(rest, r), 1):
@@ -440,7 +481,7 @@ def teaching_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionRepo
     """Worst-case minimum teaching set size, with all per-concept sets."""
     _require_nonempty(fc)
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    sets = [_teaching_set(fc, i, limit) for i in range(len(fc.codes))]
+    sets = list(map(_teacher(fc, limit), range(len(fc.codes))))
     value = max(len(ts.examples) for ts in sets)
     return DimensionReport(measure="teaching", value=value, certificate=sets)
 

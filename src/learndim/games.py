@@ -232,7 +232,7 @@ def erm(fc: FiniteClass, sample: Sequence[tuple[int, int]]) -> tuple[int, ...]:
         code = fc.codes[i]
         return sum(c for (x, y), c in counts.items() if code >> cols[x] & 1 != y), fc.witnesses[i]
 
-    return fc.concepts[min(range(len(fc.codes)), key=key)]
+    return fc.row(min(range(len(fc.codes)), key=key))
 
 
 def sample_size_bound(vcdim: int, epsilon: float, delta: float) -> int:

@@ -4,10 +4,10 @@ fits, and the packed-row VC search, against the naive row-based oracles on
 small random classes whose domains come in shuffled order (for the
 pruned Littlestone recursion: every state's value, the tree labels and the
 states it charges; on cube-shaped classes, the states and subtrees the VC
-sandwich settles); materialize against the cell-by-cell window
-scan, and every packed and derived form of a class against its rows; plus
-cost guards on large full-cube windows, wide PAC supports and large PAC
-samples."""
+sandwich settles, and the teaching sets read off Hamming neighbours);
+materialize against the cell-by-cell window scan, and every packed and
+derived form of a class against its rows; plus cost guards on large
+full-cube windows, wide PAC supports and large PAC samples."""
 
 from __future__ import annotations
 
@@ -125,11 +125,35 @@ def test_measures_match_oracles_with_verified_certificates(fc):
         assert len(ts.examples) == naive_min_teaching_size(fc, ts.target)
 
 
-@settings(max_examples=100, deadline=None)
-@given(finite_classes(max_points=8))
-def test_teaching_sets_and_charges_match_the_plain_search(fc):
-    # The search starts from the forced points but charges, and reports on
-    # running out, exactly as the plain size-ordered search over all subsets.
+@st.composite
+def cube_like_classes(draw) -> FiniteClass:
+    """Classes on which some concepts are settled by their Hamming
+    neighbours and others are not.
+
+    A full subcube on a drawn subset of the columns, with drawn constant
+    values on the others; sometimes a few of its concepts removed and a few
+    added one flip away from it, so that one class mixes concepts whose
+    neighbour across every varying column is in it with concepts missing
+    one.  Concept order is shuffled, and the domain shuffled and scaled."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    free = draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=min(n, 5)))
+    codes = [draw(st.integers(min_value=0, max_value=2**n - 1)) & ~sum(1 << j for j in free)]
+    for j in free:
+        codes += [code | 1 << j for code in codes]
+    if draw(st.booleans()):
+        removed = draw(st.sets(st.sampled_from(codes), min_size=1, max_size=min(3, len(codes) - 1)))
+        flips = st.tuples(st.sampled_from(codes), st.integers(min_value=0, max_value=n - 1))
+        added = [code ^ 1 << j for code, j in draw(st.lists(flips, max_size=3))]
+        codes = [code for code in codes if code not in removed] + added
+    codes = draw(st.permutations(codes))
+    scale = draw(st.sampled_from([1, 3]))
+    domain = draw(st.permutations([scale * i for i in range(n)]))
+    return FiniteClass.from_rows(domain, [tuple(code >> j & 1 for j in range(n)) for code in codes])
+
+
+def _assert_teaching_matches_the_plain_search(fc: FiniteClass) -> None:
+    """Every concept's teaching set, and its answer or error message at
+    budgets charge - 1, charge and 0, are the plain size-ordered search's."""
     for target in fc.concepts:
         examples, charge = naive_teaching_search(fc, target, DEFAULT_SEARCH_BUDGET)
         assert teaching_set(fc, target).examples == examples
@@ -142,6 +166,24 @@ def test_teaching_sets_and_charges_match_the_plain_search(fc):
                 assert str(got.value) == str(exc)
             else:
                 assert teaching_set(fc, target, budget=limit).examples == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(finite_classes(max_points=8))
+def test_teaching_sets_and_charges_match_the_plain_search(fc):
+    # The search starts from the forced points but charges, and reports on
+    # running out, exactly as the plain size-ordered search over all subsets.
+    _assert_teaching_matches_the_plain_search(fc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cube_like_classes())
+def test_teaching_sets_and_charges_match_the_plain_search_on_cube_like_classes(fc):
+    # Random classes rarely hold every Hamming neighbour of a concept, so
+    # the answers read off the set of codes are checked here, next to the
+    # forced-set search on the concepts of the same class that miss one.
+    _assert_teaching_matches_the_plain_search(fc)
+    assert teaching_dim(fc).certificate == [teaching_set(fc, target) for target in fc.concepts]
 
 
 def test_teaching_dim_resolves_no_concept_by_row(monkeypatch):
@@ -165,17 +207,40 @@ def test_teaching_dim_resolves_no_concept_by_row(monkeypatch):
 def test_teaching_sets_on_a_full_cube_window_are_the_forced_points():
     # The looper's (11, 4096) window is the full 12-cube.  Every point is
     # forced for every concept (its neighbour across that point is in the
-    # class), and the forced points alone teach it, so no subset search
-    # runs: about 0.2 s on a 2-core x86 VM, against over 20 s for a greedy
-    # cover followed by a search from size 0.
+    # class), so each answer is read off the set of codes: no id mask is
+    # built and no subset search runs.  About 0.03 s on a 2-core x86 VM,
+    # 0.2 s for the forced-set search and over 20 s for a greedy cover
+    # followed by a search from size 0.  The charge is still the plain
+    # search's, all 2**12 subsets of the 12 candidate points.
     looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
     fc = materialize(halting_class(looper), 11, 4096)
     report = teaching_dim(fc)
     assert report.value == 12
+    assert "masks" not in fc.__dict__
     codes = set(fc.codes)
     for code, ts in zip(fc.codes, report.certificate):
         forced = [x for j, x in enumerate(fc.domain) if code ^ 1 << j in codes]
         assert [x for x, _ in ts.examples] == sorted(forced)
+    assert teaching_dim(fc, budget=2**12).value == 12
+    with pytest.raises(BudgetExceededError, match=r"exceeded 4095 subset checks at size 12$"):
+        teaching_dim(fc, budget=2**12 - 1)
+
+
+def test_teaching_dim_memory_on_a_full_cube_window():
+    # On the (13, 16384) window the certificate is most of the peak: one row
+    # and one examples tuple per concept, the examples sharing one (x, y)
+    # pair per point and label.  Building the id masks for the forced-set
+    # search as well peaked at about 19 MB.
+    looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
+    fc = materialize(halting_class(looper), 13, 2**14)
+    tracemalloc.start()
+    try:
+        report = teaching_dim(fc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.value == 14
+    assert peak <= 10 * 2**20
 
 
 @settings(max_examples=100, deadline=None)
@@ -598,6 +663,7 @@ def _assert_packs_rows(fc: FiniteClass, rows, witnesses) -> None:
     """Every stored and derived form of `fc` agrees with the distinct rows
     `rows`, first seen at `witnesses`, as the row-based references read them."""
     assert list(fc.concepts) == rows
+    assert [fc.row(i) for i in range(len(rows))] == rows
     assert list(fc.witnesses) == witnesses
     assert fc.codes == reference_codes(rows)
     assert fc.masks == reference_masks(rows, len(fc.domain))
