@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .classes import FiniteClass, eval_budget
 from .errors import BudgetExceededError, ProtocolViolationError
-from .dimensions import DEFAULT_SEARCH_BUDGET, LittlestoneTree, littlestone_memo
+from .dimensions import DEFAULT_SEARCH_BUDGET, LittlestoneTree, littlestone_memo, vc_dim
 
 
 @dataclass(frozen=True)
@@ -255,9 +255,12 @@ def sample_size_bound(vcdim: int, epsilon: float, delta: float) -> int:
     return math.ceil(bound)
 
 
-# pac_experiment draws each sample in chunks of this many points, so memory
-# stays bounded whatever the sample size; `choices` spends one random() per
-# draw, so the points drawn do not depend on it.
+# pac_experiment draws each sample in chunks of at most this many points, so
+# memory stays bounded whatever the sample size.  A trial's first chunk is
+# about the support size and each next one doubles up to this cap; the trial
+# stops once its version space is the smallest any sample can reach.
+# `choices` spends one random() per draw, so the points drawn do not depend
+# on the chunking.
 DRAW_CHUNK = 2**16
 
 
@@ -296,6 +299,14 @@ def pac_experiment(
     hypothesis's true-error verdict is computed once per experiment.
     Raises BudgetExceededError before drawing anything when trials times
     the sum of the sample sizes exceeds eval_budget().
+
+    A trial stops drawing as soon as its version space equals the AND of
+    the agreement masks of every positive-weight point, the smallest any
+    sample can reach.  This is exact: every later draw would AND in a mask
+    that already contains the version space, and each trial's generator is
+    discarded after the trial while the master stream still spends one seed
+    per trial, so every success frequency equals that of drawing all m
+    points.
     """
     if not (0 < epsilon < 1 and 0 < delta < 1):
         raise ValueError("epsilon and delta must lie in (0, 1)")
@@ -304,7 +315,10 @@ def pac_experiment(
     target_id = fc.index_of(target)  # realizable regime: the target is in the class
 
     points = sorted(dist)
-    weights = [Fraction(dist[x]) for x in points]
+    try:
+        weights = [Fraction(dist[x]) for x in points]
+    except (OverflowError, ValueError):  # inf gives OverflowError, nan ValueError
+        raise ValueError("distribution weights must be finite numbers") from None
     if any(w < 0 for w in weights) or sum(weights) == 0:
         raise ValueError("distribution weights must be nonnegative and not all zero")
     total = sum(weights)
@@ -312,8 +326,6 @@ def pac_experiment(
     point_cols = {x: fc.column(x) for x in points}  # validates support
 
     if sample_sizes is None:
-        from .dimensions import vc_dim
-
         sizes = (sample_size_bound(vc_dim(fc).value, epsilon, delta),)
     else:
         sizes = tuple(sample_sizes)
@@ -329,6 +341,11 @@ def pac_experiment(
     cum = [float(c) for c in accumulate(probs)]
     agree = {x: fc.labelled(x, fc.codes[target_id] >> col & 1) for x, col in point_cols.items()}
     good: dict[int, bool] = {}  # hypothesis id -> true error <= epsilon
+    support = [x for x, p in zip(points, probs) if p]
+    floor = fc.all_ids  # the smallest version space any sample can reach
+    for x in support:
+        floor &= agree[x]
+    first = min(len(support), DRAW_CHUNK)
 
     frequencies: list[float] = []
     for m in sizes:
@@ -336,10 +353,13 @@ def pac_experiment(
         for _ in range(trials):
             rng = random.Random(master.randrange(2**63))
             ids = fc.all_ids
-            for start in range(0, m, DRAW_CHUNK):
-                chunk = rng.choices(points, cum_weights=cum, k=min(DRAW_CHUNK, m - start))
-                for x in set(chunk):
+            drawn, chunk = 0, first
+            while drawn < m and ids != floor:
+                k = min(chunk, m - drawn)
+                for x in set(rng.choices(points, cum_weights=cum, k=k)):
                     ids &= agree[x]
+                drawn += k
+                chunk = min(2 * chunk, DRAW_CHUNK)
             best = _lowest_id(ids)
             if best not in good:
                 true_error = float(sum(p for p, x in zip(probs, points) if not agree[x] >> best & 1))

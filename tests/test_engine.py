@@ -7,7 +7,8 @@ states it charges; on cube-shaped classes, the states and subtrees the VC
 sandwich settles, and the teaching sets read off Hamming neighbours);
 materialize against the cell-by-cell window scan, and every packed and
 derived form of a class against its rows; plus cost guards on large
-full-cube windows, wide PAC supports and large PAC samples."""
+full-cube windows, wide PAC supports and large PAC samples, and the draw
+counts of PAC trials that stop early and of those that cannot."""
 
 from __future__ import annotations
 
@@ -554,7 +555,7 @@ def test_pac_experiment_matches_row_erm(fc, data, epsilon, trials, seed):
         weights[0] = 1  # zero-weight points stay in the support, never drawn
     dist = dict(zip(support, weights))
     sizes = data.draw(
-        st.none() | st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=3)
+        st.none() | st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=3)
     )
     report = pac_experiment(fc, target, dist, epsilon, 0.1, trials, sample_sizes=sizes, seed=seed)
     if sizes is None:
@@ -592,13 +593,13 @@ def test_witnesses_strictly_increase():
             assert increasing(fc), (ic.provenance, window)
 
 
-def _pac_rare_point_setup(support: int):
+def _pac_rare_point_setup(support: int, rarity: int = 16):
     # Two concepts on `support` points: zero (witness 0) and the target, 1
     # only at the last point.  ERM fits the target exactly when a sample
-    # draws that point, which carries about 2**-16 of the weight.
+    # draws that point, which carries about 2**-rarity of the weight.
     last = support - 1
     fc = FiniteClass.from_rows(range(support), [(0,) * support, (0,) * last + (1,)])
-    dist = {x: 2**16 if x < last else support - 1 for x in range(support)}
+    dist = {x: 2**rarity if x < last else support - 1 for x in range(support)}
     return fc, fc.concepts[1], dist
 
 
@@ -613,14 +614,82 @@ def test_pac_chunked_draws_match_one_list_draws():
 
 def test_pac_sample_memory_is_bounded():
     # One list of 2M draws held about 16 MB; chunks of DRAW_CHUNK hold 0.5.
-    fc, target, dist = _pac_rare_point_setup(4)
+    # The rare point is never drawn, so the trial never stops early.
+    fc, target, dist = _pac_rare_point_setup(4, rarity=32)
     tracemalloc.start()
     try:
-        pac_experiment(fc, target, dist, 0.1, 0.1, 1, sample_sizes=[2_000_000])
+        report = pac_experiment(fc, target, dist, 2**-40, 0.1, 1, sample_sizes=[2_000_000])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert report.success_frequencies == (0.0,)
     assert peak < 4 * 2**20
+
+
+class _CountingRandom(random.Random):
+    """Counts random() calls: `choices` spends one per point drawn.  Its own
+    getrandbits keeps randrange on the base class's algorithm, so the
+    master stream's per-trial seeds stay those of random.Random."""
+
+    draws = 0
+
+    def random(self):
+        _CountingRandom.draws += 1
+        return super().random()
+
+    def getrandbits(self, k):
+        return super().getrandbits(k)
+
+
+def _count_pac_draws(monkeypatch, *args, **kwargs):
+    _CountingRandom.draws = 0
+    with monkeypatch.context() as patch:
+        patch.setattr(random, "Random", _CountingRandom)
+        report = pac_experiment(*args, **kwargs)
+    return report, _CountingRandom.draws
+
+
+def test_pac_trials_stop_once_the_version_space_is_pinned(monkeypatch):
+    # At the PAC bound nearly every draw falls after the sample has pinned
+    # ERM's fit; the frequencies still equal drawing all m points.
+    halt3 = load_tm(Path(__file__).resolve().parents[1] / "machines" / "halt3.tm")
+    fc = materialize(halting_class(halt3), 5, 64)
+    target, dist = fc.concepts[0], {x: 1 for x in fc.domain}
+    report, draws = _count_pac_draws(monkeypatch, fc, target, dist, 0.25, 0.1, 200, seed=1)
+    assert report.sample_sizes == (715,)
+    assert list(report.success_frequencies) == naive_pac_experiment(
+        fc, target, dist, 0.25, 200, [715], 1
+    )
+    assert draws < 200 * 715 // 20
+
+
+def test_pac_zero_weight_points_do_not_hold_trials_open(monkeypatch):
+    # Only the zero-weight point tells the two concepts apart: no sample can
+    # shrink the version space, so no trial draws at all.
+    fc, target, dist = _pac_rare_point_setup(4)
+    dist[3] = 0
+    report, draws = _count_pac_draws(
+        monkeypatch, fc, target, dist, 0.25, 0.1, 50, sample_sizes=[1000], seed=2
+    )
+    assert list(report.success_frequencies) == naive_pac_experiment(
+        fc, target, dist, 0.25, 50, [1000], 2
+    )
+    assert draws == 0
+
+
+def test_pac_trials_that_never_pin_draw_every_point(monkeypatch):
+    # The rare point decides the target: a trial that never draws it never
+    # reaches the floor, so it draws all m points, in chunks up to the cap.
+    fc, target, dist = _pac_rare_point_setup(4, rarity=32)
+    m, trials = 3 * DRAW_CHUNK + 1, 2
+    report, draws = _count_pac_draws(
+        monkeypatch, fc, target, dist, 2**-40, 0.1, trials, sample_sizes=[m], seed=3
+    )
+    assert report.success_frequencies == (0.0,)  # no trial drew the rare point
+    assert report.success_frequencies == tuple(
+        naive_pac_experiment(fc, target, dist, 2**-40, trials, [m], 3)
+    )
+    assert draws == trials * m
 
 
 def test_pac_cumulative_weights_are_linear_in_the_support():

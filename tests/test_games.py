@@ -241,6 +241,13 @@ def test_pac_requires_valid_inputs():
         pac_experiment(fc, fc.concepts[0], {9: 1}, 0.25, 0.1, 5)  # support off-domain
 
 
+@pytest.mark.parametrize("weight", [float("inf"), float("-inf"), float("nan")])
+def test_pac_rejects_non_finite_weights(weight):
+    fc = hypercube_class(2)
+    with pytest.raises(ValueError, match="finite"):
+        pac_experiment(fc, fc.concepts[0], {0: 1, 1: weight}, 0.25, 0.1, 5)
+
+
 def test_pac_reproducible_and_monotone(halters):
     fc = materialize(halting_class(halters[3]), 5, 64)
     target = fc.concepts[-1]

@@ -179,6 +179,12 @@ GOLDEN: dict[str, tuple[tuple[int, str], ...]] = {
         (0, "add871950ffb9a551e3e0806b62463d92da4dbcc71d935ccfcc7ee93c961cc3a"),
         (0, "00720d0a0cdb2c0581646ecf0121a24dda205f8f41dd07a51ff9cdb057fe9ab6"),
     ),
+    # Nearly every draw at m=3000 falls after the version space is pinned.
+    "pac --class step --window 7 --trials 100 --sizes 2 8 3000 --target-index 4 --seed 5": (
+        (0, "6ac3ece4f4d9c1af70045b6638f47b6f71cb088c3c7071b35bda11990c9104c6"),
+        (0, "ba8372b347546cfd77fad9f543c62d968f2c44f70b41733ce1fa4feeff807b58"),
+        (0, "f32ccee6fef800baf37f73c992d8c8547558fa242492731946cdb376b9d7355a"),
+    ),
     "reduce {M}/halt3.tm --budget 10": (
         (0, "2428ce789dd3d0e5f663f2ee184e75db0fa5ebb397304ff0be46341d9b40d884"),
         (0, "026fd94ec18b73797dc81dfda0ed5599a584845dfb2acba4c3626b83c2d430bb"),
