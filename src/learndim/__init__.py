@@ -77,7 +77,6 @@ from .games import (
     RandomLearner,
     SOALearner,
     TreeAdversary,
-    erm,
     pac_experiment,
     play_online_game,
     sample_size_bound,

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Mapping, Sequence
 
 from .classes import FiniteClass, eval_budget
@@ -218,23 +219,6 @@ def play_online_game(
     return GameTranscript(rounds=tuple(rounds), mistakes=mistakes, witnesses=tuple(witnesses))
 
 
-def erm(fc: FiniteClass, sample: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    """Concept minimizing empirical disagreement; ties go to the smallest
-    witness index.  Agnostic: the sample need not be realizable."""
-    if not sample:
-        raise ValueError("erm requires a nonempty sample")
-    counts: dict[tuple[int, int], int] = {}
-    for x, y in sample:
-        counts[(x, y)] = counts.get((x, y), 0) + 1
-    cols = {x: fc.column(x) for x, _ in counts}
-
-    def key(i: int) -> tuple[int, int]:
-        code = fc.codes[i]
-        return sum(c for (x, y), c in counts.items() if code >> cols[x] & 1 != y), fc.witnesses[i]
-
-    return fc.row(min(range(len(fc.codes)), key=key))
-
-
 def sample_size_bound(vcdim: int, epsilon: float, delta: float) -> int:
     """A standard realizable-case PAC sample size:
     ceil((8/eps) * (vcdim * log2(16/eps) + log2(2/delta))).
@@ -253,15 +237,6 @@ def sample_size_bound(vcdim: int, epsilon: float, delta: float) -> int:
             f"sample size bound for epsilon {epsilon} and delta {delta} is not finite"
         )
     return math.ceil(bound)
-
-
-# pac_experiment draws each sample in chunks of at most this many points, so
-# memory stays bounded whatever the sample size.  A trial's first chunk is
-# about the support size and each next one doubles up to this cap; the trial
-# stops once its version space is the smallest any sample can reach.
-# `choices` spends one random() per draw, so the points drawn do not depend
-# on the chunking.
-DRAW_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -300,13 +275,16 @@ def pac_experiment(
     Raises BudgetExceededError before drawing anything when trials times
     the sum of the sample sizes exceeds eval_budget().
 
-    A trial stops drawing as soon as its version space equals the AND of
-    the agreement masks of every positive-weight point, the smallest any
-    sample can reach.  This is exact: every later draw would AND in a mask
-    that already contains the version space, and each trial's generator is
-    discarded after the trial while the master stream still spends one seed
-    per trial, so every success frequency equals that of drawing all m
-    points.
+    Each point is drawn as `choices(points, cum_weights=cum)` draws it,
+    one random() per point.  The version space always holds the floor,
+    the AND of the agreement masks of every positive-weight point, so
+    ERM's fit is final once no concept below the floor's lowest survives:
+    once the version space reaches the floor, or once no concept below the
+    target survives.  A trial stops at that draw, and one settled before
+    its first draw (target id 0, say) draws nothing.  One trial generator
+    is reseeded with each trial's seed from the master stream, which
+    spends one seed per trial whether or not the trial draws, so every
+    success frequency equals that of drawing all m points.
     """
     if not (0 < epsilon < 1 and 0 < delta < 1):
         raise ValueError("epsilon and delta must lie in (0, 1)")
@@ -323,7 +301,7 @@ def pac_experiment(
         raise ValueError("distribution weights must be nonnegative and not all zero")
     total = sum(weights)
     probs = [w / total for w in weights]
-    point_cols = {x: fc.column(x) for x in points}  # validates support
+    cols = [fc.column(x) for x in points]  # validates support
 
     if sample_sizes is None:
         sizes = (sample_size_bound(vc_dim(fc).value, epsilon, delta),)
@@ -338,31 +316,34 @@ def pac_experiment(
         )
 
     master = random.Random(seed)
+    rng = random.Random(0)  # reseeded by every trial that draws
+    draw = rng.random
     cum = [float(c) for c in accumulate(probs)]
-    agree = {x: fc.labelled(x, fc.codes[target_id] >> col & 1) for x, col in point_cols.items()}
+    scale, hi = cum[-1], len(points) - 1
+    agree = [fc.labelled(x, fc.codes[target_id] >> col & 1) for x, col in zip(points, cols)]
     good: dict[int, bool] = {}  # hypothesis id -> true error <= epsilon
-    support = [x for x, p in zip(points, probs) if p]
     floor = fc.all_ids  # the smallest version space any sample can reach
-    for x in support:
-        floor &= agree[x]
-    first = min(len(support), DRAW_CHUNK)
+    for mask, p in zip(agree, probs):
+        if p:
+            floor &= mask
+    # The fit is final once no id below the floor's lowest survives.
+    below = (1 << _lowest_id(floor)) - 1
 
     frequencies: list[float] = []
     for m in sizes:
         successes = 0
         for _ in range(trials):
-            rng = random.Random(master.randrange(2**63))
+            trial_seed = master.randrange(2**63)
             ids = fc.all_ids
-            drawn, chunk = 0, first
-            while drawn < m and ids != floor:
-                k = min(chunk, m - drawn)
-                for x in set(rng.choices(points, cum_weights=cum, k=k)):
-                    ids &= agree[x]
-                drawn += k
-                chunk = min(2 * chunk, DRAW_CHUNK)
+            if below:
+                rng.seed(trial_seed)
+                for _ in repeat(None, m):
+                    ids &= agree[bisect(cum, draw() * scale, 0, hi)]
+                    if not ids & below:
+                        break
             best = _lowest_id(ids)
             if best not in good:
-                true_error = float(sum(p for p, x in zip(probs, points) if not agree[x] >> best & 1))
+                true_error = float(sum(p for p, mask in zip(probs, agree) if not mask >> best & 1))
                 good[best] = true_error <= epsilon
             successes += good[best]
         frequencies.append(successes / trials)

@@ -361,12 +361,23 @@ def inconsistency_onset_oracle(theorem, limit: int) -> int | None:
     return None
 
 
+def naive_erm(fc: FiniteClass, sample) -> tuple[int, ...]:
+    """The row minimizing (empirical errors, witness) on a labelled sample,
+    which need not be realizable."""
+    col = {x: fc.domain.index(x) for x, _ in sample}
+    _, _, best = min(
+        (sum(row[col[x]] != y for x, y in sample), witness, row)
+        for row, witness in zip(fc.concepts, fc.witnesses)
+    )
+    return best
+
+
 def naive_pac_experiment(fc: FiniteClass, target, dist, epsilon: float, trials: int,
                          sizes, seed: int) -> list[float]:
     """Success frequency per sample size: the documented seeded draws (one
     per-trial seed from the master stream, then `choices` on the sorted
-    support with float cumulative weights), ERM as the row minimizing
-    (empirical errors, witness), and its true error summed in Fractions."""
+    support with float cumulative weights), ERM as `naive_erm`, and its
+    true error summed in Fractions."""
     points = sorted(dist)
     total = sum(Fraction(dist[x]) for x in points)
     probs = {x: Fraction(dist[x]) / total for x in points}
@@ -382,10 +393,7 @@ def naive_pac_experiment(fc: FiniteClass, target, dist, epsilon: float, trials: 
         for _ in range(trials):
             rng = random.Random(master.randrange(2**63))
             sample = [(x, target[col[x]]) for x in rng.choices(points, cum_weights=cum, k=m)]
-            _, _, best = min(
-                (sum(row[col[x]] != y for x, y in sample), witness, row)
-                for row, witness in zip(fc.concepts, fc.witnesses)
-            )
+            best = naive_erm(fc, sample)
             error = sum((probs[x] for x in points if best[col[x]] != target[col[x]]), Fraction(0))
             successes += float(error) <= epsilon
         frequencies.append(successes / trials)

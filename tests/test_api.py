@@ -49,7 +49,6 @@ PUBLIC_NAMES = {
     "decode_tm",
     "default_schedule",
     "encode_tm",
-    "erm",
     "escape_witness",
     "f_of_machine",
     "f_of_system",
@@ -129,7 +128,6 @@ KNOBS = {
     "decode_tm": (),
     "default_schedule": (),
     "encode_tm": (),
-    "erm": (),
     "escape_witness": (),
     "f_of_machine": (),
     "f_of_system": (),

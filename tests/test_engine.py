@@ -54,8 +54,8 @@ from learndim import (
 
 from learndim import classes, dimensions
 from learndim.dimensions import DEFAULT_SEARCH_BUDGET, littlestone_memo
-from learndim.games import DRAW_CHUNK
 
+from conftest import hypercube_class
 from oracles import (
     all_patterns_present,
     bit_of,
@@ -546,7 +546,10 @@ def test_adversaries_follow_their_rules_on_rows(fc, rounds):
     st.integers(min_value=0, max_value=2**32),
 )
 def test_pac_experiment_matches_row_erm(fc, data, epsilon, trials, seed):
-    target = data.draw(st.sampled_from(fc.concepts))
+    # The first concept settles every trial before its first draw; the last
+    # has the most concepts below it for a trial to rule out.
+    ends = st.sampled_from([fc.concepts[0], fc.concepts[-1]])
+    target = data.draw(ends | st.sampled_from(fc.concepts))
     support = data.draw(st.lists(st.sampled_from(fc.domain), min_size=1, unique=True))
     weights = data.draw(
         st.lists(st.integers(min_value=0, max_value=5), min_size=len(support), max_size=len(support))
@@ -555,7 +558,8 @@ def test_pac_experiment_matches_row_erm(fc, data, epsilon, trials, seed):
         weights[0] = 1  # zero-weight points stay in the support, never drawn
     dist = dict(zip(support, weights))
     sizes = data.draw(
-        st.none() | st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=3)
+        st.none()
+        | st.lists(st.just(1) | st.integers(min_value=1, max_value=400), min_size=1, max_size=3)
     )
     report = pac_experiment(fc, target, dist, epsilon, 0.1, trials, sample_sizes=sizes, seed=seed)
     if sizes is None:
@@ -603,9 +607,11 @@ def _pac_rare_point_setup(support: int, rarity: int = 16):
     return fc, fc.concepts[1], dist
 
 
-def test_pac_chunked_draws_match_one_list_draws():
+def test_pac_one_point_draws_match_one_list_draws():
+    # Each point is drawn as `choices` draws it, so samples around 2**16
+    # points match one list of m draws from the same generator.
     fc, target, dist = _pac_rare_point_setup(2)
-    sizes = [DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1]
+    sizes = [65535, 65536, 65537]
     report = pac_experiment(fc, target, dist, 2**-20, 0.1, 8, sample_sizes=sizes, seed=7)
     expected = naive_pac_experiment(fc, target, dist, 2**-20, 8, sizes, 7)
     assert list(report.success_frequencies) == expected
@@ -613,7 +619,8 @@ def test_pac_chunked_draws_match_one_list_draws():
 
 
 def test_pac_sample_memory_is_bounded():
-    # One list of 2M draws held about 16 MB; chunks of DRAW_CHUNK hold 0.5.
+    # One list of 2M draws held about 16 MB; a trial drawing one point at
+    # a time holds no list of draws at all.
     # The rare point is never drawn, so the trial never stops early.
     fc, target, dist = _pac_rare_point_setup(4, rarity=32)
     tracemalloc.start()
@@ -627,11 +634,16 @@ def test_pac_sample_memory_is_bounded():
 
 
 class _CountingRandom(random.Random):
-    """Counts random() calls: `choices` spends one per point drawn.  Its own
-    getrandbits keeps randrange on the base class's algorithm, so the
+    """Counts constructions and random() calls, one per point drawn.  Its
+    own getrandbits keeps randrange on the base class's algorithm, so the
     master stream's per-trial seeds stay those of random.Random."""
 
+    made = 0
     draws = 0
+
+    def __init__(self, x=None):
+        _CountingRandom.made += 1
+        super().__init__(x)
 
     def random(self):
         _CountingRandom.draws += 1
@@ -642,7 +654,7 @@ class _CountingRandom(random.Random):
 
 
 def _count_pac_draws(monkeypatch, *args, **kwargs):
-    _CountingRandom.draws = 0
+    _CountingRandom.made = _CountingRandom.draws = 0
     with monkeypatch.context() as patch:
         patch.setattr(random, "Random", _CountingRandom)
         report = pac_experiment(*args, **kwargs)
@@ -651,16 +663,66 @@ def _count_pac_draws(monkeypatch, *args, **kwargs):
 
 def test_pac_trials_stop_once_the_version_space_is_pinned(monkeypatch):
     # At the PAC bound nearly every draw falls after the sample has pinned
-    # ERM's fit; the frequencies still equal drawing all m points.
+    # ERM's fit; the frequencies still equal drawing all m points.  Drawing
+    # until the version space reached the floor, checked per chunk, took
+    # 3468 draws for either target.
     halt3 = load_tm(Path(__file__).resolve().parents[1] / "machines" / "halt3.tm")
     fc = materialize(halting_class(halt3), 5, 64)
-    target, dist = fc.concepts[0], {x: 1 for x in fc.domain}
-    report, draws = _count_pac_draws(monkeypatch, fc, target, dist, 0.25, 0.1, 200, seed=1)
-    assert report.sample_sizes == (715,)
-    assert list(report.success_frequencies) == naive_pac_experiment(
-        fc, target, dist, 0.25, 200, [715], 1
+    dist = {x: 1 for x in fc.domain}
+    for target_index, pinned in ((0, 0), (-1, 2205)):
+        target = fc.concepts[target_index]
+        report, draws = _count_pac_draws(monkeypatch, fc, target, dist, 0.25, 0.1, 200, seed=1)
+        assert report.sample_sizes == (715,)
+        assert list(report.success_frequencies) == naive_pac_experiment(
+            fc, target, dist, 0.25, 200, [715], 1
+        )
+        assert draws == pinned, target_index
+
+
+def test_pac_dense_trials_stop_at_the_settling_draw(monkeypatch):
+    # Small fixed sizes on a dense class rarely pin the version space; a
+    # trial still stops once no concept below the target survives.  Drawing
+    # until the version space reached the floor, checked per chunk, took
+    # 7966 draws.
+    fc = FiniteClass.from_rows(range(11), [
+        tuple(code >> i & 1 for i in range(11))
+        for code in random.Random(11).sample(range(2**11), 90)
+    ])
+    target = fc.concepts[45]
+    dist = {x: 1 + x % 4 for x in fc.domain}
+    sizes = [4, 16, 64]
+    report, draws = _count_pac_draws(
+        monkeypatch, fc, target, dist, 0.25, 0.1, 200, sample_sizes=sizes, seed=5
     )
-    assert draws < 200 * 715 // 20
+    assert list(report.success_frequencies) == naive_pac_experiment(
+        fc, target, dist, 0.25, 200, sizes, 5
+    )
+    assert draws == 4567
+
+
+def test_pac_first_target_draws_nothing(monkeypatch):
+    # ERM's fit is the lowest id consistent with the sample, and the first
+    # concept is consistent with every sample it labels.
+    fc = hypercube_class(4)
+    target, dist = fc.concepts[0], {x: x + 1 for x in fc.domain}
+    report, draws = _count_pac_draws(
+        monkeypatch, fc, target, dist, 0.1, 0.1, 30, sample_sizes=[1, 50], seed=4
+    )
+    assert list(report.success_frequencies) == naive_pac_experiment(
+        fc, target, dist, 0.1, 30, [1, 50], 4
+    )
+    assert draws == 0
+
+
+@pytest.mark.parametrize("trials", [1, 7, 300])
+def test_pac_builds_two_generators_whatever_the_trials(monkeypatch, trials):
+    # The master stream and one trial generator, reseeded by each trial.
+    fc = hypercube_class(4)
+    dist = {x: 1 for x in fc.domain}
+    _count_pac_draws(
+        monkeypatch, fc, fc.concepts[-1], dist, 0.1, 0.1, trials, sample_sizes=[3, 9], seed=6
+    )
+    assert _CountingRandom.made == 2
 
 
 def test_pac_zero_weight_points_do_not_hold_trials_open(monkeypatch):
@@ -679,9 +741,9 @@ def test_pac_zero_weight_points_do_not_hold_trials_open(monkeypatch):
 
 def test_pac_trials_that_never_pin_draw_every_point(monkeypatch):
     # The rare point decides the target: a trial that never draws it never
-    # reaches the floor, so it draws all m points, in chunks up to the cap.
+    # settles, so it draws all m points.
     fc, target, dist = _pac_rare_point_setup(4, rarity=32)
-    m, trials = 3 * DRAW_CHUNK + 1, 2
+    m, trials = 196_609, 2
     report, draws = _count_pac_draws(
         monkeypatch, fc, target, dist, 2**-40, 0.1, trials, sample_sizes=[m], seed=3
     )
