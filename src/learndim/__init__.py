@@ -7,7 +7,7 @@ experiments, and demonstrates the reduction from halting to dimension
 finiteness.
 """
 
-from .encoding import index_of_pattern, pair, seq_bit, support, unpair
+from .encoding import pair, seq_bit, unpair
 from .errors import (
     BudgetExceededError,
     ClassCodeError,

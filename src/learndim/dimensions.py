@@ -29,8 +29,8 @@ from .errors import BudgetExceededError, WitnessUnresolvedError
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
-# Cells that _splits_every_cell cuts side by side: about 8 MB of id masks on
-# a 2**15-concept class.
+# Cells that _splits_every_cell and _first_shattered cut side by side: about
+# 8 MB of id masks on a 2**15-concept class.
 CELL_BATCH = 1024
 
 # Points scanned for active ones by tree_witness and growth_schedule.
@@ -54,7 +54,7 @@ class DimensionReport:
     certificate: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TeachingSet:
     """Labelled examples that single out `target` within its class."""
 
@@ -217,27 +217,121 @@ def _require_nonempty(fc: FiniteClass) -> None:
         raise ValueError("dimension measures require a nonempty class")
 
 
+def _budget_error(
+    search: str, limit: int, points: int, sizes: Iterable[int]
+) -> BudgetExceededError:
+    """The plain search over the subsets of `points` points, checking all
+    C(points, s) of each size s of `sizes` in turn, runs out at the first
+    size it cannot finish within `limit` checks."""
+    checked = 0
+    for size in sizes:
+        checked += comb(points, size)
+        if checked > limit:
+            break
+    return BudgetExceededError(f"{search} exceeded {limit} subset checks at size {size}")
+
+
 def vc_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionReport:
     """Exact VC-dimension with a maximum shattered set as certificate.
 
-    Exhaustive largest-first subset search, pruned by the pattern-count
-    bound 2**n <= |concepts|; the returned set is the lexicographically
-    smallest maximum one.
+    Sizes go largest first, from the pattern-count bound 2**n <= |concepts|
+    down; the returned set is the lexicographically smallest maximum one,
+    in domain order.  At each size the `size` lowest points, the plain
+    subset search's first candidate, are checked on the row codes (a cube
+    window answers there, with no masks built); past them
+    `_first_shattered` finds the size's first shattered set.
+
+    The budget charges what the plain largest-first search over every
+    subset would check: the C(d, s) subsets of each size s above the
+    answer's, plus the answer's lexicographic rank among its size's, plus
+    1.  Past the budget it raises BudgetExceededError naming the size at
+    which the plain search would have run out; the search stops as soon as
+    the subsets it has ruled out pass the budget.
     """
     _require_nonempty(fc)
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    checked = 0
-    upper = min(len(fc.domain), len(fc.codes).bit_length() - 1)
-    for size in range(upper, -1, -1):
-        for subset in combinations(fc.domain, size):
-            checked += 1
-            if checked > limit:
-                raise BudgetExceededError(
-                    f"vc_dim exceeded {limit} subset checks at size {size}"
-                )
-            if is_shattered(fc, subset):
-                return DimensionReport(measure="vc", value=size, certificate=subset)
+    d = len(fc.domain)
+    sizes = range(min(d, len(fc.codes).bit_length() - 1), -1, -1)
+    checked = 0  # the plain search's checks before this size
+    for size in sizes:
+        if checked >= limit:
+            raise _budget_error("vc_dim", limit, d, sizes)
+        if is_shattered(fc, fc.domain[:size]):
+            return DimensionReport(measure="vc", value=size, certificate=fc.domain[:size])
+        positions, ruled_out = _first_shattered(fc, size, limit - checked)
+        # The sets ruled out, then the answer's own check.
+        checked += ruled_out + (positions is not None)
+        if checked > limit:
+            raise _budget_error("vc_dim", limit, d, sizes)
+        if positions is not None:
+            certificate = tuple(fc.domain[j] for j in positions)
+            return DimensionReport(measure="vc", value=size, certificate=certificate)
     raise AssertionError("empty set is always shattered for a nonempty class")
+
+
+def _first_shattered(fc: FiniteClass, size: int, spare: int) -> tuple[tuple[int, ...] | None, int]:
+    """The lexicographically first `size` domain positions that `fc`
+    shatters, and the number of size-`size` position sets before it; (None,
+    C(d, size)) when there is none.
+
+    A depth-first search over prefixes in lexicographic order.  A prefix
+    keeps its cells, the id sets that agree on each of its points.  Adding
+    a point cuts every cell in two, and a shattered completion needs
+    2**r concepts on each side of every cut, r being the points still
+    needed after it; a prefix that leaves fewer is dropped with all its
+    completions (a constant point at once).  Every set before the first
+    leaf is dropped exactly once, so their count is its rank.  Stops, with
+    None, once that count passes `spare`.
+
+    Each cell is an int as wide as the class, so a prefix with CELL_BATCH
+    cells is cut no further: its completions are checked in turn on the
+    row codes, each dropped one counting once.
+    """
+    # By column, so that a repeated point reads its first column, as
+    # is_shattered does.
+    masks = [fc.masks[fc.column(x)] for x in fc.domain]
+    d = len(masks)
+    ruled_out = 0
+
+    def search(prefix: tuple[int, ...], cells: list[int], left: int) -> tuple[int, ...] | None:
+        nonlocal ruled_out
+        if not left:
+            return prefix
+        start = prefix[-1] + 1 if prefix else 0
+        if len(cells) >= CELL_BATCH:
+            for rest in combinations(range(start, d), left):
+                if is_shattered(fc, [fc.domain[j] for j in prefix + rest]):
+                    return prefix + rest
+                ruled_out += 1
+                if ruled_out > spare:
+                    return None
+            return None
+        need = 1 << (left - 1)
+        for j in range(start, d - left + 1):
+            cut = _cut(cells, masks[j], need)
+            if cut is None:
+                ruled_out += comb(d - j - 1, left - 1)
+            else:
+                found = search(prefix + (j,), cut, left - 1)
+                if found is not None:
+                    return found
+            if ruled_out > spare:
+                return None
+        return None
+
+    return search((), [fc.all_ids], size), ruled_out
+
+
+def _cut(cells: list[int], ones: int, need: int) -> list[int] | None:
+    """Both sides of each cell cut by the id set `ones`, or None as soon as
+    a side has fewer than `need` ids."""
+    cut = []
+    for cell in cells:
+        part = cell & ones
+        if part.bit_count() < need or (cell ^ part).bit_count() < need:
+            return None
+        cut += (part, cell ^ part)
+    return cut
 
 
 def littlestone_memo(masks: Sequence[int], limit: int) -> tuple[Callable[[int], int], dict]:
@@ -414,7 +508,7 @@ def _teacher(fc: FiniteClass, limit: int) -> Callable[[int], TeachingSet]:
         # Each candidate rules out the neighbour across it alone, so all are
         # forced and they are the answer: the plain search's last subset.
         if charge > limit:
-            raise _teaching_budget_error(_checks_below(len(columns)), limit)
+            raise _budget_error("teaching_set", limit, len(columns), range(len(columns) + 1))
         examples = tuple([pair[code >> j & 1] for j, pair in pairs])
         return TeachingSet(target=target, examples=examples)
 
@@ -457,7 +551,7 @@ def _search_teaching_set(
         size = len(forced) + r
         for checked, extra in enumerate(combinations(rest, r), 1):
             if below[size] + checked > limit:
-                raise _teaching_budget_error(below, limit)
+                raise _budget_error("teaching_set", limit, c, range(c + 1))
             covered = 0
             for x in extra:
                 covered |= rules_out[x]
@@ -466,15 +560,9 @@ def _search_teaching_set(
                 # Its lexicographic rank is C(c, size) - 1 less the subsets after it.
                 after = (comb(c - 1 - candidates.index(x), size - j) for j, x in enumerate(points))
                 if below[size] + comb(c, size) - sum(after) > limit:
-                    raise _teaching_budget_error(below, limit)
+                    raise _budget_error("teaching_set", limit, c, range(c + 1))
                 return TeachingSet(target=target, examples=tuple((x, label[x]) for x in points))
     raise AssertionError("the candidate points rule out every other concept")
-
-
-def _teaching_budget_error(below: list[int], limit: int) -> BudgetExceededError:
-    """The plain search runs out at the first size it cannot finish."""
-    size = sum(checks <= limit for checks in below[1:])
-    return BudgetExceededError(f"teaching_set exceeded {limit} subset checks at size {size}")
 
 
 def teaching_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionReport:

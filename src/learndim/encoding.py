@@ -8,7 +8,6 @@ so they are kept exact and exhaustively round-trip tested.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 # Desk-scale guard: indices stay below 2**64 by contract.
 MAX_CODE = 2**64
@@ -44,24 +43,3 @@ def seq_bit(m: int, n: int) -> int:
     if m < 0 or n < 0:
         raise ValueError("seq_bit requires nonnegative arguments")
     return (m >> n) & 1
-
-
-def support(m: int) -> tuple[int, ...]:
-    """Positions where the m-th sequence is 1."""
-    return tuple(n for n in range(m.bit_length()) if (m >> n) & 1)
-
-
-def index_of_pattern(bits: Sequence[int]) -> int:
-    """Smallest index m whose sequence matches `bits` on [0, len) and is 0 after.
-
-    Inverse of seq_bit for finite patterns: seq_bit(index_of_pattern(b), n)
-    == b[n] for n < len(b).
-    """
-    m = 0
-    for n, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError(f"pattern entries must be bits, got {b!r} at {n}")
-        m |= b << n
-    if m >= MAX_CODE:
-        raise OverflowError("pattern exceeds the 2**64 index ceiling")
-    return m

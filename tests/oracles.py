@@ -2,10 +2,11 @@
 
 Everything here works straight from the definitions with exhaustive or
 backtracking search and no shared code with the optimized routines: VC by
-checking every subset, the mistake-tree dimension by direct tree search,
-teaching sets by trying every example set in size order (and, for the
-budget charge, counting the subsets that search checks), the Littlestone
-recursion's state count by breadth-first search (and, for the pruned
+checking every subset (and, for the budget charge, counting the subsets
+the largest-first search checks), the mistake-tree dimension by direct
+tree search, teaching sets by trying every example set in size order
+(and, for the budget charge, counting the subsets that search checks), the
+Littlestone recursion's state count by breadth-first search (and, for the pruned
 recursion, by replaying its settling and pruning rules over frozensets),
 optimal tree labels from unpruned frozenset values, SOA predictions by
 comparing the mistake-tree dimensions of the two restrictions, the gated-class
@@ -23,7 +24,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from learndim import BudgetExceededError, FiniteClass, WitnessUnresolvedError, index_of_pattern
+from learndim import BudgetExceededError, FiniteClass, WitnessUnresolvedError
 
 
 def all_patterns_present(fc: FiniteClass, points: tuple[int, ...]) -> bool:
@@ -40,6 +41,26 @@ def naive_vc_dim(fc: FiniteClass) -> int:
                 best = size
                 break  # some set of this size works; try the next size
     return best
+
+
+def naive_vc_search(fc: FiniteClass, limit: int) -> tuple[int, tuple[int, ...], int]:
+    """The VC dimension, the first shattered set of the plain largest-first
+    search over subsets in domain order, from the pattern-count bound
+    2**n <= |concepts| down, and the subsets it checked.
+
+    Raises BudgetExceededError past `limit` checks, naming the size it was
+    searching.
+    """
+    checked = 0
+    upper = min(len(fc.domain), len(fc.concepts).bit_length() - 1)
+    for size in range(upper, -1, -1):
+        for subset in combinations(fc.domain, size):
+            checked += 1
+            if checked > limit:
+                raise BudgetExceededError(f"vc_dim exceeded {limit} subset checks at size {size}")
+            if all_patterns_present(fc, subset):
+                return size, subset, checked
+    raise AssertionError("a nonempty class shatters the empty set")
 
 
 def _tree_exists(fc: FiniteClass, ids: list[int], depth: int) -> bool:
@@ -346,8 +367,7 @@ def naive_verify_constructive(tree, ic) -> bool:
         for x, y in tree.path_points(path):
             if wanted.setdefault(x, y) != y:
                 raise WitnessUnresolvedError(f"conflicting labels at point {x} along {path}")
-        width = max(wanted, default=-1) + 1
-        m = index_of_pattern([wanted.get(n, 0) for n in range(width)])
+        m = sum(2**x for x, y in wanted.items() if y)
         if any(ic.evaluate(m, x) != y for x, y in tree.path_points(path)):
             return False
     return True

@@ -49,7 +49,6 @@ from learndim import (
     tree_witness,
     unpair,
     vc_dim,
-    index_of_pattern,
 )
 from learndim import HALTS, NO_ANSWER
 from learndim.dimensions import DEFAULT_SCHEDULE
@@ -229,7 +228,7 @@ def test_criterion_11_encoding_roundtrips(halters, loopers, beaver):
     for length in range(11):
         for code in range(2**length):
             bits = [(code >> b) & 1 for b in range(length)]
-            m = index_of_pattern(bits)
+            m = sum(bit << b for b, bit in enumerate(bits))
             assert all(seq_bit(m, b) == bits[b] for b in range(length))
             assert m < 2**length
     machines = [halters[k] for k in range(11)] + list(loopers) + [beaver]

@@ -60,7 +60,6 @@ PUBLIC_NAMES = {
     "inconsistency_onset",
     "inconsistent_toy",
     "inconsistent_toy_at",
-    "index_of_pattern",
     "is_shattered",
     "littlestone_dim",
     "load_tm",
@@ -79,7 +78,6 @@ PUBLIC_NAMES = {
     "serialize_tm",
     "step_class",
     "step_concept",
-    "support",
     "system_from_spec",
     "teaching_dim",
     "teaching_set",
@@ -139,7 +137,6 @@ KNOBS = {
     "inconsistency_onset": (),
     "inconsistent_toy": (),
     "inconsistent_toy_at": (),
-    "index_of_pattern": (),
     "is_shattered": (),
     "littlestone_dim": ("budget",),
     "load_tm": (),
@@ -158,7 +155,6 @@ KNOBS = {
     "serialize_tm": (),
     "step_class": (),
     "step_concept": (),
-    "support": (),
     "system_from_spec": (),
     "teaching_dim": ("budget",),
     "teaching_set": ("budget",),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from learndim import index_of_pattern, pair, seq_bit, support, unpair
+from learndim import pair, seq_bit, unpair
 
 from oracles import bit_of
 
@@ -84,27 +84,3 @@ def test_enumeration_complete_and_injective_up_to_b10():
 def test_compact_support(m, n):
     if 2**n > m:
         assert seq_bit(m, n) == 0
-
-
-def test_support_positions():
-    assert support(0) == ()
-    assert support(5) == (0, 2)
-
-
-def test_index_of_pattern_values():
-    assert index_of_pattern([]) == 0
-    assert index_of_pattern([1, 0, 1]) == 5
-
-
-def test_index_of_pattern_roundtrip_exhaustive():
-    for length in range(11):
-        for code in range(2**length):
-            bits = [(code >> n) & 1 for n in range(length)]
-            m = index_of_pattern(bits)
-            assert [seq_bit(m, n) for n in range(length)] == bits
-            assert seq_bit(m, length + 3) == 0
-
-
-def test_index_of_pattern_rejects_non_bits():
-    with pytest.raises(ValueError):
-        index_of_pattern([0, 2, 1])

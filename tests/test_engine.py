@@ -1,14 +1,15 @@
 """Differential tests: the concept-id bitmask engine behind the Littlestone
 and teaching measures, SOA, the online harness and the PAC experiment's ERM
-fits, and the packed-row VC search, against the naive row-based oracles on
-small random classes whose domains come in shuffled order (for the
-pruned Littlestone recursion: every state's value, the tree labels and the
-states it charges; on cube-shaped classes, the states and subtrees the VC
-sandwich settles, and the teaching sets read off Hamming neighbours);
-materialize against the cell-by-cell window scan, and every packed and
-derived form of a class against its rows; plus cost guards on large
-full-cube windows, wide PAC supports and large PAC samples, and the draw
-counts of PAC trials that stop early and of those that cannot."""
+fits, and the pruned VC search and its budget charges, against the naive
+row-based oracles on small random classes whose domains come in shuffled
+order (for the pruned Littlestone recursion: every state's value, the tree
+labels and the states it charges; on cube-shaped classes, the states and
+subtrees the VC sandwich settles, and the teaching sets read off Hamming
+neighbours); materialize against the cell-by-cell window scan, and every
+packed and derived form of a class against its rows; plus cost guards on
+large full-cube and near-cube windows, wide PAC supports and large PAC
+samples, and the draw counts of PAC trials that stop early and of those
+that cannot."""
 
 from __future__ import annotations
 
@@ -73,6 +74,7 @@ from oracles import (
     naive_teaching_dim,
     naive_teaching_search,
     naive_vc_dim,
+    naive_vc_search,
     naive_verify_constructive,
     reference_codes,
     reference_masks,
@@ -318,6 +320,127 @@ def test_sandwich_keeps_values_trees_and_soa_exact(fc, data):
 def test_is_shattered_matches_pattern_count(fc, data):
     subset = data.draw(st.lists(st.sampled_from(fc.domain), max_size=len(fc.domain)))
     assert is_shattered(fc, subset) == all_patterns_present(fc, tuple(subset))
+
+
+@st.composite
+def vc_classes(draw) -> FiniteClass:
+    """Classes of up to 9 points for the VC search: random rows, a subcube
+    or a Hamming ball on the columns left free by drawn constant ones, on a
+    shuffled domain with gaps, sometimes with a point repeated (which
+    is_shattered reads at its first column)."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    width = draw(st.integers(min_value=1, max_value=n))
+    free = draw(st.permutations(range(n)))[:width]
+    base = draw(st.integers(min_value=0, max_value=2**n - 1)) & ~sum(1 << j for j in free)
+    kind = draw(st.sampled_from(["random", "subcube", "ball"]))
+    if kind == "random":
+        count = draw(st.integers(min_value=1, max_value=min(80, 2**width)))
+        patterns = random.Random(draw(st.integers(0, 2**32))).sample(range(2**width), count)
+    elif kind == "subcube":
+        fixed = draw(st.integers(min_value=0, max_value=2**width - 1))
+        cube = draw(st.integers(min_value=0, max_value=2**width - 1))
+        patterns = {fixed & ~cube | sub for sub in range(2**width) if sub & ~cube == 0}
+    else:
+        center = draw(st.integers(min_value=0, max_value=2**width - 1))
+        radius = draw(st.integers(min_value=0, max_value=width))
+        patterns = [center ^ e for e in range(2**width) if e.bit_count() <= radius]
+    codes = [base | sum(1 << j for i, j in enumerate(free) if p >> i & 1) for p in patterns]
+    points = draw(st.sets(st.integers(min_value=0, max_value=40), min_size=n, max_size=n))
+    domain = draw(st.permutations(sorted(points)))
+    if n > 1 and draw(st.booleans()):
+        domain[-1] = domain[0]
+    rows = [tuple(code >> j & 1 for j in range(n)) for code in codes]
+    return FiniteClass.from_rows(domain, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vc_classes())
+def test_vc_search_and_charges_match_the_plain_search(fc):
+    # The pruned search returns the plain largest-first search's first
+    # shattered set, and charges, and reports on running out, as it does.
+    value, certificate, charge = naive_vc_search(fc, DEFAULT_SEARCH_BUDGET)
+    report = vc_dim(fc)
+    assert (report.value, report.certificate) == (value, certificate)
+    for limit in (charge - 1, charge, 0):
+        try:
+            want = naive_vc_search(fc, limit)[1]
+        except BudgetExceededError as exc:
+            with pytest.raises(BudgetExceededError) as got:
+                vc_dim(fc, budget=limit)
+            assert str(got.value) == str(exc)
+        else:
+            assert vc_dim(fc, budget=limit).certificate == want
+
+
+def test_vc_charge_on_a_sparse_goedel_window():
+    # The inconsistent toy's (18, 2**19) window is a 4-cube on points 1, 2,
+    # 17 and 18 with zero columns between: the plain search checks the 816
+    # sets starting at point 0 and 119 more before (1, 2, 17, 18).
+    fc = materialize(goedel_class(inconsistent_toy()), 18, 2**19)
+    assert len(fc.codes) == 16
+    assert naive_vc_search(fc, DEFAULT_SEARCH_BUDGET) == (4, (1, 2, 17, 18), 936)
+    assert vc_dim(fc, budget=936).certificate == (1, 2, 17, 18)
+    with pytest.raises(BudgetExceededError, match=r"exceeded 935 subset checks at size 4$"):
+        vc_dim(fc, budget=935)
+
+
+def test_vc_search_stops_once_its_charge_passes_the_budget(monkeypatch):
+    # Every cut that drops a prefix rules out at least one subset, and each
+    # drop follows at most 6 cuts that pass, so a size-6 search that runs
+    # out of a budget of 10 cuts at most 7 * 12 times.  Run to the end of
+    # the size, it cuts 524 times.
+    codes = random.Random(0).sample(range(2**12), 120)
+    rows = [tuple(code >> j & 1 for j in range(12)) for code in codes]
+    fc = FiniteClass.from_rows(range(12), rows)
+    cuts = 0
+    cut = dimensions._cut
+
+    def counting_cut(*args):
+        nonlocal cuts
+        cuts += 1
+        return cut(*args)
+
+    monkeypatch.setattr(dimensions, "_cut", counting_cut)
+    with pytest.raises(BudgetExceededError, match=r"exceeded 10 subset checks at size 6$"):
+        vc_dim(fc, budget=10)
+    assert cuts <= 7 * 12
+
+
+def test_vc_search_on_a_wide_near_cube_stops_cutting_at_the_cell_batch():
+    # Points 1-15 carry a 15-cube missing a tenth of its rows, and point 0
+    # copies point 1.  No 14 points are shattered; the plain search
+    # (naive_vc_search, about 30 s on a 2-core x86 VM) checks all 120 sets of size 14 and
+    # 366 of size 13 before (0, 2, ..., 12, 15).  Prefixes of 10 points
+    # still leave every cell large on both sides, so the search holds
+    # CELL_BATCH = 1024 cells as wide as the class before it checks the
+    # completions on the codes: about 12 MB traced, against 59 MB when it
+    # cuts down to the leaves.
+    codes = random.Random(0).sample(range(2**15), 2**15 - 2**15 // 10)
+    rows = [(code & 1,) + tuple(code >> j & 1 for j in range(15)) for code in codes]
+    fc = FiniteClass.from_rows(range(16), rows)
+    tracemalloc.start()
+    try:
+        report = vc_dim(fc, budget=487)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.certificate == (0, *range(2, 13), 15)
+    assert peak < 24 * 2**20
+    with pytest.raises(BudgetExceededError, match=r"exceeded 486 subset checks at size 13$"):
+        vc_dim(fc, budget=486)
+
+
+def test_vc_dim_on_a_full_cube_window_answers_from_the_codes():
+    # The looper's (13, 16384) window is the full 14-cube: its 14 lowest
+    # points, the plain search's first candidate, are shattered, so one
+    # codes count answers, charged as one check, and no id mask is built.
+    looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
+    fc = materialize(halting_class(looper), 13, 2**14)
+    report = vc_dim(fc, budget=1)
+    assert (report.value, report.certificate) == (14, fc.domain)
+    assert "masks" not in fc.__dict__
+    with pytest.raises(BudgetExceededError, match=r"exceeded 0 subset checks at size 14$"):
+        vc_dim(fc, budget=0)
 
 
 def test_vc_dim_memory_is_linear_on_a_full_cube_window():
