@@ -99,7 +99,8 @@ class FiniteClass:
     """Deduplicated restriction of a class to a finite domain window.
 
     Stored once, packed by row: `codes[i]` is concept i as an int whose bit
-    j is its label on column j (on point domain[j]), and `witnesses[i]` is
+    j is its label on column j (on point domain[j]; from_rows refuses a
+    domain that repeats a point with ValueError), and `witnesses[i]` is
     the smallest index realizing it (or the row's first position for
     synthetic classes built via from_rows).  from_rows and materialize list
     concepts in strictly increasing witness order, so the lowest id of a
@@ -119,6 +120,8 @@ class FiniteClass:
     @classmethod
     def from_rows(cls, domain: Sequence[int], rows: Iterable[Sequence[int]]) -> "FiniteClass":
         dom = tuple(domain)
+        if len(set(dom)) < len(dom):
+            raise ValueError("domain repeats a point")
         seen: dict[int, int] = {}
         for i, row in enumerate(rows):
             vec = tuple(row)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, combinations, compress, islice
 from math import comb
 from operator import and_, or_
 from typing import Callable, Iterable, Sequence
@@ -29,8 +29,8 @@ from .errors import BudgetExceededError, WitnessUnresolvedError
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
-# Cells that _splits_every_cell and _first_shattered cut side by side: about
-# 8 MB of id masks on a 2**15-concept class.
+# The shatter checks cut fewer cells (id sets) than this, about 8 MB of id
+# masks at 2**15 concepts, and count row codes (_shatters) at or past it.
 CELL_BATCH = 1024
 
 # Points scanned for active ones by tree_witness and growth_schedule.
@@ -145,13 +145,17 @@ def _label_uniform(
         labels.update(dict.fromkeys(level, x))
 
 
-def _shattered_prefix(masks: Sequence[int], ids: int, count: int) -> list[int] | None:
-    """Positions of the `count` lowest points (in mask order) that split the
+def _shattered_prefix(fc: FiniteClass, ids: int, count: int) -> list[int] | None:
+    """Columns of the `count` lowest points (in domain order) that split the
     id set `ids`, if `ids` shatters them; None otherwise.
 
     Each point of a shattered set of `count` points has 2**(count - 1)
     patterns, so at least as many concepts, on either side: an unbalanced
-    split fails before any cut.
+    split fails before any check.  Then `ids` is cut level by level,
+    stopping at the first empty cell, so n concepts take at most 2n cuts.
+    Each cell is an int as wide as the class, so when the last level would
+    cut CELL_BATCH cells or more, the row codes of `ids` are counted
+    instead, in time linear in the class.
     """
     if not count:
         return []
@@ -159,7 +163,7 @@ def _shattered_prefix(masks: Sequence[int], ids: int, count: int) -> list[int] |
     half = 1 << (count - 1)
     points: list[int] = []
     splits: list[int] = []
-    for j, ones in enumerate(masks):
+    for j, ones in enumerate(fc.masks):
         ones &= ids
         k = ones.bit_count()
         if 0 < k < n:
@@ -168,48 +172,39 @@ def _shattered_prefix(masks: Sequence[int], ids: int, count: int) -> list[int] |
             points.append(j)
             splits.append(ones)
             if len(points) == count:
-                # The first point splits `ids` by choice: cut its two sides.
-                first = splits[0]
-                return points if _splits_every_cell([first, ids ^ first], splits[1:]) else None
-    return None
-
-
-def _splits_every_cell(cells: list[int], splits: Sequence[int]) -> bool:
-    """Whether cutting each cell (an id set) by every mask of `splits` in
-    turn leaves no cell empty.
-
-    Cuts level by level and stops at the first empty cell, so a set of n
-    concepts takes at most 2n cuts.  Each cell is an int as wide as the
-    class, so past CELL_BATCH cells it goes on one cell at a time.
-    """
-    for k, ones in enumerate(splits):
-        if len(cells) > CELL_BATCH:
-            return all(_splits_every_cell([cell], splits[k:]) for cell in cells)
+                break
+    else:
+        return None
+    if half >= CELL_BATCH:
+        codes = fc.codes
+        if ids != fc.all_ids:  # bit i of ids is the i-th digit of bin(ids) from the end
+            codes = compress(codes, map("1".__eq__, bin(ids)[:1:-1]))
+        return points if _shatters(codes, points) else None
+    cells = [ids]
+    for ones in splits:
         cut = []
         for cell in cells:
             part = cell & ones
             if not part or part == cell:
-                return False
+                return None
             cut += (part, cell ^ part)
         cells = cut
-    return True
+    return points
+
+
+def _shatters(codes: Iterable[int], columns: Sequence[int]) -> bool:
+    """Whether the rows `codes` show every label pattern on `columns`: a
+    count of their distinct values of code & selector, linear in the rows.
+    A column listed twice is never shattered."""
+    selector = reduce(or_, [1 << j for j in columns], 0)
+    return len({code & selector for code in codes}) == 1 << len(columns)
 
 
 def is_shattered(fc: FiniteClass, subset: Iterable[int]) -> bool:
-    """True iff every label pattern on `subset` occurs among the concepts.
-
-    Counts the distinct restrictions of the packed rows `fc.codes` to the
-    subset's columns: linear in the number of concepts.  A subset that
-    repeats a point is never shattered.
-    """
-    points = tuple(subset)
-    selector = 0
-    for x in points:
-        selector |= 1 << fc.column(x)
-    want = 2 ** len(points)
-    if len(fc.codes) < want:
-        return False
-    return len({code & selector for code in fc.codes}) == want
+    """True iff every label pattern on `subset` occurs among the concepts,
+    counted on the row codes by `_shatters` (linear in the number of
+    concepts); a subset that repeats a point is never shattered."""
+    return _shatters(fc.codes, [fc.column(x) for x in subset])
 
 
 def _require_nonempty(fc: FiniteClass) -> None:
@@ -256,7 +251,7 @@ def vc_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionReport:
     for size in sizes:
         if checked >= limit:
             raise _budget_error("vc_dim", limit, d, sizes)
-        if is_shattered(fc, fc.domain[:size]):
+        if _shatters(fc.codes, range(size)):
             return DimensionReport(measure="vc", value=size, certificate=fc.domain[:size])
         positions, ruled_out = _first_shattered(fc, size, limit - checked)
         # The sets ruled out, then the answer's own check.
@@ -287,9 +282,7 @@ def _first_shattered(fc: FiniteClass, size: int, spare: int) -> tuple[tuple[int,
     cells is cut no further: its completions are checked in turn on the
     row codes, each dropped one counting once.
     """
-    # By column, so that a repeated point reads its first column, as
-    # is_shattered does.
-    masks = [fc.masks[fc.column(x)] for x in fc.domain]
+    masks = fc.masks
     d = len(masks)
     ruled_out = 0
 
@@ -300,7 +293,7 @@ def _first_shattered(fc: FiniteClass, size: int, spare: int) -> tuple[tuple[int,
         start = prefix[-1] + 1 if prefix else 0
         if len(cells) >= CELL_BATCH:
             for rest in combinations(range(start, d), left):
-                if is_shattered(fc, [fc.domain[j] for j in prefix + rest]):
+                if _shatters(fc.codes, prefix + rest):
                     return prefix + rest
                 ruled_out += 1
                 if ruled_out > spare:
@@ -334,10 +327,10 @@ def _cut(cells: list[int], ones: int, need: int) -> list[int] | None:
     return cut
 
 
-def littlestone_memo(masks: Sequence[int], limit: int) -> tuple[Callable[[int], int], dict]:
-    """Memoized Littlestone dimension of a set of concepts, given as a bitmask
-    of concept ids over a class with these per-point `masks`, and the points
-    P (as mask positions) of each state the VC sandwich below settled.
+def littlestone_memo(fc: FiniteClass, limit: int) -> tuple[Callable[[int], int], dict]:
+    """Memoized Littlestone dimension of a set of concepts of `fc`, given as
+    a bitmask of concept ids, and the points P (as columns) of each state
+    the VC sandwich below settled.
 
     The recursion: one concept has dimension 0, otherwise the max over points
     splitting the set of 1 + min of the two label-restriction dimensions.
@@ -346,10 +339,11 @@ def littlestone_memo(masks: Sequence[int], limit: int) -> tuple[Callable[[int], 
     cut the work, and all keep values exact:
 
     - the VC sandwich settles a state outright: if the set shatters P, its
-      cap lowest splitting points in mask order, then VC >= cap gives
+      cap lowest splitting points in domain order, then VC >= cap gives
       Ldim >= cap, so its value is cap with no recursion (VC <= Ldim <=
       floor(log2 n), Littlestone 1988).  A full cube is the case where P
-      is every point;
+      is every point.  `_shattered_prefix` checks P by cutting cells below
+      CELL_BATCH cells and by counting row codes at or past it;
     - a split whose smaller side has fewer than 2**best concepts is skipped:
       that side's dimension is below best, so the split cannot beat best.
       This also skips the points that do not split the set;
@@ -362,6 +356,7 @@ def littlestone_memo(masks: Sequence[int], limit: int) -> tuple[Callable[[int], 
     Every memo miss counts against `limit` (BudgetExceededError past it); a
     settled state is one miss.
     """
+    masks = fc.masks
     memo: dict[int, int] = {}
     settled: dict[int, list[int]] = {}
     misses = 0
@@ -376,7 +371,7 @@ def littlestone_memo(masks: Sequence[int], limit: int) -> tuple[Callable[[int], 
             raise BudgetExceededError(f"littlestone_dim exceeded {limit} recursion states")
         n = ids.bit_count()
         cap = n.bit_length() - 1
-        points = _shattered_prefix(masks, ids, cap)
+        points = _shattered_prefix(fc, ids, cap)
         if points is not None:
             settled[ids] = points
             memo[ids] = cap
@@ -419,7 +414,7 @@ def littlestone_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionR
     points, so Q is their first r and the node repeats no check.
     """
     _require_nonempty(fc)
-    dim, settled = littlestone_memo(fc.masks, DEFAULT_SEARCH_BUDGET if budget is None else budget)
+    dim, settled = littlestone_memo(fc, DEFAULT_SEARCH_BUDGET if budget is None else budget)
     value = dim(fc.all_ids)
 
     labels: dict[tuple[int, ...], int] = {}
@@ -430,7 +425,7 @@ def littlestone_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionR
             return
         points = settled.get(ids)
         if points is None:
-            points = _shattered_prefix(fc.masks, ids, remaining)
+            points = _shattered_prefix(fc, ids, remaining)
         if points is not None:
             _label_uniform(labels, prefix, [fc.domain[j] for j in points[:remaining]])
             return

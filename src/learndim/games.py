@@ -52,7 +52,7 @@ class SOALearner:
     def __init__(self, fc: FiniteClass):
         self.fc = fc
         self.ids = fc.all_ids
-        self.dim = littlestone_memo(fc.masks, DEFAULT_SEARCH_BUDGET)[0]
+        self.dim = littlestone_memo(fc, DEFAULT_SEARCH_BUDGET)[0]
 
     def predict(self, x: int) -> int:
         if not self.ids:

@@ -23,6 +23,7 @@ from learndim import (
     materialize,
     saturating_index_count,
     step_class,
+    teaching_dim,
 )
 from learndim import active_index
 from learndim.cli import main
@@ -194,6 +195,16 @@ def test_from_rows_rejects_entries_other_than_bits():
         FiniteClass.from_rows([0, 1], [(0, 2), (1, 0)])
     with pytest.raises(ValueError, match=r"row 1 \(-1, 0\)"):
         FiniteClass.from_rows([0, 1], [(1, 0), (-1, 0)])
+
+
+def test_from_rows_rejects_a_domain_that_repeats_a_point():
+    # Measures that work by column and checks that read a point's first
+    # column would disagree on it: teaching sets of this class failed their
+    # own verify.
+    with pytest.raises(ValueError, match=r"^domain repeats a point$"):
+        FiniteClass.from_rows((0, 0), [(0, 1), (1, 0), (0, 0)])
+    fc = FiniteClass.from_rows((0, 1), [(0, 1), (1, 0), (0, 0)])
+    assert all(ts.verify(fc) for ts in teaching_dim(fc).certificate)
 
 
 def test_materialize_handles_non_power_of_two_windows():

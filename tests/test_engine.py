@@ -262,7 +262,7 @@ def test_pruned_littlestone_values_are_exact_on_every_state(fc, data):
     # SOA reads the values of arbitrary version spaces from one shared memo,
     # so a prune that returned only a lower bound on some state would
     # corrupt its predictions even where the whole class's value is right.
-    dim, _ = littlestone_memo(fc.masks, DEFAULT_SEARCH_BUDGET)
+    dim, _ = littlestone_memo(fc, DEFAULT_SEARCH_BUDGET)
     subsets = st.integers(min_value=1, max_value=fc.all_ids)
     for ids in data.draw(st.lists(subsets, min_size=1, max_size=8)):
         rows = [row for i, row in enumerate(fc.concepts) if ids >> i & 1]
@@ -326,8 +326,7 @@ def test_is_shattered_matches_pattern_count(fc, data):
 def vc_classes(draw) -> FiniteClass:
     """Classes of up to 9 points for the VC search: random rows, a subcube
     or a Hamming ball on the columns left free by drawn constant ones, on a
-    shuffled domain with gaps, sometimes with a point repeated (which
-    is_shattered reads at its first column)."""
+    shuffled domain with gaps."""
     n = draw(st.integers(min_value=1, max_value=9))
     width = draw(st.integers(min_value=1, max_value=n))
     free = draw(st.permutations(range(n)))[:width]
@@ -347,8 +346,6 @@ def vc_classes(draw) -> FiniteClass:
     codes = [base | sum(1 << j for i, j in enumerate(free) if p >> i & 1) for p in patterns]
     points = draw(st.sets(st.integers(min_value=0, max_value=40), min_size=n, max_size=n))
     domain = draw(st.permutations(sorted(points)))
-    if n > 1 and draw(st.booleans()):
-        domain[-1] = domain[0]
     rows = [tuple(code >> j & 1 for j in range(n)) for code in codes]
     return FiniteClass.from_rows(domain, rows)
 
@@ -370,6 +367,57 @@ def test_vc_search_and_charges_match_the_plain_search(fc):
             assert str(got.value) == str(exc)
         else:
             assert vc_dim(fc, budget=limit).certificate == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(finite_classes(), sandwich_classes(), vc_classes()), st.data())
+def test_row_code_checks_past_the_cell_batch_match_the_oracles(fc, data):
+    # A CELL_BATCH of 1, 2 or 4 sends small classes through the row-code
+    # checks: the VC search's past its first cuts, and the VC sandwich's on
+    # the whole class, on drawn id sets and on the sub-states that the tree
+    # fill and SOA reach.
+    value, certificate, charge = naive_vc_search(fc, DEFAULT_SEARCH_BUDGET)
+    outcomes = {}
+    for limit in (charge - 1, charge, 0):
+        try:
+            outcomes[limit] = naive_vc_search(fc, limit)[1]
+        except BudgetExceededError as exc:
+            outcomes[limit] = str(exc)
+    ldim = naive_littlestone_dim(fc)
+    labels = naive_littlestone_tree(fc)
+    states = naive_pruned_littlestone_states(fc)
+    values = {}
+    for ids in data.draw(st.lists(st.integers(min_value=1, max_value=fc.all_ids), max_size=4)):
+        rows = [row for i, row in enumerate(fc.concepts) if ids >> i & 1]
+        values[ids] = naive_littlestone_dim(FiniteClass.from_rows(fc.domain, rows))
+    target = data.draw(st.sampled_from(fc.concepts))
+    queries = data.draw(st.lists(st.sampled_from(fc.domain), max_size=len(fc.domain)))
+    for batch in (1, 2, 4):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dimensions, "CELL_BATCH", batch)
+            report = vc_dim(fc)
+            assert (report.value, report.certificate) == (value, certificate)
+            for limit, want in outcomes.items():
+                try:
+                    got = vc_dim(fc, budget=limit).certificate
+                except BudgetExceededError as exc:
+                    got = str(exc)
+                assert got == want
+            report = littlestone_dim(fc, budget=states)
+            assert report.value == ldim
+            assert report.certificate.labels == labels
+            with pytest.raises(BudgetExceededError):
+                littlestone_dim(fc, budget=states - 1)
+            dim, _ = littlestone_memo(fc, DEFAULT_SEARCH_BUDGET)
+            assert {ids: dim(ids) for ids in values} == values
+            learner = SOALearner(fc)
+            history: list[tuple[int, int]] = []
+            for x in queries:
+                version_space = FiniteClass.from_rows(fc.domain, _consistent_rows(fc, history))
+                assert learner.predict(x) == naive_soa_predict(version_space, x)
+                y = target[fc.domain.index(x)]
+                learner.observe(x, y)
+                history.append((x, y))
 
 
 def test_vc_charge_on_a_sparse_goedel_window():
@@ -476,8 +524,8 @@ def test_littlestone_states_on_a_full_cube_window_stay_linear():
 
 def test_littlestone_cut_cells_on_a_large_cube_window_stay_small():
     # The (13, 16384) window settles at its root.  Cutting its id set level
-    # by level would hold 2**14 cells of 2 KB at the last level; past
-    # CELL_BATCH cells the cuts go one cell at a time, about 6 MB here.
+    # by level would hold 2**14 cells of 2 KB at the last level; a check
+    # past CELL_BATCH cells counts the row codes instead, about 3 MB here.
     looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
     fc = materialize(halting_class(looper), 13, 2**14)
     fc.masks  # cached: built outside the traced peak
@@ -544,9 +592,9 @@ def test_settled_root_is_checked_for_shattering_once(monkeypatch):
     calls = []
     shattered_prefix = dimensions._shattered_prefix
 
-    def counting(masks, ids, count):
+    def counting(fc, ids, count):
         calls.append(ids)
-        return shattered_prefix(masks, ids, count)
+        return shattered_prefix(fc, ids, count)
 
     monkeypatch.setattr(dimensions, "_shattered_prefix", counting)
     looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
@@ -554,6 +602,28 @@ def test_settled_root_is_checked_for_shattering_once(monkeypatch):
     report = littlestone_dim(fc)
     assert report.certificate == LittlestoneTree.uniform(fc.domain)
     assert calls == [fc.all_ids]
+
+
+def test_wide_root_is_settled_by_one_row_code_count(monkeypatch):
+    # The looper's (15, 2**16) window is the full 16-cube: its root's 16
+    # splitting points would cut 2**16 cells, past CELL_BATCH, so the VC
+    # sandwich counts the row codes once and the tree fill reuses the
+    # settled root.
+    calls = 0
+    shatters = dimensions._shatters
+
+    def counting(codes, columns):
+        nonlocal calls
+        calls += 1
+        return shatters(codes, columns)
+
+    monkeypatch.setattr(dimensions, "_shatters", counting)
+    looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
+    fc = materialize(halting_class(looper), 15, 2**16)
+    report = littlestone_dim(fc, budget=1)
+    assert report.value == 16
+    assert report.certificate == LittlestoneTree.uniform(fc.domain)
+    assert calls == 1
 
 
 def test_masks_build_in_linear_time():
@@ -596,7 +666,7 @@ def test_soa_stays_inside_the_unpruned_closure(fc, adversary, seed):
     # SOA may ask for splits the pruned value pass skipped, but each is a
     # split of a version space, so the unpruned closure bounds its memo.
     learner = SOALearner(fc)
-    learner.dim = littlestone_memo(fc.masks, naive_littlestone_states(fc))[0]
+    learner.dim = littlestone_memo(fc, naive_littlestone_states(fc))[0]
     opponent = {
         "tree": lambda: tree_adversary(fc, littlestone_dim(fc).certificate),
         "random": lambda: RandomConsistentAdversary(fc, seed),

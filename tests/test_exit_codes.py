@@ -162,6 +162,15 @@ def test_littlestone_window_settled_by_the_vc_sandwich():
     assert proc.stdout == "littlestone on window (14, 32768): 15\n"
 
 
+def test_littlestone_window_settled_by_one_row_code_count():
+    # Window 16 is the full 17-cube.  Its root settle would cut 2**17 cells,
+    # past CELL_BATCH, so it counts the row codes instead: about 0.35 s end
+    # to end on a 2-core x86 VM, where cutting its cells took about 1 s.
+    proc = run_cli("dim", "--class", f"halting:{LOOP}", "--measure", "littlestone", "--window", "16")
+    check_run(proc, 0)
+    assert proc.stdout == "littlestone on window (16, 131072): 17\n"
+
+
 def test_teaching_window_taught_by_its_forced_points():
     # The looper's window 11 is the full 12-cube: every concept is taught by
     # its 12 forced points, so no subset search runs (about 0.3 s end to end
