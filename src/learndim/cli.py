@@ -11,8 +11,8 @@ sample draws) can be overridden with the LEARNDIM_EVAL_BUDGET environment
 variable.  Usage errors print one line and exit 1.
 
 JSON output writes a result dataclass as its fields by name (keys sorted,
-tuples as lists, nested results in turn); a LittlestoneTree's edge-bit
-prefixes become bit strings such as "01".
+tuples as lists, nested results in turn); a LittlestoneTree's labels are
+keyed by bit strings such as "01", node v's edge-bit path bin(v)[3:].
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ def _concept(fc: classes.FiniteClass, index: int, flag: str) -> tuple[int, ...]:
 
 def _fields(obj) -> dict:
     """JSON shape of a result dataclass: its fields by name, except that a
-    LittlestoneTree's tuple prefixes become bit strings."""
+    LittlestoneTree gives its depth and its nodes keyed by edge-bit path."""
     if isinstance(obj, dimensions.LittlestoneTree):
-        labels = {"".join(map(str, prefix)): x for prefix, x in obj.labels.items()}
+        labels = {bin(v)[3:]: x for v, x in enumerate(obj.nodes, 1)}
         return {"depth": obj.depth, "labels": labels}
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 

@@ -9,9 +9,9 @@ stabilization flag), never a proof of the infinite-class value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, combinations, compress, islice
+from itertools import accumulate, chain, combinations, compress, islice
 from math import comb
 from operator import and_, or_
 from typing import Callable, Iterable, Sequence
@@ -72,15 +72,18 @@ class TeachingSet:
 
 @dataclass(frozen=True)
 class LittlestoneTree:
-    """Complete binary tree of depth `depth` with domain points at nodes.
-
-    `labels` maps an edge-bit prefix (the path from the root) to the point
-    at that node; the root is the empty prefix.  Realizable when every
-    root-to-leaf path is consistent with some class member.
+    """Complete binary tree with domain points at its nodes, in heap order:
+    nodes[v - 1] is the point at node v, whose children are 2v (edge bit 0)
+    and 2v + 1 (edge bit 1); the root is node 1, so bin(v)[3:] is v's path.
+    A depth-d tree has 2**d - 1 nodes (ValueError otherwise).  Realizable
+    when every root-to-leaf path is consistent with some class member.
     """
 
-    depth: int
-    labels: dict[tuple[int, ...], int] = field(default_factory=dict)
+    nodes: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.nodes) + 1 & len(self.nodes):
+            raise ValueError(f"a complete tree has 2**d - 1 nodes, not {len(self.nodes)}")
 
     @classmethod
     def uniform(cls, layer_points: Sequence[int]) -> "LittlestoneTree":
@@ -89,9 +92,16 @@ class LittlestoneTree:
         # Same test as 2**depth > DEFAULT_SEARCH_BUDGET, without building 2**depth.
         if depth >= DEFAULT_SEARCH_BUDGET.bit_length():
             raise BudgetExceededError(f"depth-{depth} tree has over {DEFAULT_SEARCH_BUDGET} paths")
-        labels: dict[tuple[int, ...], int] = {}
-        _label_uniform(labels, (), layer_points)
-        return cls(depth=depth, labels=labels)
+        return cls(tuple(chain.from_iterable([x] * (1 << k) for k, x in enumerate(layer_points))))
+
+    @property
+    def depth(self) -> int:
+        return len(self.nodes).bit_length()
+
+    @property
+    def labels(self) -> dict[tuple[int, ...], int]:
+        """The point at each node keyed by its edge-bit path, the root's ()."""
+        return {tuple(map(int, bin(v)[3:])): x for v, x in enumerate(self.nodes, 1)}
 
     def paths(self) -> Iterable[tuple[int, ...]]:
         for bits in range(2**self.depth):
@@ -99,17 +109,19 @@ class LittlestoneTree:
 
     def path_points(self, path: tuple[int, ...]) -> list[tuple[int, int]]:
         """(point, required label) pairs along a root-to-leaf path."""
-        return [(self.labels[path[:k]], path[k]) for k in range(self.depth)]
+        heap = accumulate(path, lambda v, y: 2 * v + y, initial=1)
+        return [(self.nodes[v - 1], y) for v, y in zip(heap, path)]
 
     def verify_against(self, fc: FiniteClass) -> bool:
-        """Every path is realized by some concept of the finite class."""
-        for path in self.paths():
-            consistent = fc.all_ids
-            for x, y in self.path_points(path):
-                consistent &= fc.labelled(x, y)
-            if not consistent:
-                return False
-        return True
+        """Every path is realized by some concept of the finite class: the ids
+        consistent with each node's path, cut once per edge, are never empty."""
+        def realized(v: int, ids: int) -> bool:
+            if not ids or v > len(self.nodes):
+                return ids != 0
+            ones = ids & fc.labelled(self.nodes[v - 1], 1)
+            return realized(2 * v, ids ^ ones) and realized(2 * v + 1, ones)
+
+        return realized(1, fc.all_ids)
 
     def verify_constructive(self, ic: IndexedClass) -> bool:
         """Every path is realized by the index built from its own labels:
@@ -131,18 +143,6 @@ class LittlestoneTree:
             if any(ic.evaluate(m, x) != y for x, y in points):
                 return False
         return True
-
-
-def _label_uniform(
-    labels: dict[tuple[int, ...], int], prefix: tuple[int, ...], points: Sequence[int]
-) -> None:
-    """Label the complete subtree under `prefix`: each node j edges below it
-    gets points[j]."""
-    level = [prefix]
-    for j, x in enumerate(points):
-        if j:
-            level = [p + (b,) for p in level for b in (0, 1)]
-        labels.update(dict.fromkeys(level, x))
 
 
 def _shattered_prefix(fc: FiniteClass, ids: int, count: int) -> list[int] | None:
@@ -182,13 +182,9 @@ def _shattered_prefix(fc: FiniteClass, ids: int, count: int) -> list[int] | None
         return points if _shatters(codes, points) else None
     cells = [ids]
     for ones in splits:
-        cut = []
-        for cell in cells:
-            part = cell & ones
-            if not part or part == cell:
-                return None
-            cut += (part, cell ^ part)
-        cells = cut
+        cells = _cut(cells, ones, 1)
+        if cells is None:
+            return None
     return points
 
 
@@ -417,17 +413,19 @@ def littlestone_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionR
     dim, settled = littlestone_memo(fc, DEFAULT_SEARCH_BUDGET if budget is None else budget)
     value = dim(fc.all_ids)
 
-    labels: dict[tuple[int, ...], int] = {}
+    nodes = [0] * ((1 << value) - 1)
 
-    def fill(ids: int, prefix: tuple[int, ...]) -> None:
-        remaining = value - len(prefix)
+    def fill(ids: int, v: int) -> None:
+        remaining = value + 1 - v.bit_length()
         if remaining == 0:
             return
         points = settled.get(ids)
         if points is None:
             points = _shattered_prefix(fc, ids, remaining)
         if points is not None:
-            _label_uniform(labels, prefix, [fc.domain[j] for j in points[:remaining]])
+            # The nodes j levels below v are v << j onwards, 2**j of them.
+            for j, col in enumerate(points[:remaining]):
+                nodes[(v << j) - 1 : ((v + 1) << j) - 1] = [fc.domain[col]] * (1 << j)
             return
         n = ids.bit_count()
         for x, ones in zip(fc.domain, fc.masks):
@@ -438,14 +436,14 @@ def littlestone_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionR
                 continue
             zeros = ids ^ ones
             if min(dim(zeros), dim(ones)) >= remaining - 1:
-                labels[prefix] = x
-                fill(zeros, prefix + (0,))
-                fill(ones, prefix + (1,))
+                nodes[v - 1] = x
+                fill(zeros, 2 * v)
+                fill(ones, 2 * v + 1)
                 return
         raise AssertionError("no splitting point found while building an optimal tree")
 
-    fill(fc.all_ids, ())
-    tree = LittlestoneTree(depth=value, labels=labels)
+    fill(fc.all_ids, 1)
+    tree = LittlestoneTree(tuple(nodes))
     return DimensionReport(measure="littlestone", value=value, certificate=tree)
 
 

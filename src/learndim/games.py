@@ -104,22 +104,22 @@ class TreeAdversary:
     def __init__(self, fc: FiniteClass, tree: LittlestoneTree):
         self.fc = fc
         self.tree = tree
-        self.prefix: tuple[int, ...] = ()
+        self.node = 1  # heap index into tree.nodes; past its end once exhausted
         self.ids = fc.all_ids
         self.committed: int | None = None  # concept id
         self._cycle = 0
 
     def question(self) -> int:
-        if len(self.prefix) < self.tree.depth:
-            return self.tree.labels[self.prefix]
+        if self.node <= len(self.tree.nodes):
+            return self.tree.nodes[self.node - 1]
         x = self.fc.domain[self._cycle % len(self.fc.domain)]
         self._cycle += 1
         return x
 
     def reveal(self, x: int, guess: int) -> int:
-        if len(self.prefix) < self.tree.depth:
+        if self.node <= len(self.tree.nodes):
             truth = 1 - guess
-            self.prefix = self.prefix + (truth,)
+            self.node = 2 * self.node + truth
         else:
             if self.committed is None:
                 if not self.ids:

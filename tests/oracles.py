@@ -15,7 +15,8 @@ runs by walking the transition table, prefix consistency by comparing
 every pair of theorems, class windows by evaluating every cell, a
 class's packed forms by reading its rows cell by cell, the PAC
 experiment by scoring every row on every drawn example, and a mistake
-tree's constructive check by collecting each path's wanted labels.
+tree's checks path by path from its labels: against a finite class's rows,
+and constructively by collecting each path's wanted labels.
 """
 
 from __future__ import annotations
@@ -359,16 +360,36 @@ def reference_masks(rows, width: int) -> tuple[int, ...]:
     )
 
 
+def _tree_paths(labels: dict[tuple[int, ...], int]):
+    """Each root-to-leaf path of the complete tree with these node labels,
+    as its (point, wanted label) pairs; path[i] is bit i of a counter, so
+    the first check to fail is the one the engine reports."""
+    depth = max(map(len, labels), default=-1) + 1
+    for bits in range(2**depth):
+        path = tuple(bits >> i & 1 for i in range(depth))
+        yield path, [(labels[path[:k]], path[k]) for k in range(depth)]
+
+
+def naive_verify_against(labels: dict[tuple[int, ...], int], fc: FiniteClass) -> bool:
+    """Every path of the tree with these node labels (edge-bit prefix ->
+    point) is realized by some row of `fc`, path by path."""
+    col = {x: j for j, x in enumerate(fc.domain)}
+    return all(
+        any(all(row[col[x]] == y for x, y in points) for row in fc.concepts)
+        for _, points in _tree_paths(labels)
+    )
+
+
 def naive_verify_constructive(tree, ic) -> bool:
     """Every path of `tree` is realized by the smallest index carrying its
     wanted labels; WitnessUnresolvedError when a path wants a point both ways."""
-    for path in tree.paths():
+    for path, points in _tree_paths(tree.labels):
         wanted: dict[int, int] = {}
-        for x, y in tree.path_points(path):
+        for x, y in points:
             if wanted.setdefault(x, y) != y:
                 raise WitnessUnresolvedError(f"conflicting labels at point {x} along {path}")
         m = sum(2**x for x, y in wanted.items() if y)
-        if any(ic.evaluate(m, x) != y for x, y in tree.path_points(path)):
+        if any(ic.evaluate(m, x) != y for x, y in points):
             return False
     return True
 

@@ -101,7 +101,7 @@ KNOBS = {
     "FormalSystem": (),
     "GameTranscript": (),
     "IndexedClass": ("active",),
-    "LittlestoneTree": ("labels",),
+    "LittlestoneTree": (),
     "MachineParseError": ("line",),
     "MajorityFlipAdversary": (),
     "PacReport": (),

@@ -347,3 +347,11 @@ def test_tree_size_bounded_before_allocation(loopers):
 def test_tree_witness_depth_zero_active(loopers):
     tree = tree_witness(halting_class(loopers[0]), 0, "active")
     assert tree.depth == 0 and tree.labels == {}
+
+
+def test_tree_refuses_an_incomplete_node_tuple():
+    # Two nodes make no complete tree: a short tuple would pass
+    # verify_against and cut a tree adversary short.
+    with pytest.raises(ValueError, match="2\\*\\*d - 1 nodes, not 2"):
+        LittlestoneTree((1, 2))
+    assert LittlestoneTree((1, 2, 3)).depth == 2

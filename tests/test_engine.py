@@ -5,11 +5,12 @@ row-based oracles on small random classes whose domains come in shuffled
 order (for the pruned Littlestone recursion: every state's value, the tree
 labels and the states it charges; on cube-shaped classes, the states and
 subtrees the VC sandwich settles, and the teaching sets read off Hamming
-neighbours); materialize against the cell-by-cell window scan, and every
-packed and derived form of a class against its rows; plus cost guards on
-large full-cube and near-cube windows, wide PAC supports and large PAC
-samples, and the draw counts of PAC trials that stop early and of those
-that cannot."""
+neighbours); a mistake tree's two realizability checks against their
+path-by-path references; materialize against the cell-by-cell window scan,
+and every packed and derived form of a class against its rows; plus cost
+guards on large full-cube and near-cube windows (the heap-ordered tree on
+(16, 2**17) among them), wide PAC supports and large PAC samples, and the
+draw counts of PAC trials that stop early and of those that cannot."""
 
 from __future__ import annotations
 
@@ -75,6 +76,7 @@ from oracles import (
     naive_teaching_search,
     naive_vc_dim,
     naive_vc_search,
+    naive_verify_against,
     naive_verify_constructive,
     reference_codes,
     reference_masks,
@@ -525,7 +527,7 @@ def test_littlestone_states_on_a_full_cube_window_stay_linear():
 def test_littlestone_cut_cells_on_a_large_cube_window_stay_small():
     # The (13, 16384) window settles at its root.  Cutting its id set level
     # by level would hold 2**14 cells of 2 KB at the last level; a check
-    # past CELL_BATCH cells counts the row codes instead, about 3 MB here.
+    # past CELL_BATCH cells counts the row codes instead, about 1 MB here.
     looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
     fc = materialize(halting_class(looper), 13, 2**14)
     fc.masks  # cached: built outside the traced peak
@@ -541,7 +543,7 @@ def test_littlestone_cut_cells_on_a_large_cube_window_stay_small():
 
 def test_littlestone_memory_on_a_full_cube_window():
     # The VC sandwich settles the (11, 4096) window at its root: its cut
-    # cells and tree labels peak near 1.5 MB here.  The 2**13 - 1 states of
+    # cells and tree nodes peak near 0.3 MB here.  The 2**13 - 1 states of
     # 512-byte id masks left by the halving bound alone held about 5 MB; the
     # 3**12 states of the unpruned recursion peaked near 300 MB.
     looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
@@ -554,6 +556,25 @@ def test_littlestone_memory_on_a_full_cube_window():
     finally:
         tracemalloc.stop()
     assert report.value == 12
+    assert peak < 16 * 2**20
+
+
+def test_littlestone_tree_memory_on_a_large_cube_window():
+    # The (16, 2**17) window settles at its root, and its tree is one tuple
+    # of 2**17 - 1 node points: the traced peak is near 9 MB, mostly the
+    # root's row-code count.  A dict from 2**17 tuple prefixes peaked
+    # near 31 MB.
+    looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
+    fc = materialize(halting_class(looper), 16, 2**17)
+    fc.masks  # cached: built outside the traced peak
+    tracemalloc.start()
+    try:
+        tree = littlestone_dim(fc, budget=1).certificate
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tree.nodes) == 2**17 - 1
+    assert tree == LittlestoneTree.uniform(fc.domain)
     assert peak < 16 * 2**20
 
 
@@ -1046,10 +1067,9 @@ def _verdict(check):
 @given(st.data(), st.integers(min_value=0, max_value=4))
 def test_verify_constructive_matches_the_wanted_labels_reference(halters, loopers, data, depth):
     # Every node draws a point from 0-7, so some paths want a point both ways.
-    prefixes = [p for k in range(depth) for p in itertools.product((0, 1), repeat=k)]
-    tree = LittlestoneTree(
-        depth=depth, labels={p: data.draw(st.integers(min_value=0, max_value=7)) for p in prefixes}
-    )
+    size = 2**depth - 1
+    points = st.integers(min_value=0, max_value=7)
+    tree = LittlestoneTree(tuple(data.draw(st.lists(points, min_size=size, max_size=size))))
     for ic in (
         step_class(),
         halting_class(halters[3]),
@@ -1062,13 +1082,30 @@ def test_verify_constructive_matches_the_wanted_labels_reference(halters, looper
 
 def test_verify_constructive_refuses_conflicts_and_the_index_ceiling():
     # Path (1, 0) wants point 3 labelled 1, then 0.
-    tree = LittlestoneTree(depth=2, labels={(): 3, (0,): 3, (1,): 3})
+    tree = LittlestoneTree((3, 3, 3))
     with pytest.raises(WitnessUnresolvedError, match="conflicting labels required at point 3"):
         tree.verify_constructive(step_class())
     # Path (1,) wants point 64 labelled 1, which needs the index 2**64.
-    tree = LittlestoneTree(depth=1, labels={(): 64})
+    tree = LittlestoneTree((64,))
     with pytest.raises(WitnessUnresolvedError, match="past 2\\*\\*64"):
         tree.verify_constructive(step_class())
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_classes(), st.data())
+def test_verify_against_matches_the_path_by_path_reference(fc, data):
+    # Random trees over the domain rarely hold; optimal trees with one node
+    # changed sit at the edge of holding.
+    if data.draw(st.booleans()):
+        size = 2 ** data.draw(st.integers(min_value=0, max_value=5)) - 1
+        nodes = data.draw(st.lists(st.sampled_from(fc.domain), min_size=size, max_size=size))
+    else:
+        nodes = list(littlestone_dim(fc).certificate.nodes)
+        if nodes:
+            v = data.draw(st.integers(0, len(nodes) - 1))
+            nodes[v] = data.draw(st.sampled_from(fc.domain))
+    tree = LittlestoneTree(tuple(nodes))
+    assert tree.verify_against(fc) == naive_verify_against(tree.labels, fc)
 
 
 def test_masked_materialize_reads_only_the_activity_predicate(halters, loopers):
