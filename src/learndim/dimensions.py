@@ -323,81 +323,111 @@ def _cut(cells: list[int], ones: int, need: int) -> list[int] | None:
     return cut
 
 
-def littlestone_memo(fc: FiniteClass, limit: int) -> tuple[Callable[[int], int], dict]:
+def littlestone_memo(
+    fc: FiniteClass, limit: int
+) -> tuple[Callable[[int], int], Callable[[int, int], bool], dict[int, list[int]]]:
     """Memoized Littlestone dimension of a set of concepts of `fc`, given as
-    a bitmask of concept ids, and the points P (as columns) of each state
-    the VC sandwich below settled.
+    a bitmask of concept ids, answered by threshold queries: `dim(ids)`, the
+    exact value; `at_least(ids, t)`, whether it is at least t; and the
+    points P (as columns) of each state the VC sandwich below settled.
 
     The recursion: one concept has dimension 0, otherwise the max over points
-    splitting the set of 1 + min of the two label-restriction dimensions.
-    A mistake tree of depth d needs 2**d concepts, so a set of n concepts has
-    dimension at most cap = floor(log2 n) (the halving bound).  Three rules
-    cut the work, and all keep values exact:
+    splitting the set of 1 + min of the two label-restriction dimensions, so
+    the dimension is at least t >= 1 exactly when some point splits the set
+    into two sides that are both at least t - 1.  A mistake tree of depth d
+    needs 2**d concepts, so a set of n concepts has dimension at most
+    cap = floor(log2 n) (the halving bound).
 
-    - the VC sandwich settles a state outright: if the set shatters P, its
-      cap lowest splitting points in domain order, then VC >= cap gives
-      Ldim >= cap, so its value is cap with no recursion (VC <= Ldim <=
-      floor(log2 n), Littlestone 1988).  A full cube is the case where P
-      is every point.  `_shattered_prefix` checks P by cutting cells below
-      CELL_BATCH cells and by counting row codes at or past it;
-    - a split whose smaller side has fewer than 2**best concepts is skipped:
-      that side's dimension is below best, so the split cannot beat best.
-      This also skips the points that do not split the set;
-    - the scan stops once best reaches cap, since no split can beat it.
-      The second rule would skip every later split anyway, so this saves
-      only the scan, not states.
+    - The VC sandwich settles a state on its first visit: if the set
+      shatters P, its cap lowest splitting points in domain order, then
+      VC >= cap gives Ldim >= cap, so its value is cap with no recursion
+      (VC <= Ldim <= floor(log2 n), Littlestone 1988).  A full cube is the
+      case where P is every point.  `_shattered_prefix` checks P by cutting
+      cells below CELL_BATCH cells and by counting row codes at or past it.
+    - Any other state keeps a lower and an upper bound, from [0, cap].  A
+      query they decide is answered at once; otherwise the points are
+      scanned in domain order, a split with a side of fewer than 2**(t - 1)
+      concepts is skipped (that side is below t - 1; this also skips the
+      points that do not split the set), the smaller side is asked first,
+      and the scan stops at the first split whose sides both reach t - 1.
+      A yes raises the lower bound to t, a no lowers the upper bound to
+      t - 1, and a state whose bounds meet moves to the exact values.
+    - `dim` asks t = lower + 1, lower + 2, ... until a no.
 
-    So every state returns the value of the unpruned recursion, and callers
-    that read values (the tree fill, SOA) see exactly what it would give.
-    Every memo miss counts against `limit` (BudgetExceededError past it); a
-    settled state is one miss.
+    Every answer is the unpruned recursion's, so callers that read values
+    or thresholds (the tree fill, SOA) see exactly what it would give.  A
+    state's first visit counts against `limit` (BudgetExceededError past
+    it); a query with t <= 0 visits nothing, and a settled state is one
+    visit.
     """
     masks = fc.masks
-    memo: dict[int, int] = {}
+    exact: dict[int, int] = {}
+    bounds: dict[int, list[int]] = {}
     settled: dict[int, list[int]] = {}
     misses = 0
 
-    def dim(ids: int) -> int:
+    def at_least(ids: int, t: int) -> bool:
         nonlocal misses
-        cached = memo.get(ids)
-        if cached is not None:
-            return cached
-        misses += 1
-        if misses > limit:
-            raise BudgetExceededError(f"littlestone_dim exceeded {limit} recursion states")
+        if t <= 0:
+            return True
+        value = exact.get(ids)
+        if value is not None:
+            return value >= t
+        bound = bounds.get(ids)
+        if bound is None:
+            misses += 1
+            if misses > limit:
+                raise BudgetExceededError(f"littlestone_dim exceeded {limit} recursion states")
+            cap = ids.bit_count().bit_length() - 1
+            points = _shattered_prefix(fc, ids, cap)
+            if points is not None:
+                settled[ids] = points
+                exact[ids] = cap
+                return cap >= t
+            bound = bounds[ids] = [0, cap]
+        lower, upper = bound
+        if t <= lower:
+            return True
+        if t > upper:
+            return False
         n = ids.bit_count()
-        cap = n.bit_length() - 1
-        points = _shattered_prefix(fc, ids, cap)
-        if points is not None:
-            settled[ids] = points
-            memo[ids] = cap
-            return cap
-        best = 0
+        need = 1 << (t - 1)
         for ones in masks:
-            if best == cap:
-                break
             ones &= ids
             k = ones.bit_count()
-            if min(k, n - k).bit_length() <= best:
+            if k < need or n - k < need:
                 continue
-            d = 1 + min(dim(ids ^ ones), dim(ones))
-            if d > best:
-                best = d
-        memo[ids] = best
-        return best
+            small, large = (ones, ids ^ ones) if 2 * k <= n else (ids ^ ones, ones)
+            if at_least(small, t - 1) and at_least(large, t - 1):
+                bound[0] = t
+                break
+        else:
+            bound[1] = t - 1
+        if bound[0] == bound[1]:
+            exact[ids] = bounds.pop(ids)[0]
+        return bound[0] >= t
 
-    return dim, settled
+    def dim(ids: int) -> int:
+        while (value := exact.get(ids)) is None:
+            bound = bounds.get(ids)
+            at_least(ids, bound[0] + 1 if bound else 1)
+        return value
+
+    return dim, at_least, settled
 
 
 def littlestone_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionReport:
     """Exact Littlestone dimension with an optimal mistake tree certificate.
 
-    Uses the game recursion of `littlestone_memo`, memoized on concept-id
-    bitmasks; the same memo then picks the first splitting point at each
-    node of the tree, skipping splits whose smaller side has too few
-    concepts to carry the remaining depth.  Equivalent to the maximal
+    The value is `littlestone_memo`'s threshold climb on the whole class,
+    memoized on concept-id bitmasks; the same memo then picks, at each node
+    with r levels left, the first splitting point whose two sides both
+    answer yes to "at least r - 1?", skipping splits whose smaller side has
+    too few concepts to carry the remaining depth.  That is the witness
+    point of the threshold query itself, and equivalent to the maximal
     realizable tree depth (cross-checked against direct tree search in the
-    test suite).
+    test suite).  The budget counts the distinct states that the climb and
+    the fill first visit.
 
     A node with r levels left whose set shatters Q, its r lowest splitting
     points, gets the uniform subtree on Q (Q[j] at every node j levels
@@ -410,7 +440,9 @@ def littlestone_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionR
     points, so Q is their first r and the node repeats no check.
     """
     _require_nonempty(fc)
-    dim, settled = littlestone_memo(fc, DEFAULT_SEARCH_BUDGET if budget is None else budget)
+    dim, at_least, settled = littlestone_memo(
+        fc, DEFAULT_SEARCH_BUDGET if budget is None else budget
+    )
     value = dim(fc.all_ids)
 
     nodes = [0] * ((1 << value) - 1)
@@ -435,7 +467,7 @@ def littlestone_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionR
             if min(k, n - k).bit_length() < remaining:
                 continue
             zeros = ids ^ ones
-            if min(dim(zeros), dim(ones)) >= remaining - 1:
+            if at_least(zeros, remaining - 1) and at_least(ones, remaining - 1):
                 nodes[v - 1] = x
                 fill(zeros, 2 * v)
                 fill(ones, 2 * v + 1)

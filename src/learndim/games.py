@@ -43,16 +43,17 @@ class SOALearner:
     Makes at most Ldim mistakes against any realizable adversary.  The
     version space is a bitmask of concept ids, and one Littlestone memo
     serves every round of the game, charged against DEFAULT_SEARCH_BUDGET.
-    SOA may ask for splits that the pruned value pass over the full class
-    skipped, so its states are not all states of that pass; each is still a
-    split of a version space, so all lie inside the unpruned recursion's
-    closure of the full class.
+    Each prediction takes one exact value and one threshold query: the
+    ones side wins when its dimension is at least the zeros side's plus
+    one.  SOA may ask about states that the value climb over the full class
+    never visited; each is still a split of a version space, so all lie
+    inside the unpruned recursion's closure of the full class.
     """
 
     def __init__(self, fc: FiniteClass):
         self.fc = fc
         self.ids = fc.all_ids
-        self.dim = littlestone_memo(fc, DEFAULT_SEARCH_BUDGET)[0]
+        self.dim, self.at_least, _ = littlestone_memo(fc, DEFAULT_SEARCH_BUDGET)
 
     def predict(self, x: int) -> int:
         if not self.ids:
@@ -63,7 +64,7 @@ class SOALearner:
             return 1
         if not ones:
             return 0
-        return 1 if self.dim(ones) > self.dim(zeros) else 0
+        return 1 if self.at_least(ones, self.dim(zeros) + 1) else 0
 
     def observe(self, x: int, y: int) -> None:
         self.ids &= self.fc.labelled(x, y)

@@ -7,7 +7,8 @@ the largest-first search checks), the mistake-tree dimension by direct
 tree search, teaching sets by trying every example set in size order
 (and, for the budget charge, counting the subsets that search checks), the
 Littlestone recursion's state count by breadth-first search (and, for the pruned
-recursion, by replaying its settling and pruning rules over frozensets),
+recursion and the threshold queries that replaced it, by replaying their
+settling and pruning rules over frozensets),
 optimal tree labels from unpruned frozenset values, SOA predictions by
 comparing the mistake-tree dimensions of the two restrictions, the gated-class
 evaluators by literal transcription of their two-clause definitions, machine
@@ -158,8 +159,9 @@ def _shatters_lowest_splits(fc: FiniteClass, ids: frozenset, count: int) -> bool
 
 
 def naive_pruned_littlestone_states(fc: FiniteClass) -> int:
-    """Number of distinct concept sets that the pruned Littlestone recursion
-    and its tree fill visit.
+    """Number of distinct concept sets that the pruned exact-value
+    Littlestone recursion and its tree fill visited, before threshold
+    queries replaced it; kept as a bound on their charge.
 
     A visited set of n concepts that shows every label pattern on its
     floor(log2 n) first splitting columns is settled and visits nothing
@@ -211,6 +213,70 @@ def naive_pruned_littlestone_states(fc: FiniteClass) -> int:
     visit(full)
     fill(full, value(full))
     return len(seen)
+
+
+def naive_threshold_littlestone_states(fc: FiniteClass) -> int:
+    """Number of distinct concept sets that the threshold queries "is the
+    dimension of S at least t?" of the value climb and the tree fill visit.
+
+    A query with t <= 0 is yes and visits nothing.  Any other visits S: a
+    set of n concepts that shows every label pattern on its floor(log2 n)
+    first splitting columns has bounds [floor(log2 n)] * 2, any other starts
+    with [0, floor(log2 n)].  A query its bounds do not decide scans the
+    columns in domain order, skips a split with a side of fewer than
+    2**(t - 1) concepts, asks the smaller side (the ones on a tie) and, on
+    a yes, the larger at t - 1, and stops at the first split where both say
+    yes; its answer raises the lower bound to t or lowers the upper bound
+    to t - 1.  The value climb asks the whole class t = 1, 2, ... until a
+    no.  The fill then walks the optimal tree as in `naive_littlestone_tree`:
+    a node whose set shows every pattern on its `remaining` first splitting
+    columns asks nothing more; any other asks, at each split whose sides
+    both have 2**(remaining - 1) concepts, the zeros and, on a yes, the ones
+    at remaining - 1, and descends at the first where both say yes.  Every
+    answer comes from the unpruned recursion.
+    """
+    value = _littlestone_values(fc)
+    bounds: dict[frozenset, list[int]] = {}
+
+    def ask(ids: frozenset, t: int) -> bool:
+        if t <= 0:
+            return True
+        if ids not in bounds:
+            cap = len(ids).bit_length() - 1
+            bounds[ids] = [cap if _shatters_lowest_splits(fc, ids, cap) else 0, cap]
+        lower, upper = bounds[ids]
+        if lower < t <= upper:
+            for col in range(len(fc.domain)):
+                zeros, ones = _split(fc, ids, col)
+                if min(len(zeros), len(ones)) < 2 ** (t - 1):
+                    continue
+                small, large = sorted((ones, zeros), key=len)
+                if ask(small, t - 1) and ask(large, t - 1):
+                    break
+            if value(ids) >= t:
+                bounds[ids][0] = t
+            else:
+                bounds[ids][1] = t - 1
+        return value(ids) >= t
+
+    def fill(ids: frozenset, remaining: int) -> None:
+        if remaining == 0 or _shatters_lowest_splits(fc, ids, remaining):
+            return
+        for col in range(len(fc.domain)):
+            zeros, ones = _split(fc, ids, col)
+            if min(len(zeros), len(ones)) < 2 ** (remaining - 1):
+                continue
+            if ask(zeros, remaining - 1) and ask(ones, remaining - 1):
+                fill(zeros, remaining - 1)
+                fill(ones, remaining - 1)
+                return
+
+    full = frozenset(range(len(fc.concepts)))
+    t = 1
+    while ask(full, t):
+        t += 1
+    fill(full, t - 1)
+    return len(bounds)
 
 
 def naive_soa_predict(fc: FiniteClass, x: int) -> int:

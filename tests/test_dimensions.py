@@ -36,8 +36,10 @@ from conftest import hypercube_class, random_finite_class
 from oracles import (
     naive_littlestone_dim,
     naive_min_teaching_size,
+    naive_pruned_littlestone_states,
     naive_teaching_dim,
     naive_teaching_search,
+    naive_threshold_littlestone_states,
     naive_vc_dim,
 )
 
@@ -259,10 +261,14 @@ def test_budget_guards_raise():
     with pytest.raises(BudgetExceededError):
         littlestone_dim(cube, budget=0)
     # The step window's thresholds shatter no pair, so the sandwich settles
-    # only its small states: 24 states (27 with the halving bound alone).
-    assert littlestone_dim(steps, budget=24).value == 3
+    # only its small states.  Its threshold queries visit 8 states; the
+    # exact-value recursion they replaced visited 24 (27 with the halving
+    # bound alone).
+    assert naive_threshold_littlestone_states(steps) == 8
+    assert naive_pruned_littlestone_states(steps) == 24
+    assert littlestone_dim(steps, budget=8).value == 3
     with pytest.raises(BudgetExceededError):
-        littlestone_dim(steps, budget=23)
+        littlestone_dim(steps, budget=7)
     with pytest.raises(BudgetExceededError):
         teaching_set(cube, cube.concepts[0], budget=2)
 

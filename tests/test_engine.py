@@ -2,15 +2,17 @@
 and teaching measures, SOA, the online harness and the PAC experiment's ERM
 fits, and the pruned VC search and its budget charges, against the naive
 row-based oracles on small random classes whose domains come in shuffled
-order (for the pruned Littlestone recursion: every state's value, the tree
-labels and the states it charges; on cube-shaped classes, the states and
-subtrees the VC sandwich settles, and the teaching sets read off Hamming
-neighbours); a mistake tree's two realizability checks against their
-path-by-path references; materialize against the cell-by-cell window scan,
-and every packed and derived form of a class against its rows; plus cost
-guards on large full-cube and near-cube windows (the heap-ordered tree on
-(16, 2**17) among them), wide PAC supports and large PAC samples, and the
-draw counts of PAC trials that stop early and of those that cannot."""
+order (for the Littlestone threshold queries: every state's value and
+threshold answers, the tree labels and the states they charge, also on
+Hamming balls and subcube unions where the halving cap is loose; on
+cube-shaped classes, the states and subtrees the VC sandwich settles, and
+the teaching sets read off Hamming neighbours); a mistake tree's two
+realizability checks against their path-by-path references; materialize
+against the cell-by-cell window scan, and every packed and derived form of
+a class against its rows; plus cost guards on large full-cube and
+near-cube windows (the heap-ordered tree on (16, 2**17) among them), on
+large Hamming balls, wide PAC supports and large PAC samples, and the draw
+counts of PAC trials that stop early and of those that cannot."""
 
 from __future__ import annotations
 
@@ -74,6 +76,7 @@ from oracles import (
     naive_soa_predict,
     naive_teaching_dim,
     naive_teaching_search,
+    naive_threshold_littlestone_states,
     naive_vc_dim,
     naive_vc_search,
     naive_verify_against,
@@ -251,8 +254,8 @@ def test_teaching_dim_memory_on_a_full_cube_window():
 @settings(max_examples=100, deadline=None)
 @given(finite_classes())
 def test_littlestone_budget_counts_each_state_once(fc):
-    states = naive_pruned_littlestone_states(fc)
-    assert states <= naive_littlestone_states(fc)
+    states = naive_threshold_littlestone_states(fc)
+    assert states <= naive_pruned_littlestone_states(fc) <= naive_littlestone_states(fc)
     assert littlestone_dim(fc, budget=states).value == naive_littlestone_dim(fc)
     with pytest.raises(BudgetExceededError):
         littlestone_dim(fc, budget=states - 1)
@@ -264,11 +267,14 @@ def test_pruned_littlestone_values_are_exact_on_every_state(fc, data):
     # SOA reads the values of arbitrary version spaces from one shared memo,
     # so a prune that returned only a lower bound on some state would
     # corrupt its predictions even where the whole class's value is right.
-    dim, _ = littlestone_memo(fc, DEFAULT_SEARCH_BUDGET)
+    dim, at_least, _ = littlestone_memo(fc, DEFAULT_SEARCH_BUDGET)
     subsets = st.integers(min_value=1, max_value=fc.all_ids)
     for ids in data.draw(st.lists(subsets, min_size=1, max_size=8)):
         rows = [row for i, row in enumerate(fc.concepts) if ids >> i & 1]
-        assert dim(ids) == naive_littlestone_dim(FiniteClass.from_rows(fc.domain, rows))
+        value = naive_littlestone_dim(FiniteClass.from_rows(fc.domain, rows))
+        t = data.draw(st.integers(min_value=-1, max_value=len(rows).bit_length()))
+        assert at_least(ids, t) == (value >= t)
+        assert dim(ids) == value
     assert littlestone_dim(fc).certificate.labels == naive_littlestone_tree(fc)
 
 
@@ -315,6 +321,107 @@ def test_sandwich_keeps_values_trees_and_soa_exact(fc, data):
         learner = SOALearner(version_space)
         for x in fc.domain:
             assert learner.predict(x) == naive_soa_predict(version_space, x)
+
+
+@st.composite
+def loose_cap_classes(draw) -> FiniteClass:
+    """Classes whose Littlestone dimension is often well below the halving
+    cap floor(log2 n): a Hamming ball, or a union of a few subcubes, on the
+    columns left free by drawn constant ones.  Concept order is shuffled,
+    and the domain shuffled and scaled; `finite_classes` rarely draws
+    such a class."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    width = draw(st.integers(min_value=1, max_value=n))
+    free = draw(st.permutations(range(n)))[:width]
+    base = draw(st.integers(min_value=0, max_value=2**n - 1)) & ~sum(1 << j for j in free)
+    if draw(st.booleans()):
+        center = draw(st.integers(min_value=0, max_value=2**width - 1))
+        radius = draw(st.integers(min_value=1, max_value=width))
+        patterns = {center ^ e for e in range(2**width) if e.bit_count() <= radius}
+    else:
+        patterns = set()
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            fixed = draw(st.integers(min_value=0, max_value=2**width - 1))
+            cube = draw(st.integers(min_value=0, max_value=2**width - 1))
+            patterns |= {fixed & ~cube | sub for sub in range(2**width) if sub & ~cube == 0}
+    codes = [base | sum(1 << j for i, j in enumerate(free) if p >> i & 1) for p in patterns]
+    codes = draw(st.permutations(sorted(codes)))
+    scale = draw(st.sampled_from([1, 3]))
+    domain = draw(st.permutations([scale * i for i in range(n)]))
+    return FiniteClass.from_rows(domain, [tuple(code >> j & 1 for j in range(n)) for code in codes])
+
+
+@settings(max_examples=150, deadline=None)
+@given(loose_cap_classes(), st.data())
+def test_threshold_queries_match_the_oracles_where_the_cap_is_loose(fc, data):
+    # Values, tree nodes, sub-state values and SOA's predictions are the
+    # unpruned recursion's, and the threshold queries charge no more states
+    # than the exact-value recursion they replaced, so no run that answered
+    # within a budget stops answering.
+    report = littlestone_dim(fc)
+    assert report.value == naive_littlestone_dim(fc)
+    labels = naive_littlestone_tree(fc)
+    assert report.certificate.nodes == tuple(labels[p] for p in sorted(labels, key=lambda p: (len(p), p)))
+    states = naive_threshold_littlestone_states(fc)
+    assert states <= naive_pruned_littlestone_states(fc)
+    assert littlestone_dim(fc, budget=states) == report
+    with pytest.raises(BudgetExceededError):
+        littlestone_dim(fc, budget=states - 1)
+    dim, at_least, _ = littlestone_memo(fc, DEFAULT_SEARCH_BUDGET)
+    for ids in data.draw(st.lists(st.integers(min_value=1, max_value=fc.all_ids), max_size=4)):
+        rows = [row for i, row in enumerate(fc.concepts) if ids >> i & 1]
+        value = naive_littlestone_dim(FiniteClass.from_rows(fc.domain, rows))
+        t = data.draw(st.integers(min_value=0, max_value=len(rows).bit_length()))
+        assert at_least(ids, t) == (value >= t)
+        assert dim(ids) == value
+    target = data.draw(st.sampled_from(fc.concepts))
+    queries = data.draw(st.lists(st.sampled_from(fc.domain), max_size=len(fc.domain)))
+    learner = SOALearner(fc)
+    history: list[tuple[int, int]] = []
+    for x in queries:
+        version_space = FiniteClass.from_rows(fc.domain, _consistent_rows(fc, history))
+        assert learner.predict(x) == naive_soa_predict(version_space, x)
+        y = target[fc.domain.index(x)]
+        learner.observe(x, y)
+        history.append((x, y))
+
+
+def _hamming_ball(points: int, radius: int) -> FiniteClass:
+    codes = [code for code in range(2**points) if code.bit_count() <= radius]
+    return FiniteClass.from_rows(range(points), [tuple(code >> j & 1 for j in range(points)) for code in codes])
+
+
+def test_littlestone_on_a_hamming_ball_asks_few_states():
+    # The radius-3 ball on 16 points: 697 concepts, Ldim 3 against a halving
+    # cap of 9.  The exact-value recursion passed 2M states after 25 s and
+    # 292 MB; the threshold queries visit 141.
+    fc = _hamming_ball(16, 3)
+    report = littlestone_dim(fc, budget=141)
+    assert report.value == 3
+    assert report.certificate.verify_against(fc)
+    with pytest.raises(BudgetExceededError, match="exceeded 140 recursion states"):
+        littlestone_dim(fc, budget=140)
+
+
+def test_littlestone_memory_on_a_large_hamming_ball():
+    # The radius-4 ball on 24 points: 12,951 concepts, Ldim 4 against a
+    # halving cap of 13.  The exact-value recursion hit a 3 GB memory limit
+    # after 112 s; the threshold queries visit 2,336 states in about
+    # 0.25 s, about 4 MB traced (2-core x86 VM, Python 3.11.7).
+    fc = _hamming_ball(24, 4)
+    fc.masks  # cached: built outside the traced peak
+    tracemalloc.start()
+    try:
+        report = littlestone_dim(fc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.value == 4
+    assert report.certificate.verify_against(fc)
+    assert peak < 8 * 2**20
+    assert littlestone_dim(fc, budget=2336) == report
+    with pytest.raises(BudgetExceededError):
+        littlestone_dim(fc, budget=2335)
 
 
 @settings(max_examples=100, deadline=None)
@@ -387,7 +494,7 @@ def test_row_code_checks_past_the_cell_batch_match_the_oracles(fc, data):
             outcomes[limit] = str(exc)
     ldim = naive_littlestone_dim(fc)
     labels = naive_littlestone_tree(fc)
-    states = naive_pruned_littlestone_states(fc)
+    states = naive_threshold_littlestone_states(fc)
     values = {}
     for ids in data.draw(st.lists(st.integers(min_value=1, max_value=fc.all_ids), max_size=4)):
         rows = [row for i, row in enumerate(fc.concepts) if ids >> i & 1]
@@ -410,7 +517,7 @@ def test_row_code_checks_past_the_cell_batch_match_the_oracles(fc, data):
             assert report.certificate.labels == labels
             with pytest.raises(BudgetExceededError):
                 littlestone_dim(fc, budget=states - 1)
-            dim, _ = littlestone_memo(fc, DEFAULT_SEARCH_BUDGET)
+            dim, _, _ = littlestone_memo(fc, DEFAULT_SEARCH_BUDGET)
             assert {ids: dim(ids) for ids in values} == values
             learner = SOALearner(fc)
             history: list[tuple[int, int]] = []
@@ -684,10 +791,10 @@ def test_soa_matches_naive_rule_along_a_realizable_history(fc, data):
     st.integers(min_value=0, max_value=2**16),
 )
 def test_soa_stays_inside_the_unpruned_closure(fc, adversary, seed):
-    # SOA may ask for splits the pruned value pass skipped, but each is a
+    # SOA may ask about states the value climb never visited, but each is a
     # split of a version space, so the unpruned closure bounds its memo.
     learner = SOALearner(fc)
-    learner.dim = littlestone_memo(fc, naive_littlestone_states(fc))[0]
+    learner.dim, learner.at_least, _ = littlestone_memo(fc, naive_littlestone_states(fc))
     opponent = {
         "tree": lambda: tree_adversary(fc, littlestone_dim(fc).certificate),
         "random": lambda: RandomConsistentAdversary(fc, seed),
