@@ -21,6 +21,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .encoding import seq_bit
@@ -83,10 +84,23 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")
 # Concepts whose binary digits FiniteClass.masks joins into one string.
 MASK_CHUNK = 4096
 
+# Evaluator cells that materialize reads per batch of indexes on a class
+# without `active`.
+BATCH_CELLS = 2**16
+
 
 def _pack(row: tuple[int, ...]) -> int:
     """A 0/1 row as an int: bit j set when the row labels column j with 1."""
     return int(bytes(row[::-1]).translate(_DIGITS) or b"0", 2)
+
+
+def _row_code(i: int, vec: tuple, width: int) -> int:
+    """Row i packed, once it is checked to have `width` entries, each 0 or 1."""
+    if len(vec) != width:
+        raise ValueError("row length does not match domain size")
+    if not set(vec) <= {0, 1}:
+        raise ValueError(f"row {i} {vec} has an entry other than 0 or 1")
+    return _pack(vec)
 
 
 def _unpack(code: int, top: int) -> tuple[int, ...]:
@@ -124,12 +138,7 @@ class FiniteClass:
             raise ValueError("domain repeats a point")
         seen: dict[int, int] = {}
         for i, row in enumerate(rows):
-            vec = tuple(row)
-            if len(vec) != len(dom):
-                raise ValueError("row length does not match domain size")
-            if not set(vec) <= {0, 1}:
-                raise ValueError(f"row {i} {vec} has an entry other than 0 or 1")
-            seen.setdefault(_pack(vec), i)
+            seen.setdefault(_row_code(i, tuple(row), len(dom)), i)
         return cls(domain=dom, codes=tuple(seen), witnesses=tuple(seen.values()))
 
     def index_of(self, row: Sequence[int]) -> int:
@@ -251,13 +260,21 @@ def materialize(ic: IndexedClass, domain_max: int, index_count: int) -> FiniteCl
     """Deduplicated window { evaluate(m, .)|[0, domain_max] : m < index_count }.
 
     Keeps the smallest witness index per concept, ordered by witness.  A
-    class without `active` is read cell by cell through its evaluator.  A
-    class with `active` never calls the evaluator: the row of index m is the
-    set S of active points <= domain_max that m carries, the smallest index
-    carrying S is S itself, so the window is every such S below index_count,
-    witnessed by S.  Either way, fails with BudgetExceededError when
-    (domain_max + 1) * index_count exceeds eval_budget(), signalling
-    the caller to shrink the window.
+    class without `active` is read through its evaluator, one call per cell,
+    (domain_max + 1) * index_count calls in all, a batch of consecutive
+    indexes of about BATCH_CELLS cells at a time: one evaluator map along
+    each column of the batch (along each row when the batch holds fewer
+    indexes than points), then the batch's distinct rows kept with their
+    first index, and only those packed.  So a batch holds O(BATCH_CELLS)
+    cells however large the window, or one row when a row alone is wider.
+    A batch with an entry other than 0 or 1 is read again row by row and
+    fails as from_rows fails on that row.  A class with `active` never
+    calls the evaluator: the row of index m is the set S of active points
+    <= domain_max that m carries, the smallest index carrying S is S
+    itself, so the window is every such S below index_count, witnessed by
+    S.  Either way, fails with BudgetExceededError when (domain_max + 1) *
+    index_count exceeds eval_budget(), signalling the caller to shrink the
+    window.
     """
     if domain_max < 0:
         raise ValueError("domain_max must be nonnegative")
@@ -272,9 +289,7 @@ def materialize(ic: IndexedClass, domain_max: int, index_count: int) -> FiniteCl
         )
     domain = tuple(range(domain_max + 1))
     if ic.active is None:
-        return FiniteClass.from_rows(
-            domain, (tuple(ic.evaluate(m, n) for n in domain) for m in range(index_count))
-        )
+        return _read_window(ic.evaluate, domain, index_count)
     # Adding active point n appends only sets >= 2**n, above every earlier
     # set, so the list stays in strictly increasing witness order.
     witnesses = [0]
@@ -285,6 +300,39 @@ def materialize(ic: IndexedClass, domain_max: int, index_count: int) -> FiniteCl
     # The row of witness S is S itself, so the witnesses are the codes.
     codes = tuple(witnesses)
     return FiniteClass(domain=domain, codes=codes, witnesses=codes)
+
+
+def _read_window(
+    evaluate: Callable[[int, int], int], domain: tuple[int, ...], index_count: int
+) -> FiniteClass:
+    """materialize's window of a class without `active`, read a batch of
+    consecutive indexes at a time."""
+    width = len(domain)
+    points = domain[::-1]  # highest first, so a row reads as its code's digits
+    step = max(1, BATCH_CELLS // width)
+    seen: dict[int, int] = {}
+    for start in range(0, index_count, step):
+        indexes = tuple(range(start, min(start + step, index_count)))
+        size = len(indexes)
+        try:
+            # One evaluator map along each line of the batch's longer side.
+            if size >= width:
+                block = b"".join([bytes(map(evaluate, indexes, repeat(n))) for n in points])
+                rows = [block[j::size] for j in range(size)]
+            else:
+                rows = [bytes(map(evaluate, repeat(m), points)) for m in indexes]
+                block = b"".join(rows)
+        except (TypeError, ValueError):  # an entry that is no byte
+            block = None
+        if block is None or block.translate(None, b"\x00\x01"):
+            for m in indexes:
+                seen.setdefault(_row_code(m, tuple([evaluate(m, n) for n in domain]), width), m)
+            continue
+        first = dict(zip(rows[::-1], indexes[::-1]))  # read backwards, the first index stays
+        for m, row in sorted(zip(first.values(), first)):
+            seen.setdefault(int(row.translate(_DIGITS), 2), m)
+    codes = tuple(seen)
+    return FiniteClass(domain=domain, codes=codes, witnesses=tuple(seen.values()))
 
 
 def class_from_spec(spec: Mapping) -> IndexedClass:

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
 from learndim import (
     BudgetExceededError,
     FiniteClass,
+    IndexedClass,
     class_from_spec,
     consistent_toy,
     f_of_machine,
@@ -26,21 +28,11 @@ from learndim import (
     teaching_dim,
 )
 from learndim import active_index
+from learndim.classes import BATCH_CELLS
 from learndim.cli import main
 
 from conftest import MACHINES_DIR, halter_text
-from oracles import goedel_eval_oracle, halting_eval_oracle
-
-
-def _generic_materialize(ic, domain_max, index_count):
-    """The definitional window scan, kept here as the oracle for the
-    masked fast path."""
-    domain = range(domain_max + 1)
-    seen = {}
-    for m in range(index_count):
-        row = tuple(ic.evaluate(m, n) for n in domain)
-        seen.setdefault(row, m)
-    return list(seen.keys()), list(seen.values())
+from oracles import goedel_eval_oracle, halting_eval_oracle, naive_materialize
 
 
 def test_goedel_consistent_collapses_to_zero():
@@ -185,7 +177,7 @@ def test_masked_fast_path_equals_generic_scan(halters):
     for ic in classes:
         for n, m in [(4, 32), (6, 128), (5, 16)]:
             fc = materialize(ic, n, m)
-            rows, witnesses = _generic_materialize(ic, n, m)
+            rows, witnesses = naive_materialize(ic.evaluate, n, m)
             assert list(fc.concepts) == rows
             assert list(fc.witnesses) == witnesses
 
@@ -195,6 +187,36 @@ def test_from_rows_rejects_entries_other_than_bits():
         FiniteClass.from_rows([0, 1], [(0, 2), (1, 0)])
     with pytest.raises(ValueError, match=r"row 1 \(-1, 0\)"):
         FiniteClass.from_rows([0, 1], [(1, 0), (-1, 0)])
+
+
+# An entry other than 0 or 1 at cell (m, 1) of a window that is 0 elsewhere:
+# the error the row-by-row read gives, with {m} the entry's index.
+BAD_ENTRIES = [
+    (2, ValueError, "row {m} (0, 2, 0, 0) has an entry other than 0 or 1"),
+    (-1, ValueError, "row {m} (0, -1, 0, 0) has an entry other than 0 or 1"),
+    (256, ValueError, "row {m} (0, 256, 0, 0) has an entry other than 0 or 1"),
+    (0.5, ValueError, "row {m} (0, 0.5, 0, 0) has an entry other than 0 or 1"),
+    (None, ValueError, "row {m} (0, None, 0, 0) has an entry other than 0 or 1"),
+    (1.0, TypeError, "'float' object cannot be interpreted as an integer"),
+]
+
+
+@pytest.mark.parametrize("bad, error, text", BAD_ENTRIES)
+@pytest.mark.parametrize("m", [5, 2 * (BATCH_CELLS // 4) + 3])
+def test_generic_window_rejects_entries_other_than_bits(bad, error, text, m):
+    # On 4 points, index 5 lies in the first batch, the other in the third.
+    ic = IndexedClass(evaluate=lambda i, n: bad if (i, n) == (m, 1) else 0, provenance="bad")
+    with pytest.raises(error, match="^" + re.escape(text.format(m=m)) + "$"):
+        materialize(ic, 3, m + 5)
+
+
+def test_generic_window_rejects_entries_other_than_bits_in_wide_rows():
+    # 300 points: a batch holds fewer indexes than points and is read by rows.
+    m = BATCH_CELLS // 300 + 7
+    row = (0, 2) + (0,) * 298
+    ic = IndexedClass(evaluate=lambda i, n: row[n] if i == m else 0, provenance="bad")
+    with pytest.raises(ValueError, match=re.escape(f"row {m} {row} has an entry other than 0 or 1")):
+        materialize(ic, 299, m + 5)
 
 
 def test_from_rows_rejects_a_domain_that_repeats_a_point():
@@ -210,7 +232,7 @@ def test_from_rows_rejects_a_domain_that_repeats_a_point():
 def test_materialize_handles_non_power_of_two_windows():
     ic = goedel_class(inconsistent_toy())
     fc = materialize(ic, 4, 11)
-    rows, witnesses = _generic_materialize(ic, 4, 11)
+    rows, witnesses = naive_materialize(ic.evaluate, 4, 11)
     assert list(fc.concepts) == rows and list(fc.witnesses) == witnesses
 
 

@@ -8,8 +8,10 @@ Hamming balls and subcube unions where the halving cap is loose; on
 cube-shaped classes, the states and subtrees the VC sandwich settles, and
 the teaching sets read off Hamming neighbours); a mistake tree's two
 realizability checks against their path-by-path references; materialize
-against the cell-by-cell window scan, and every packed and derived form of
-a class against its rows; plus cost guards on large full-cube and
+against the cell-by-cell window scan, also on irregular tables read in many
+batches, and every packed and derived form of a class against its rows;
+plus the generic window's one evaluator call per cell and its batch-bounded
+memory, and cost guards on large full-cube and
 near-cube windows (the heap-ordered tree on (16, 2**17) among them), on
 large Hamming balls, wide PAC supports and large PAC samples, and the draw
 counts of PAC trials that stop early and of those that cannot."""
@@ -1136,6 +1138,73 @@ def _assert_packs_rows(fc: FiniteClass, rows, witnesses) -> None:
     for row in absent:
         with pytest.raises(ValueError, match="concept not in class"):
             fc.index_of(row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.data(),
+    st.integers(min_value=0, max_value=12),
+    st.sampled_from([1, 2, 3, 50, 257]) | st.integers(min_value=1, max_value=400),
+    st.sampled_from([1, 5, 24, 64, 1000, classes.BATCH_CELLS]),
+)
+def test_generic_window_matches_definitional_scan_on_irregular_tables(
+    data, domain_max, index_count, batch_cells
+):
+    # A class without `active` looking up a 0/1 table whose rows repeat at
+    # scattered indexes.  Small batches split the window into many, of
+    # fewer indexes than points (read by rows) or of more (by columns).
+    width = domain_max + 1
+    row = st.lists(st.integers(min_value=0, max_value=1), min_size=width, max_size=width)
+    pool = data.draw(st.lists(row, min_size=1, max_size=8))
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    table = [rng.choice(pool) for _ in range(index_count)]
+    ic = IndexedClass(evaluate=lambda m, n: table[m][n], provenance="table")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classes, "BATCH_CELLS", batch_cells)
+        fc = materialize(ic, domain_max, index_count)
+    _assert_packs_rows(fc, *naive_materialize(ic.evaluate, domain_max, index_count))
+
+
+@pytest.mark.parametrize("domain_max, batches", [(3, 3), (299, 3)])
+def test_generic_window_calls_the_evaluator_once_per_cell(domain_max, batches):
+    # Several full batches and a partial one, read by columns on 4 points
+    # and by rows on 300 (a batch there holds fewer indexes than points).
+    width = domain_max + 1
+    index_count = batches * (classes.BATCH_CELLS // width) + 5
+    hits = bytearray(width * index_count)
+
+    def evaluate(m: int, n: int) -> int:
+        hits[m * width + n] += 1
+        return step_eval_oracle(m, n)
+
+    fc = materialize(IndexedClass(evaluate=evaluate, provenance="counted"), domain_max, index_count)
+    assert hits == b"\x01" * len(hits)
+    rows, witnesses = naive_materialize(step_eval_oracle, domain_max, index_count)
+    assert list(fc.concepts) == rows and list(fc.witnesses) == witnesses
+
+
+def test_generic_window_memory_is_bounded_by_its_batch():
+    # Reading the (1000, 1001) step window a batch at a time peaks well
+    # below one transpose of the whole window into row tuples (about 8 MB).
+    domain_max, index_count = 1000, 1001
+    evaluate = step_class().evaluate
+    columns = [bytes(map(evaluate, range(index_count), itertools.repeat(n))) for n in range(domain_max + 1)]
+    tracemalloc.start()
+    try:
+        rows = list(zip(*columns))
+        unbatched = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del rows, columns
+    tracemalloc.start()
+    try:
+        fc = materialize(step_class(), domain_max, index_count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fc.codes) == index_count
+    assert unbatched > 7 * 2**20
+    assert peak < unbatched / 8
 
 
 @settings(max_examples=200, deadline=None)
