@@ -107,11 +107,6 @@ class LittlestoneTree:
         for bits in range(2**self.depth):
             yield tuple((bits >> i) & 1 for i in range(self.depth))
 
-    def path_points(self, path: tuple[int, ...]) -> list[tuple[int, int]]:
-        """(point, required label) pairs along a root-to-leaf path."""
-        heap = accumulate(path, lambda v, y: 2 * v + y, initial=1)
-        return [(self.nodes[v - 1], y) for v, y in zip(heap, path)]
-
     def verify_against(self, fc: FiniteClass) -> bool:
         """Every path is realized by some concept of the finite class: the ids
         consistent with each node's path, cut once per edge, are never empty."""
@@ -124,25 +119,30 @@ class LittlestoneTree:
         return realized(1, fc.all_ids)
 
     def verify_constructive(self, ic: IndexedClass) -> bool:
-        """Every path is realized by the index built from its own labels:
-        bit x is set where the path labels point x with 1.  A path that
-        labels a point both ways, or whose index reaches the 2**64 ceiling,
-        raises WitnessUnresolvedError."""
-        for path in self.paths():
-            points = self.path_points(path)
-            m = 0
-            for x, y in points:
-                m |= y << x
-            for x, y in points:
-                if m >> x & 1 != y:
+        """Every path is realized by the index whose bit x is set where the
+        path labels x with 1; WitnessUnresolvedError when it labels a point both
+        ways or needs an index past 2**64.  One depth-first walk, 0-subtree first,
+        stacks the path's (point, label) pairs; the first leaf to fail decides."""
+        def realized(v: int, m: int, zeros: int) -> bool:
+            if v > len(nodes):
+                if m & zeros or m >= MAX_CODE:
+                    path = tuple(map(int, bin(v)[3:]))
+                    x = next((x for x, y in pairs if m >> x & 1 != y), None)
                     raise WitnessUnresolvedError(
+                        f"path {path} needs an index past 2**64" if x is None else
                         f"conflicting labels required at point {x} along path {path}"
                     )
-            if m >= MAX_CODE:
-                raise WitnessUnresolvedError(f"path {path} needs an index past 2**64")
-            if any(ic.evaluate(m, x) != y for x, y in points):
-                return False
-        return True
+                return all(evaluate(m, x) == y for x, y in pairs)
+            x = nodes[v - 1]
+            pairs.append((x, 0))
+            held = realized(2 * v, m, zeros | 1 << x)
+            pairs[-1] = (x, 1)
+            held = held and realized(2 * v + 1, m | 1 << x, zeros)
+            pairs.pop()
+            return held
+
+        nodes, evaluate, pairs = self.nodes, ic.evaluate, []
+        return realized(1, 0, 0)
 
 
 def _shattered_prefix(fc: FiniteClass, ids: int, count: int) -> list[int] | None:

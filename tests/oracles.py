@@ -428,11 +428,12 @@ def reference_masks(rows, width: int) -> tuple[int, ...]:
 
 def _tree_paths(labels: dict[tuple[int, ...], int]):
     """Each root-to-leaf path of the complete tree with these node labels,
-    as its (point, wanted label) pairs; path[i] is bit i of a counter, so
-    the first check to fail is the one the engine reports."""
+    as its (point, wanted label) pairs; path[i] is bit depth - 1 - i of a
+    counter, so paths come left to right (the 0-subtree first) and the first
+    check to fail is the one the engine reports."""
     depth = max(map(len, labels), default=-1) + 1
     for bits in range(2**depth):
-        path = tuple(bits >> i & 1 for i in range(depth))
+        path = tuple(bits >> (depth - 1 - i) & 1 for i in range(depth))
         yield path, [(labels[path[:k]], path[k]) for k in range(depth)]
 
 

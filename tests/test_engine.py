@@ -55,6 +55,7 @@ from learndim import (
     teaching_dim,
     teaching_set,
     tree_adversary,
+    tree_witness,
     vc_dim,
 )
 
@@ -1257,14 +1258,55 @@ def test_verify_constructive_matches_the_wanted_labels_reference(halters, looper
 
 
 def test_verify_constructive_refuses_conflicts_and_the_index_ceiling():
-    # Path (1, 0) wants point 3 labelled 1, then 0.
+    # Path (0, 1) wants point 3 labelled 0, then 1.
     tree = LittlestoneTree((3, 3, 3))
-    with pytest.raises(WitnessUnresolvedError, match="conflicting labels required at point 3"):
+    with pytest.raises(WitnessUnresolvedError, match=r"at point 3 along path \(0, 1\)$"):
         tree.verify_constructive(step_class())
     # Path (1,) wants point 64 labelled 1, which needs the index 2**64.
     tree = LittlestoneTree((64,))
-    with pytest.raises(WitnessUnresolvedError, match="past 2\\*\\*64"):
+    with pytest.raises(WitnessUnresolvedError, match=r"^path \(1,\) needs an index past 2\*\*64$"):
         tree.verify_constructive(step_class())
+    # Leaves are checked in heap order, the 0-subtree first, and the first to
+    # fail decides.  Path (0, 1) wants point 3 both ways, so it raises before
+    # path (1, 0) is read; that path's index 8 puts the step class's threshold
+    # at 7, which misses point 3, so checking (1, 0) first would return False.
+    tree = LittlestoneTree((3, 3, 5))
+    with pytest.raises(WitnessUnresolvedError, match=r"at point 3 along path \(0, 1\)$"):
+        tree.verify_constructive(step_class())
+
+
+def _lying_class(base: IndexedClass, cell=None):
+    """`base` with its evaluator calls logged, and its answer at `cell`,
+    an (index, point) pair, flipped."""
+    calls = []
+
+    def evaluate(m, n):
+        calls.append((m, n))
+        return base.evaluate(m, n) ^ ((m, n) == cell)
+
+    return IndexedClass(evaluate=evaluate, provenance=base.provenance, active=base.active), calls
+
+
+def test_verify_constructive_reads_every_path_point_and_fails_on_one_lie(halters, loopers):
+    # A depth-d witness holds after exactly d * 2**d evaluator calls, one per
+    # point of each path; a single wrong answer on any path refutes it.
+    rng = random.Random(7)
+    cases = (
+        (halting_class(loopers[0]), "layer", 6),
+        (goedel_class(inconsistent_toy()), "active", 6),
+        (halting_class(halters[3]), "layer", 3),
+    )
+    for base, labeling, top in cases:
+        for depth in range(top + 1):
+            tree = tree_witness(base, depth, labeling)
+            ic, calls = _lying_class(base)
+            assert tree.verify_constructive(ic)
+            assert len(calls) == depth * 2**depth
+            for _ in range(4 if depth else 0):
+                leaf = rng.randrange(2**depth, 2 ** (depth + 1))
+                path = [(tree.nodes[(leaf >> k) - 1], leaf >> k - 1 & 1) for k in range(depth, 0, -1)]
+                cell = (sum(y << x for x, y in path), rng.choice(path)[0])
+                assert not tree.verify_constructive(_lying_class(base, cell)[0])
 
 
 @settings(max_examples=200, deadline=None)
