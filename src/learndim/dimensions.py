@@ -325,11 +325,11 @@ def _cut(cells: list[int], ones: int, need: int) -> list[int] | None:
 
 def littlestone_memo(
     fc: FiniteClass, limit: int
-) -> tuple[Callable[[int], int], Callable[[int, int], bool], dict[int, list[int]]]:
+) -> tuple[Callable[[int], int], Callable[[int, int], bool], Callable[[int], LittlestoneTree]]:
     """Memoized Littlestone dimension of a set of concepts of `fc`, given as
     a bitmask of concept ids, answered by threshold queries: `dim(ids)`, the
-    exact value; `at_least(ids, t)`, whether it is at least t; and the
-    points P (as columns) of each state the VC sandwich below settled.
+    exact value; `at_least(ids, t)`, whether it is at least t; and
+    `tree(d)`, an optimal mistake tree of depth d = dim(fc.all_ids).
 
     The recursion: one concept has dimension 0, otherwise the max over points
     splitting the set of 1 + min of the two label-restriction dimensions, so
@@ -345,29 +345,52 @@ def littlestone_memo(
       case where P is every point.  `_shattered_prefix` checks P by cutting
       cells below CELL_BATCH cells and by counting row codes at or past it.
     - Any other state keeps a lower and an upper bound, from [0, cap].  A
-      query they decide is answered at once; otherwise the points are
-      scanned in domain order, a split with a side of fewer than 2**(t - 1)
-      concepts is skipped (that side is below t - 1; this also skips the
-      points that do not split the set), the smaller side is asked first,
-      and the scan stops at the first split whose sides both reach t - 1.
-      A yes raises the lower bound to t, a no lowers the upper bound to
-      t - 1, and a state whose bounds meet moves to the exact values.
+      query they decide is answered at once; otherwise `split` scans for a
+      witness point.  A yes raises the lower bound to t, a no lowers the
+      upper bound to t - 1, and a state whose bounds meet moves to the
+      exact values.
+    - `split(ids, t)`, the one scan: the first point in domain order whose
+      two sides both reach t - 1, asking the smaller side first and
+      skipping a split with a side of fewer than 2**(t - 1) concepts (that
+      side is below t - 1; this also skips the points that do not split
+      the set); None when no point qualifies.
     - `dim` asks t = lower + 1, lower + 2, ... until a no.
+    - `tree` gives a node with r levels left the point `split` finds at r,
+      the parent's yes guaranteeing one.  A node whose set shatters Q, its
+      r lowest splitting points, gets the uniform subtree on Q instead (Q[j]
+      at every node j levels below it), which is the tree the scan builds
+      anyway: Q[0] is the first point that splits the set, and both sides
+      shatter Q[1:], so by induction each side picks Q[1], then Q[2], and
+      so on.  A settled set's P starts with Q, so it repeats no check.
 
-    Every answer is the unpruned recursion's, so callers that read values
-    or thresholds (the tree fill, SOA) see exactly what it would give.  A
-    state's first visit counts against `limit` (BudgetExceededError past
-    it); a query with t <= 0 visits nothing, and a settled state is one
-    visit.
+    Every answer is the unpruned recursion's, so the tree and SOA see
+    exactly what it would give.  Each state's first visit charges the width
+    of one id-mask key, ceil(|C| / 64) words, against `limit` before the
+    state is stored (BudgetExceededError past it); a query with t <= 0
+    visits nothing, and a settled state is one visit.
     """
     masks = fc.masks
+    words = -(-len(fc.codes) // 64)
     exact: dict[int, int] = {}
     bounds: dict[int, list[int]] = {}
     settled: dict[int, list[int]] = {}
-    misses = 0
+    charged = 0
+
+    def split(ids: int, t: int) -> int | None:
+        n = ids.bit_count()
+        need = 1 << (t - 1)
+        for col, ones in enumerate(masks):
+            ones &= ids
+            k = ones.bit_count()
+            if k < need or n - k < need:
+                continue
+            small, large = (ones, ids ^ ones) if 2 * k <= n else (ids ^ ones, ones)
+            if at_least(small, t - 1) and at_least(large, t - 1):
+                return col
+        return None
 
     def at_least(ids: int, t: int) -> bool:
-        nonlocal misses
+        nonlocal charged
         if t <= 0:
             return True
         value = exact.get(ids)
@@ -375,9 +398,9 @@ def littlestone_memo(
             return value >= t
         bound = bounds.get(ids)
         if bound is None:
-            misses += 1
-            if misses > limit:
-                raise BudgetExceededError(f"littlestone_dim exceeded {limit} recursion states")
+            charged += words
+            if charged > limit:
+                raise BudgetExceededError(f"littlestone_dim exceeded {limit} memo words")
             cap = ids.bit_count().bit_length() - 1
             points = _shattered_prefix(fc, ids, cap)
             if points is not None:
@@ -390,19 +413,10 @@ def littlestone_memo(
             return True
         if t > upper:
             return False
-        n = ids.bit_count()
-        need = 1 << (t - 1)
-        for ones in masks:
-            ones &= ids
-            k = ones.bit_count()
-            if k < need or n - k < need:
-                continue
-            small, large = (ones, ids ^ ones) if 2 * k <= n else (ids ^ ones, ones)
-            if at_least(small, t - 1) and at_least(large, t - 1):
-                bound[0] = t
-                break
-        else:
+        if split(ids, t) is None:
             bound[1] = t - 1
+        else:
+            bound[0] = t
         if bound[0] == bound[1]:
             exact[ids] = bounds.pop(ids)[0]
         return bound[0] >= t
@@ -413,70 +427,42 @@ def littlestone_memo(
             at_least(ids, bound[0] + 1 if bound else 1)
         return value
 
-    return dim, at_least, settled
+    def tree(depth: int) -> LittlestoneTree:
+        nodes = [0] * ((1 << depth) - 1)
+
+        def fill(ids: int, v: int) -> None:
+            remaining = depth + 1 - v.bit_length()
+            if remaining == 0:
+                return
+            points = settled.get(ids)
+            if points is None:
+                points = _shattered_prefix(fc, ids, remaining)
+            if points is not None:
+                # The nodes j levels below v are v << j onwards, 2**j of them.
+                for j, col in enumerate(points[:remaining]):
+                    nodes[(v << j) - 1 : ((v + 1) << j) - 1] = [fc.domain[col]] * (1 << j)
+                return
+            col = split(ids, remaining)
+            ones = masks[col] & ids
+            nodes[v - 1] = fc.domain[col]
+            fill(ids ^ ones, 2 * v)
+            fill(ones, 2 * v + 1)
+
+        fill(fc.all_ids, 1)
+        return LittlestoneTree(tuple(nodes))
+
+    return dim, at_least, tree
 
 
 def littlestone_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionReport:
-    """Exact Littlestone dimension with an optimal mistake tree certificate.
-
-    The value is `littlestone_memo`'s threshold climb on the whole class,
-    memoized on concept-id bitmasks; the same memo then picks, at each node
-    with r levels left, the first splitting point whose two sides both
-    answer yes to "at least r - 1?", skipping splits whose smaller side has
-    too few concepts to carry the remaining depth.  That is the witness
-    point of the threshold query itself, and equivalent to the maximal
-    realizable tree depth (cross-checked against direct tree search in the
-    test suite).  The budget counts the distinct states that the climb and
-    the fill first visit.
-
-    A node with r levels left whose set shatters Q, its r lowest splitting
-    points, gets the uniform subtree on Q (Q[j] at every node j levels
-    below it) without visiting its children.  That is the tree the scan
-    builds anyway: the points before Q[0] do not split the set, and Q[0]
-    is the first one that does, with both sides shattering Q[1:] and so
-    keeping r - 1 levels.  Q[0] and every point before Q[1] are constant on
-    both sides, so by induction each side picks Q[1], then Q[2], and so on.
-    A set the value pass settled shatters its cap >= r lowest splitting
-    points, so Q is their first r and the node repeats no check.
-    """
+    """Exact Littlestone dimension with an optimal mistake tree certificate,
+    both from one `littlestone_memo`, whose memo words the budget bounds.
+    The value is the maximal realizable tree depth (cross-checked against
+    direct tree search in the test suite)."""
     _require_nonempty(fc)
-    dim, at_least, settled = littlestone_memo(
-        fc, DEFAULT_SEARCH_BUDGET if budget is None else budget
-    )
+    dim, _, tree = littlestone_memo(fc, DEFAULT_SEARCH_BUDGET if budget is None else budget)
     value = dim(fc.all_ids)
-
-    nodes = [0] * ((1 << value) - 1)
-
-    def fill(ids: int, v: int) -> None:
-        remaining = value + 1 - v.bit_length()
-        if remaining == 0:
-            return
-        points = settled.get(ids)
-        if points is None:
-            points = _shattered_prefix(fc, ids, remaining)
-        if points is not None:
-            # The nodes j levels below v are v << j onwards, 2**j of them.
-            for j, col in enumerate(points[:remaining]):
-                nodes[(v << j) - 1 : ((v + 1) << j) - 1] = [fc.domain[col]] * (1 << j)
-            return
-        n = ids.bit_count()
-        for x, ones in zip(fc.domain, fc.masks):
-            ones &= ids
-            k = ones.bit_count()
-            # Both subtrees need depth remaining - 1, so 2**(remaining - 1) concepts.
-            if min(k, n - k).bit_length() < remaining:
-                continue
-            zeros = ids ^ ones
-            if at_least(zeros, remaining - 1) and at_least(ones, remaining - 1):
-                nodes[v - 1] = x
-                fill(zeros, 2 * v)
-                fill(ones, 2 * v + 1)
-                return
-        raise AssertionError("no splitting point found while building an optimal tree")
-
-    fill(fc.all_ids, 1)
-    tree = LittlestoneTree(tuple(nodes))
-    return DimensionReport(measure="littlestone", value=value, certificate=tree)
+    return DimensionReport(measure="littlestone", value=value, certificate=tree(value))
 
 
 def teaching_set(

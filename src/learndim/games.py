@@ -42,7 +42,8 @@ class SOALearner:
 
     Makes at most Ldim mistakes against any realizable adversary.  The
     version space is a bitmask of concept ids, and one Littlestone memo
-    serves every round of the game, charged against DEFAULT_SEARCH_BUDGET.
+    serves every round of the game, its words charged against
+    DEFAULT_SEARCH_BUDGET.
     Each prediction takes one exact value and one threshold query: the
     ones side wins when its dimension is at least the zeros side's plus
     one.  SOA may ask about states that the value climb over the full class
@@ -203,6 +204,7 @@ def play_online_game(
     witnesses: list[tuple[int, ...]] = []
     consistent = fc.all_ids
     mistakes = 0
+    witness_id = -1
     for t in range(1, max_rounds + 1):
         x = adversary.question()
         guess = learner.predict(x)
@@ -212,7 +214,12 @@ def play_online_game(
         consistent &= fc.labelled(x, truth)
         if not consistent:
             raise ProtocolViolationError("revealed history is unrealizable", t)
-        witnesses.append(fc.concepts[_lowest_id(consistent)])
+        # The lowest consistent id only grows with the history, so each
+        # witness row is built once and shared by its rounds.
+        if _lowest_id(consistent) != witness_id:
+            witness_id = _lowest_id(consistent)
+            witness = fc.row(witness_id)
+        witnesses.append(witness)
         rounds.append((x, guess, truth))
         if guess != truth:
             mistakes += 1

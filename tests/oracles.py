@@ -230,10 +230,9 @@ def naive_threshold_littlestone_states(fc: FiniteClass) -> int:
     to t - 1.  The value climb asks the whole class t = 1, 2, ... until a
     no.  The fill then walks the optimal tree as in `naive_littlestone_tree`:
     a node whose set shows every pattern on its `remaining` first splitting
-    columns asks nothing more; any other asks, at each split whose sides
-    both have 2**(remaining - 1) concepts, the zeros and, on a yes, the ones
-    at remaining - 1, and descends at the first where both say yes.  Every
-    answer comes from the unpruned recursion.
+    columns asks nothing more; any other scans as a query at `remaining`
+    does (the smaller side first), and descends at the first split where
+    both say yes.  Every answer comes from the unpruned recursion.
     """
     value = _littlestone_values(fc)
     bounds: dict[frozenset, list[int]] = {}
@@ -266,7 +265,8 @@ def naive_threshold_littlestone_states(fc: FiniteClass) -> int:
             zeros, ones = _split(fc, ids, col)
             if min(len(zeros), len(ones)) < 2 ** (remaining - 1):
                 continue
-            if ask(zeros, remaining - 1) and ask(ones, remaining - 1):
+            small, large = sorted((ones, zeros), key=len)
+            if ask(small, remaining - 1) and ask(large, remaining - 1):
                 fill(zeros, remaining - 1)
                 fill(ones, remaining - 1)
                 return
@@ -277,6 +277,13 @@ def naive_threshold_littlestone_states(fc: FiniteClass) -> int:
         t += 1
     fill(full, t - 1)
     return len(bounds)
+
+
+def naive_threshold_littlestone_words(fc: FiniteClass) -> int:
+    """What the threshold queries charge: each state that
+    `naive_threshold_littlestone_states` counts costs one id-mask key,
+    ceil(|C| / 64) 64-bit words."""
+    return naive_threshold_littlestone_states(fc) * -(-len(fc.concepts) // 64)
 
 
 def naive_soa_predict(fc: FiniteClass, x: int) -> int:

@@ -80,6 +80,7 @@ from oracles import (
     naive_teaching_dim,
     naive_teaching_search,
     naive_threshold_littlestone_states,
+    naive_threshold_littlestone_words,
     naive_vc_dim,
     naive_vc_search,
     naive_verify_against,
@@ -358,18 +359,18 @@ def loose_cap_classes(draw) -> FiniteClass:
 @given(loose_cap_classes(), st.data())
 def test_threshold_queries_match_the_oracles_where_the_cap_is_loose(fc, data):
     # Values, tree nodes, sub-state values and SOA's predictions are the
-    # unpruned recursion's, and the threshold queries charge no more states
-    # than the exact-value recursion they replaced, so no run that answered
-    # within a budget stops answering.
+    # unpruned recursion's, the threshold queries visit no more states than
+    # the exact-value recursion they replaced, and each state charges its
+    # key's width in words.
     report = littlestone_dim(fc)
     assert report.value == naive_littlestone_dim(fc)
     labels = naive_littlestone_tree(fc)
     assert report.certificate.nodes == tuple(labels[p] for p in sorted(labels, key=lambda p: (len(p), p)))
-    states = naive_threshold_littlestone_states(fc)
-    assert states <= naive_pruned_littlestone_states(fc)
-    assert littlestone_dim(fc, budget=states) == report
+    assert naive_threshold_littlestone_states(fc) <= naive_pruned_littlestone_states(fc)
+    words = naive_threshold_littlestone_words(fc)
+    assert littlestone_dim(fc, budget=words) == report
     with pytest.raises(BudgetExceededError):
-        littlestone_dim(fc, budget=states - 1)
+        littlestone_dim(fc, budget=words - 1)
     dim, at_least, _ = littlestone_memo(fc, DEFAULT_SEARCH_BUDGET)
     for ids in data.draw(st.lists(st.integers(min_value=1, max_value=fc.all_ids), max_size=4)):
         rows = [row for i, row in enumerate(fc.concepts) if ids >> i & 1]
@@ -397,20 +398,20 @@ def _hamming_ball(points: int, radius: int) -> FiniteClass:
 def test_littlestone_on_a_hamming_ball_asks_few_states():
     # The radius-3 ball on 16 points: 697 concepts, Ldim 3 against a halving
     # cap of 9.  The exact-value recursion passed 2M states after 25 s and
-    # 292 MB; the threshold queries visit 141.
+    # 292 MB; the threshold queries visit 141 states of 11 words each.
     fc = _hamming_ball(16, 3)
-    report = littlestone_dim(fc, budget=141)
+    report = littlestone_dim(fc, budget=141 * 11)
     assert report.value == 3
     assert report.certificate.verify_against(fc)
-    with pytest.raises(BudgetExceededError, match="exceeded 140 recursion states"):
-        littlestone_dim(fc, budget=140)
+    with pytest.raises(BudgetExceededError, match="exceeded 1550 memo words"):
+        littlestone_dim(fc, budget=141 * 11 - 1)
 
 
 def test_littlestone_memory_on_a_large_hamming_ball():
     # The radius-4 ball on 24 points: 12,951 concepts, Ldim 4 against a
     # halving cap of 13.  The exact-value recursion hit a 3 GB memory limit
-    # after 112 s; the threshold queries visit 2,336 states in about
-    # 0.25 s, about 4 MB traced (2-core x86 VM, Python 3.11.7).
+    # after 112 s; the threshold queries visit 2,336 states of 203 words
+    # in about 0.25 s, about 4 MB traced (2-core x86 VM, Python 3.11.7).
     fc = _hamming_ball(24, 4)
     fc.masks  # cached: built outside the traced peak
     tracemalloc.start()
@@ -422,10 +423,58 @@ def test_littlestone_memory_on_a_large_hamming_ball():
     assert report.value == 4
     assert report.certificate.verify_against(fc)
     assert peak < 8 * 2**20
-    assert littlestone_dim(fc, budget=2336) == report
+    assert littlestone_dim(fc, budget=2336 * 203) == report
     with pytest.raises(BudgetExceededError):
-        littlestone_dim(fc, budget=2335)
+        littlestone_dim(fc, budget=2336 * 203 - 1)
 
+
+
+def test_tree_fill_asks_the_smaller_side_first():
+    # The fill scans a node as a threshold query does, smaller side first:
+    # 9 states here, where asking the zeros side first visited 10.
+    rows = [
+        (1, 0, 1, 1), (1, 0, 1, 0), (0, 1, 0, 0), (0, 1, 0, 1),
+        (1, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 0), (1, 0, 0, 0),
+    ]
+    fc = FiniteClass.from_rows(range(4), rows)
+    assert naive_threshold_littlestone_states(fc) == 9
+    report = littlestone_dim(fc, budget=9)
+    assert report.value == naive_littlestone_dim(fc) == 3
+    assert report.certificate.labels == naive_littlestone_tree(fc)
+    with pytest.raises(BudgetExceededError):
+        littlestone_dim(fc, budget=8)
+
+
+def _random_codes_class(points: int, draws: int) -> FiniteClass:
+    rng = random.Random(1)
+    codes = tuple(sorted({rng.getrandbits(points) for _ in range(draws)}))
+    return FiniteClass(domain=tuple(range(points)), codes=codes, witnesses=tuple(range(len(codes))))
+
+
+def test_littlestone_memo_is_charged_in_words():
+    # 2,000 random 40-point codes: 890 states of 32 words each.
+    fc = _random_codes_class(40, 2000)
+    assert len(fc.codes) == 2000
+    assert littlestone_dim(fc, budget=890 * 32).value == 10
+    with pytest.raises(BudgetExceededError, match="exceeded 28479 memo words"):
+        littlestone_dim(fc, budget=890 * 32 - 1)
+
+
+def test_littlestone_memo_words_are_bounded_before_they_grow():
+    # 20,000 random 40-point codes: each state's key is 313 words, so the
+    # default budget stops the climb after 6,389 states, about 16 MB traced
+    # here.  Charged by states, it answered 14 after 18,309 states and
+    # about 45 MB traced (2-core x86 VM, Python 3.11.7).
+    fc = _random_codes_class(40, 20000)
+    fc.masks  # cached: built outside the traced peak
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=f"exceeded {DEFAULT_SEARCH_BUDGET} memo words"):
+            littlestone_dim(fc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 @settings(max_examples=100, deadline=None)
 @given(finite_classes(), st.data())
@@ -497,7 +546,7 @@ def test_row_code_checks_past_the_cell_batch_match_the_oracles(fc, data):
             outcomes[limit] = str(exc)
     ldim = naive_littlestone_dim(fc)
     labels = naive_littlestone_tree(fc)
-    states = naive_threshold_littlestone_states(fc)
+    words = naive_threshold_littlestone_words(fc)
     values = {}
     for ids in data.draw(st.lists(st.integers(min_value=1, max_value=fc.all_ids), max_size=4)):
         rows = [row for i, row in enumerate(fc.concepts) if ids >> i & 1]
@@ -515,11 +564,11 @@ def test_row_code_checks_past_the_cell_batch_match_the_oracles(fc, data):
                 except BudgetExceededError as exc:
                     got = str(exc)
                 assert got == want
-            report = littlestone_dim(fc, budget=states)
+            report = littlestone_dim(fc, budget=words)
             assert report.value == ldim
             assert report.certificate.labels == labels
             with pytest.raises(BudgetExceededError):
-                littlestone_dim(fc, budget=states - 1)
+                littlestone_dim(fc, budget=words - 1)
             dim, _, _ = littlestone_memo(fc, DEFAULT_SEARCH_BUDGET)
             assert {ids: dim(ids) for ids in values} == values
             learner = SOALearner(fc)
@@ -622,33 +671,37 @@ def test_vc_dim_memory_is_linear_on_a_full_cube_window():
 def test_littlestone_states_on_a_full_cube_window_stay_linear():
     # The looper's (9, 1024) window is the full 10-cube.  It shatters its 10
     # splitting points, so the VC sandwich settles the root and the tree
-    # fill emits the uniform tree: 1 state.  The halving bound alone left
-    # 2**11 - 1 states (the subcubes fixing a prefix of the points), and
-    # expanding every split visited all 3**10 = 59049 restrictions.
+    # fill emits the uniform tree: 1 state of 16 words.  The halving bound
+    # alone left 2**11 - 1 states (the subcubes fixing a prefix of the
+    # points), and expanding every split visited all 3**10 = 59049
+    # restrictions.
     looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
     fc = materialize(halting_class(looper), 9, 1024)
-    report = littlestone_dim(fc, budget=1)
+    report = littlestone_dim(fc, budget=16)
     assert report.value == 10
     assert report.certificate == LittlestoneTree.uniform(fc.domain)
     with pytest.raises(BudgetExceededError):
-        littlestone_dim(fc, budget=0)
+        littlestone_dim(fc, budget=15)
 
 
 def test_littlestone_cut_cells_on_a_large_cube_window_stay_small():
-    # The (13, 16384) window settles at its root.  Cutting its id set level
-    # by level would hold 2**14 cells of 2 KB at the last level; a check
-    # past CELL_BATCH cells counts the row codes instead, about 1 MB here.
+    # The (13, 16384) window settles at its root, one state of 256 words.
+    # Cutting its id set level by level would hold 2**14 cells of 2 KB at
+    # the last level; a check past CELL_BATCH cells counts the row codes
+    # instead, about 1 MB here.
     looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
     fc = materialize(halting_class(looper), 13, 2**14)
     fc.masks  # cached: built outside the traced peak
     tracemalloc.start()
     try:
-        report = littlestone_dim(fc, budget=1)
+        report = littlestone_dim(fc, budget=256)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert report.value == 14
     assert peak < 16 * 2**20
+    with pytest.raises(BudgetExceededError):
+        littlestone_dim(fc, budget=255)
 
 
 def test_littlestone_memory_on_a_full_cube_window():
@@ -670,22 +723,24 @@ def test_littlestone_memory_on_a_full_cube_window():
 
 
 def test_littlestone_tree_memory_on_a_large_cube_window():
-    # The (16, 2**17) window settles at its root, and its tree is one tuple
-    # of 2**17 - 1 node points: the traced peak is near 9 MB, mostly the
-    # root's row-code count.  A dict from 2**17 tuple prefixes peaked
+    # The (16, 2**17) window settles at its root, one state of 2,048 words,
+    # and its tree is one tuple of 2**17 - 1 node points: the traced peak is
+    # near 9 MB, mostly the root's row-code count.  A dict from 2**17 tuple prefixes peaked
     # near 31 MB.
     looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
     fc = materialize(halting_class(looper), 16, 2**17)
     fc.masks  # cached: built outside the traced peak
     tracemalloc.start()
     try:
-        tree = littlestone_dim(fc, budget=1).certificate
+        tree = littlestone_dim(fc, budget=2048).certificate
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(tree.nodes) == 2**17 - 1
     assert tree == LittlestoneTree.uniform(fc.domain)
     assert peak < 16 * 2**20
+    with pytest.raises(BudgetExceededError):
+        littlestone_dim(fc, budget=2047)
 
 
 def test_masked_materialize_memory_on_a_large_cube_window():
@@ -739,7 +794,7 @@ def test_wide_root_is_settled_by_one_row_code_count(monkeypatch):
     # The looper's (15, 2**16) window is the full 16-cube: its root's 16
     # splitting points would cut 2**16 cells, past CELL_BATCH, so the VC
     # sandwich counts the row codes once and the tree fill reuses the
-    # settled root.
+    # settled root: one state of 1,024 words.
     calls = 0
     shatters = dimensions._shatters
 
@@ -751,10 +806,12 @@ def test_wide_root_is_settled_by_one_row_code_count(monkeypatch):
     monkeypatch.setattr(dimensions, "_shatters", counting)
     looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
     fc = materialize(halting_class(looper), 15, 2**16)
-    report = littlestone_dim(fc, budget=1)
+    report = littlestone_dim(fc, budget=1024)
     assert report.value == 16
     assert report.certificate == LittlestoneTree.uniform(fc.domain)
     assert calls == 1
+    with pytest.raises(BudgetExceededError):
+        littlestone_dim(fc, budget=1023)
 
 
 def test_masks_build_in_linear_time():

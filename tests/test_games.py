@@ -108,6 +108,15 @@ def test_transcript_witnesses_are_realizable(halters):
             assert witness[fc.column(x)] == truth
 
 
+def test_game_witnesses_build_no_class_rows(loopers):
+    # Each witness row is built alone, once, and shared by the rounds it
+    # covers; the 2**17 rows are never listed.
+    fc = materialize(halting_class(loopers[0]), 16, 2**17)
+    transcript = play_online_game(fc, ConstantLearner(0), RandomConsistentAdversary(fc, 0), 10)
+    assert len(transcript.witnesses) == 10
+    assert len(set(map(id, transcript.witnesses))) == len(set(transcript.witnesses))
+    assert "concepts" not in fc.__dict__
+
 def test_cheating_adversary_detected():
     class Liar:
         def __init__(self, fc):

@@ -70,6 +70,12 @@ GOLDEN: dict[str, tuple[tuple[int, str], ...]] = {
         (0, "3e40fdcba62cc5c458319974bc4fb0a3a019dde3b99a4c7b2135796558775c50"),
         (0, "d339a696ffa5bca81f6b75effdd863f35106a731f1ab7ec228e1c6fd61ff0ac1"),
     ),
+    # A step window's tree is not a uniform cube tree: its nodes come from the split scan.
+    "dim --class step --measure littlestone --window 6 8": (
+        (0, "0f97d885f45a970584add94e4750b111327fa228ad91ed1897afe2f3fd870eeb"),
+        (0, "bbd9519023f92603470b5f582fa148f348ddd54bcfb46b526ad2cc187bd4622d"),
+        (0, "1b57176cc5d6ea41877544d590fd8a573d3757390f1c61ff88a183214cffdce3"),
+    ),
     "dim --class step --measure teaching --window 3 6": (
         (0, "d6932f55798471dabe978f5096e94732974de4fd398c889583d5dd20effdfdcb"),
         (0, "2b314352b503c9ad1c758a18cfa5321cf16b61f2f28d6090862e7107263eed0f"),
@@ -162,6 +168,11 @@ GOLDEN: dict[str, tuple[tuple[int, str], ...]] = {
         (0, "9d81c2ee03fb2fa1ddc7c1f568c5d5dcc5da1a728cc0cd457d339d0517103687"),
         (0, "a57985d99ec65833f7202a03287d105c07ce316a2d59c185fa3e69a6e9199874"),
         (0, "27de40be0e9279614c73b5d1088ec4d0cc25c6dfd32faeda259273d4f684e89f"),
+    ),
+    "game --class step --window 6 8 --learner soa --adversary tree": (
+        (0, "9d81c2ee03fb2fa1ddc7c1f568c5d5dcc5da1a728cc0cd457d339d0517103687"),
+        (0, "97151b1492b877694876c03882d06c76b74dd971b0755aee2e8d213ed0cb3e11"),
+        (0, "a95212aa57aeae6e24ca44193abc00456d3c5319a2fae3718f8983b8fdea96fe"),
     ),
     "game --class step --window 4 --learner const0 --adversary random --max-rounds 40": (
         (0, "23f8506b0c278c680f850a1f70a7fb7a551feba41bd486f1b428f7f65e80db59"),
