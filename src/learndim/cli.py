@@ -142,6 +142,10 @@ def cmd_dim(args) -> int:
         n, m = _window(args)
         fc = classes.materialize(ic, n, m)
         report = dimensions.MEASURES[args.measure](fc)
+        if args.measure == "vc" and not dimensions.is_shattered(fc, report.certificate):
+            raise WitnessUnresolvedError(
+                f"vc certificate {list(report.certificate)} is not shattered on window ({n}, {m})"
+            )
         if args.export_class:
             _export_class(fc, Path(args.export_class))
         _emit(
@@ -177,7 +181,7 @@ def _export_class(fc: classes.FiniteClass, path: Path) -> None:
 
 
 def cmd_teach(args) -> int:
-    if args.escape:
+    if args.escape is not None:
         if (args.class_spec, args.window, args.index) != (None, None, None):
             raise ValueError("--escape takes no --class, --window or --index")
         points = [int(tok) for tok in args.escape.replace(",", " ").split()]

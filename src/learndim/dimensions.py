@@ -471,19 +471,19 @@ def teaching_set(
     """Minimum teaching set for `concept`, as a minimum cover of the other
     concepts by the points that rule them out (disagree with `concept`).
 
-    A point is forced when some other concept is ruled out by it alone (a
-    Hamming neighbour of `concept`); every teaching set contains every
-    forced point (Goldman & Kearns 1995).  The candidate points, those
-    ruling out some concept, are the columns on which the class varies.
-    When the neighbour across every candidate point is in the class, every
-    candidate is forced and they are the answer, read off the set of row
-    codes alone.  Otherwise the search starts from the forced set F and
-    tries the remaining points by subset size, against the concepts F
-    leaves uncovered, so F alone answers when it covers them.  Ties resolve
-    to the lexicographically smallest set of points: two sets of equal size
-    compare by the least point of their symmetric difference, which never
-    lies in F, so the first hit is also the first hit of the plain
-    size-ordered search over all subsets of the candidate points.
+    The candidate points, those ruling out some concept, are the columns on
+    which the class varies.  One rule decides which of them every teaching
+    set contains (Goldman & Kearns 1995): a candidate is forced exactly when
+    the neighbour across it, the concept differing from `concept` there
+    alone, is in the class, a lookup in the set of row codes.  When every
+    candidate is forced they are the answer, and no masks are built.
+    Otherwise the search starts from the forced set F and tries the other
+    candidates by subset size, against the concepts F leaves uncovered, so F
+    alone answers when it covers them.  Ties resolve to the
+    lexicographically smallest set of points: two sets of equal size compare
+    by the least point of their symmetric difference, which never lies in F,
+    so the first hit is also the first hit of the plain size-ordered search
+    over all subsets of the candidate points.
 
     The budget charges what that plain search would check: for c candidate
     points and an answer of size k, the sum of C(c, s) for s < k plus the
@@ -498,82 +498,64 @@ def teaching_set(
 
 
 def _teacher(fc: FiniteClass, limit: int) -> Callable[[int], TeachingSet]:
-    """`teaching_set` by concept id, with what the Hamming-neighbour check
-    needs computed once per class: the set of codes, and per candidate
+    """`teaching_set` by concept id, with what the forced-point rule and the
+    search need computed once per class: the set of codes, per candidate
     point (in point order) its column's bit and its two labelled examples,
-    shared by every answer that lists the point."""
+    shared by every answer that lists the point, and the plain search's
+    checks before each size."""
     codes = set(fc.codes)
     varying = reduce(or_, fc.codes) & ~reduce(and_, fc.codes)
     columns = sorted((x, j) for j, x in enumerate(fc.domain) if varying >> j & 1)
+    c = len(columns)
     flips = [1 << j for _, j in columns]
     pairs = [(j, ((x, 0), (x, 1))) for x, j in columns]
-    charge = 1 << len(columns)
+    # The plain search checks below[s] subsets before size s.
+    below = list(accumulate((comb(c, s) for s in range(c)), initial=0))
 
     def teach(i: int) -> TeachingSet:
         target = fc.row(i)
         if len(fc.codes) == 1:
             return TeachingSet(target=target, examples=())
         code = fc.codes[i]
-        if not codes.issuperset([code ^ flip for flip in flips]):
-            return _search_teaching_set(fc, i, target, limit)
-        # Each candidate rules out the neighbour across it alone, so all are
-        # forced and they are the answer: the plain search's last subset.
-        if charge > limit:
-            raise _budget_error("teaching_set", limit, len(columns), range(len(columns) + 1))
-        examples = tuple([pair[code >> j & 1] for j, pair in pairs])
-        return TeachingSet(target=target, examples=examples)
+        neighbours = [code ^ flip for flip in flips]
+        if codes.issuperset(neighbours):
+            # Every candidate is forced and they are the answer: the plain
+            # search's last subset.
+            if 1 << c > limit:
+                raise _budget_error("teaching_set", limit, c, range(c + 1))
+            examples = tuple([pair[code >> j & 1] for j, pair in pairs])
+            return TeachingSet(target=target, examples=examples)
+        full, masks = fc.all_ids, fc.masks
+        rules_out = [masks[j] ^ full if code >> j & 1 else masks[j] for j, _ in pairs]
+        forced = [k for k, neighbour in enumerate(neighbours) if neighbour in codes]
+        uncovered = full ^ 1 << i
+        for k in forced:
+            uncovered &= ~rules_out[k]
+        # Points ruling out nothing F leaves are in no minimum set.
+        rest = [k for k in range(c) if rules_out[k] & uncovered]
+        # Each subset tried here maps, in order, onto a distinct one the plain
+        # search checks at the same size, so once these counts pass the
+        # budget, it has run out too.
+        for r in range(len(rest) + 1):
+            size = len(forced) + r
+            for checked, extra in enumerate(combinations(rest, r), 1):
+                if below[size] + checked > limit:
+                    raise _budget_error("teaching_set", limit, c, range(c + 1))
+                covered = 0
+                for k in extra:
+                    covered |= rules_out[k]
+                if covered & uncovered == uncovered:
+                    points = sorted(forced + list(extra))
+                    # Its lexicographic rank is C(c, size) - 1 less the subsets after it.
+                    after = (comb(c - 1 - k, size - n) for n, k in enumerate(points))
+                    if below[size] + comb(c, size) - sum(after) > limit:
+                        raise _budget_error("teaching_set", limit, c, range(c + 1))
+                    chosen = [pairs[k] for k in points]
+                    examples = tuple([pair[code >> j & 1] for j, pair in chosen])
+                    return TeachingSet(target=target, examples=examples)
+        raise AssertionError("the candidate points rule out every other concept")
 
     return teach
-
-
-def _checks_below(c: int) -> list[int]:
-    """Per size s, the subsets the plain search over c points checks before
-    size s."""
-    return list(accumulate((comb(c, s) for s in range(c)), initial=0))
-
-
-def _search_teaching_set(
-    fc: FiniteClass, i: int, target: tuple[int, ...], limit: int
-) -> TeachingSet:
-    """The forced-set search of `teaching_set` for concept id `i` of `fc`."""
-    label = {x: fc.codes[i] >> j & 1 for j, x in enumerate(fc.domain)}
-    full = fc.all_ids
-    rules_out = {x: ones ^ full if label[x] else ones for x, ones in zip(fc.domain, fc.masks)}
-    candidates = sorted(x for x, ids in rules_out.items() if ids)
-    c = len(candidates)
-    once = twice = 0
-    for ids in rules_out.values():
-        twice |= once & ids
-        once |= ids
-    alone = once & ~twice
-    forced = [x for x in candidates if rules_out[x] & alone]
-    taught = 0
-    for x in forced:
-        taught |= rules_out[x]
-    uncovered = once ^ taught
-    # Points ruling out nothing F leaves are in no minimum set.
-    rest = [x for x in candidates if rules_out[x] & uncovered]
-
-    # The plain search checks below[s] subsets before size s.  Each subset
-    # tried here maps, in order, onto a distinct one it checks at the same
-    # size, so once these counts pass the budget, it has run out too.
-    below = _checks_below(c)
-    for r in range(len(rest) + 1):
-        size = len(forced) + r
-        for checked, extra in enumerate(combinations(rest, r), 1):
-            if below[size] + checked > limit:
-                raise _budget_error("teaching_set", limit, c, range(c + 1))
-            covered = 0
-            for x in extra:
-                covered |= rules_out[x]
-            if covered & uncovered == uncovered:
-                points = sorted(forced + list(extra))
-                # Its lexicographic rank is C(c, size) - 1 less the subsets after it.
-                after = (comb(c - 1 - candidates.index(x), size - j) for j, x in enumerate(points))
-                if below[size] + comb(c, size) - sum(after) > limit:
-                    raise _budget_error("teaching_set", limit, c, range(c + 1))
-                return TeachingSet(target=target, examples=tuple((x, label[x]) for x in points))
-    raise AssertionError("the candidate points rule out every other concept")
 
 
 def teaching_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionReport:

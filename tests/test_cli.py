@@ -72,6 +72,18 @@ def test_dim_step_window(capsys):
     assert "vc on window (8, 512): 1" in out
 
 
+def test_dim_vc_certificate_checked_before_output(capsys, monkeypatch):
+    # Thresholds shatter no two points: a report claiming so exits 3 unprinted.
+    def unshattered(fc):
+        return dimensions.DimensionReport(measure="vc", value=2, certificate=(1, 2))
+
+    monkeypatch.setitem(dimensions.MEASURES, "vc", unshattered)
+    code, out, err = run_cli(capsys, "dim", "--class", "step", "--measure", "vc", "--window", "8")
+    assert code == 3
+    assert out == ""
+    assert err == "unresolved: vc certificate [1, 2] is not shattered on window (8, 512)\n"
+
+
 def test_dim_budget_exceeded_exit_3(capsys, monkeypatch):
     monkeypatch.setenv("LEARNDIM_EVAL_BUDGET", "64")
     code, out, _ = run_cli(capsys, "dim", "--class", f"halting:{HALT3}", "--measure", "vc")

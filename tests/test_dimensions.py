@@ -115,9 +115,11 @@ def test_littlestone_step_three_concepts():
 
 
 def test_teaching_set_singleton_empty():
-    ts = teaching_set(SINGLETON, (0, 1, 0))
+    # One concept checks nothing, so even a zero budget answers.
+    ts = teaching_set(SINGLETON, (0, 1, 0), budget=0)
     assert ts.examples == ()
     assert ts.verify(SINGLETON)
+    assert teaching_dim(SINGLETON, budget=0).value == 0
 
 
 def test_teaching_set_concept_must_belong():

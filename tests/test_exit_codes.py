@@ -118,6 +118,8 @@ MATRIX = [
     # --escape samples.
     (["teach", "--escape", "a,b"], None, 1),
     (["teach", "--escape", " , "], None, 1),
+    (["teach", "--escape", ""], None, 1),
+    (["teach", "--escape", ","], None, 1),
     (["teach", "--escape=-3"], None, 1),
     (["teach", "--escape", "2,7,4"], None, 0),
 ]
@@ -142,6 +144,10 @@ def test_budget_and_usage_messages():
     assert "needs at least 2**14616 evaluator calls" in proc.stderr
     proc = run_cli("dim", "--class", "step", "--window", "x")
     assert proc.stderr == "error: argument --window: invalid int value: 'x'\n"
+    # An empty --escape sample is still an escape request.
+    for sample in ("", ","):
+        proc = run_cli("teach", "--escape", sample)
+        assert proc.stderr == "error: escape witness requires a nonempty sample\n"
 
 
 def test_littlestone_window_past_the_unpruned_state_budget():

@@ -81,6 +81,12 @@ GOLDEN: dict[str, tuple[tuple[int, str], ...]] = {
         (0, "2b314352b503c9ad1c758a18cfa5321cf16b61f2f28d6090862e7107263eed0f"),
         (0, "7b1690cbf9d8c2bbedd0535a746f123a04b85d68635111b5747d7b64ff6acd11"),
     ),
+    # 8 concepts have every neighbour in the window and 32 take the cover search.
+    "dim --class halting:{M}/loop.tm --measure teaching --window 5 40": (
+        (0, "6ce5d2e51d2f672961e392eda6ebbca0f691e475c214679904d0e3c5ad24110e"),
+        (0, "64cc8463b51b1f6e0d7b2d96b5b77b8eada81cd062e81042061a61b8dc57edbc"),
+        (0, "222d120997d7f765ba799259dc4b5be885ba381ea80643d3e01c67ac31bad913"),
+    ),
     "dim --class halting:{M}/halt2.tm --window 2 8 --export-class {T}/window.csv": (
         (0, "7f11c443d3769dbfd856947786126ae6f10f2b2bf32f5c8ff20225b3044c97f6"),
         (0, "0a6019e78d352ad203abd7c3f4d9abc01e7db0f96ae5356e6fafc85a5fc2a333"),
