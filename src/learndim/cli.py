@@ -23,8 +23,8 @@ import json
 import sys
 from itertools import chain, islice
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import classes, dimensions, games, reduction, turing
 from .errors import (
     BudgetExceededError,
     ClassCodeError,
@@ -33,17 +33,28 @@ from .errors import (
     WitnessUnresolvedError,
 )
 
+# Each command imports the layers it runs, so that a child process loads
+# only those; the class types are imported here for annotations alone.
+if TYPE_CHECKING:
+    from .classes import FiniteClass, IndexedClass
+
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_UNRESOLVED = 2
 EXIT_BUDGET = 3
 EXIT_PROTOCOL = 4
 
+# The keys of dimensions.MEASURES, spelled out so that building the parser
+# imports no engine; a test keeps the two equal.
+MEASURES = ("vc", "littlestone", "teaching")
 
-def parse_class_arg(text: str) -> classes.IndexedClass:
+
+def parse_class_arg(text: str) -> IndexedClass:
     """Class spec strings: 'step', 'goedel:consistent', 'goedel:inconsistent',
     'goedel:inconsistent_at:K', 'goedel_prefix:...', 'halting:PATH', or a
     path to a JSON config file."""
+    from . import classes
+
     if text.endswith(".json"):
         return classes.load_class_spec(text)
     head, _, rest = text.partition(":")
@@ -58,7 +69,7 @@ def parse_class_arg(text: str) -> classes.IndexedClass:
     return classes.class_from_spec(spec)
 
 
-def _concept(fc: classes.FiniteClass, index: int, flag: str) -> tuple[int, ...]:
+def _concept(fc: FiniteClass, index: int, flag: str) -> tuple[int, ...]:
     """Concept row `index` of the window; the CLI takes no negative indexes."""
     if not 0 <= index < len(fc.codes):
         raise ValueError(f"{flag} {index} is outside the window's {len(fc.codes)} concepts")
@@ -68,7 +79,9 @@ def _concept(fc: classes.FiniteClass, index: int, flag: str) -> tuple[int, ...]:
 def _fields(obj) -> dict:
     """JSON shape of a result dataclass: its fields by name, except that a
     LittlestoneTree gives its depth and its nodes keyed by edge-bit path."""
-    if isinstance(obj, dimensions.LittlestoneTree):
+    # Only a loaded dimensions layer can have built a LittlestoneTree.
+    dimensions = sys.modules.get(f"{__package__}.dimensions")
+    if dimensions is not None and isinstance(obj, dimensions.LittlestoneTree):
         labels = {bin(v)[3:]: x for v, x in enumerate(obj.nodes, 1)}
         return {"depth": obj.depth, "labels": labels}
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
@@ -106,6 +119,8 @@ def _write_chunks(stream, chunks) -> None:
 
 
 def _window(args, default: tuple[int, int] = (5, 64)) -> tuple[int, int]:
+    from . import classes
+
     if args.window is None:
         return default
     if len(args.window) > 2:
@@ -124,6 +139,8 @@ def _window(args, default: tuple[int, int] = (5, 64)) -> tuple[int, int]:
 
 
 def cmd_simulate(args) -> int:
+    from . import turing
+
     result = turing.run_bounded(turing.load_tm(args.machine), args.budget)
     payload = {"result": str(result), "halted": result.halted, "steps": result.steps}
     _emit(args, payload, [str(result)])
@@ -131,6 +148,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_dim(args) -> int:
+    from . import classes, dimensions
+
     ic = parse_class_arg(args.class_spec)
     if args.window is not None and args.schedule:
         raise ValueError("--window and --schedule are mutually exclusive")
@@ -168,7 +187,7 @@ def cmd_dim(args) -> int:
     return EXIT_BUDGET if scan.incomplete else EXIT_OK
 
 
-def _export_class(fc: classes.FiniteClass, path: Path) -> None:
+def _export_class(fc: FiniteClass, path: Path) -> None:
     """Write a window as CSV (a witness column, then one per point) or JSON."""
     if path.suffix == ".csv":
         lines = ["witness," + ",".join(map(str, fc.domain))]
@@ -181,6 +200,8 @@ def _export_class(fc: classes.FiniteClass, path: Path) -> None:
 
 
 def cmd_teach(args) -> int:
+    from . import classes, dimensions
+
     if args.escape is not None:
         if (args.class_spec, args.window, args.index) != (None, None, None):
             raise ValueError("--escape takes no --class, --window or --index")
@@ -204,6 +225,8 @@ def cmd_teach(args) -> int:
 
 
 def cmd_tree(args) -> int:
+    from . import dimensions
+
     ic = parse_class_arg(args.class_spec)
     labeling = args.labeling
     if labeling is None:
@@ -216,21 +239,29 @@ def cmd_tree(args) -> int:
     return EXIT_OK
 
 
+def _games():
+    from . import games
+
+    return games
+
+
 LEARNERS = {
-    "soa": lambda fc, seed: games.SOALearner(fc),
-    "const0": lambda fc, seed: games.ConstantLearner(0),
-    "const1": lambda fc, seed: games.ConstantLearner(1),
-    "random": lambda fc, seed: games.RandomLearner(seed),
+    "soa": lambda fc, seed: _games().SOALearner(fc),
+    "const0": lambda fc, seed: _games().ConstantLearner(0),
+    "const1": lambda fc, seed: _games().ConstantLearner(1),
+    "random": lambda fc, seed: _games().RandomLearner(seed),
 }
 
 ADVERSARIES = {
-    "tree": lambda fc, seed, tree: games.tree_adversary(fc, tree),
-    "random": lambda fc, seed, tree: games.RandomConsistentAdversary(fc, seed),
-    "flip": lambda fc, seed, tree: games.MajorityFlipAdversary(fc),
+    "tree": lambda fc, seed, tree: _games().tree_adversary(fc, tree),
+    "random": lambda fc, seed, tree: _games().RandomConsistentAdversary(fc, seed),
+    "flip": lambda fc, seed, tree: _games().MajorityFlipAdversary(fc),
 }
 
 
 def cmd_game(args) -> int:
+    from . import classes, dimensions, games
+
     if args.max_rounds is not None and args.max_rounds < 0:
         raise ValueError(f"--max-rounds must be nonnegative, got {args.max_rounds}")
     ic = parse_class_arg(args.class_spec)
@@ -248,6 +279,8 @@ def cmd_game(args) -> int:
 
 
 def cmd_pac(args) -> int:
+    from . import classes, games
+
     ic = parse_class_arg(args.class_spec)
     n, m = _window(args)
     fc = classes.materialize(ic, n, m)
@@ -272,6 +305,8 @@ def cmd_pac(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from . import reduction, turing
+
     tm = turing.load_tm(args.machine)
     verdict = reduction.budgeted_vc_decider(reduction.class_code(tm), args.budget)
     if verdict.finite:
@@ -284,6 +319,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from . import reduction, turing
+
     suite = [(Path(p).stem, turing.load_tm(p)) for p in args.machines]
     report = reduction.agreement_check(suite, args.budget)
     lines = [
@@ -336,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("dim", help="dimension of a class window or scan schedule")
     p.add_argument("--class", dest="class_spec", required=True)
-    p.add_argument("--measure", choices=tuple(dimensions.MEASURES), default="vc")
+    p.add_argument("--measure", choices=MEASURES, default="vc")
     p.add_argument("--window", type=int, nargs="+", metavar="N [M]")
     p.add_argument("--schedule", choices=("default",), help="scan the default window schedule")
     p.add_argument("--export-class", help="also write the materialized window (.csv or .json)")

@@ -12,11 +12,13 @@ contradict its impossibility in general.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .classes import IndexedClass, halting_class
 from .errors import ClassCodeError
 from .turing import TuringMachine, decode_tm, encode_tm, run_bounded
+
+if TYPE_CHECKING:
+    from .classes import IndexedClass
 
 HALTS = "halts"
 NO_ANSWER = "no-answer"
@@ -38,6 +40,8 @@ def decode_machine(code: int) -> TuringMachine:
 
 def decode_class_code(code: int) -> IndexedClass:
     """Rebuild the evaluator; pointwise equal to halting_class(machine)."""
+    from .classes import halting_class
+
     return halting_class(decode_machine(code))
 
 

@@ -4,8 +4,11 @@ or a knob shows as a one-line diff here."""
 
 from __future__ import annotations
 
+import importlib
 import inspect
 from types import ModuleType
+
+import pytest
 
 import learndim
 
@@ -174,12 +177,34 @@ def _knobs(value) -> tuple[str, ...]:
 
 
 def test_public_names_are_pinned():
+    # dir(), not vars(): the names load lazily, so vars() lists only those
+    # accessed so far.
     exported = {
         name
-        for name, value in vars(learndim).items()
-        if not name.startswith("_") and not isinstance(value, ModuleType)
+        for name in dir(learndim)
+        if not name.startswith("_") and not isinstance(getattr(learndim, name), ModuleType)
     }
     assert exported == PUBLIC_NAMES
+
+
+def test_exports_are_the_submodules_own_objects():
+    for name, module in learndim._SOURCE.items():
+        source = importlib.import_module(f"learndim.{module}")
+        value = getattr(learndim, name)
+        assert value is getattr(source, name), name
+        # A function or class is exported from the module that defines it.
+        assert getattr(value, "__module__", source.__name__) == source.__name__, name
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from learndim import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        learndim.no_such_name
 
 
 def test_knobs_are_pinned():

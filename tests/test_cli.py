@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from learndim import dimensions, turing
-from learndim.cli import main
+from learndim.cli import MEASURES, main
 
 from conftest import MACHINES_DIR
 
@@ -310,3 +314,49 @@ def test_game_tree_adversary_reuses_the_littlestone_report(capsys, monkeypatch):
     assert code == 0
     assert len(calls) == 1
     assert out == "mistakes: 3, Ldim: 3\n"
+
+
+def test_measure_choices_match_the_engine_table():
+    assert MEASURES == tuple(dimensions.MEASURES)
+
+
+# The learndim modules a fresh process holds after main() runs one command:
+# each command imports only the layers it runs.
+WINDOW_LAYERS = {"cli", "errors", "turing", "formal", "encoding", "classes", "dimensions"}
+LAYERS_LOADED = [
+    (["simulate", HALT3], {"cli", "errors", "turing"}),
+    (["reduce", HALT3], {"cli", "errors", "turing", "reduction"}),
+    (["suite", HALT3, LOOP], {"cli", "errors", "turing", "reduction"}),
+    (["dim", "--class", f"halting:{HALT3}", "--window", "4"], WINDOW_LAYERS),
+    (["teach", "--class", "step", "--index", "3"], WINDOW_LAYERS),
+    (["tree", "--class", f"halting:{LOOP}", "--depth", "3"], WINDOW_LAYERS),
+    (["game", "--class", f"halting:{HALT3}"], WINDOW_LAYERS | {"games"}),
+    (["pac", "--class", f"halting:{HALT3}", "--trials", "5"], WINDOW_LAYERS | {"games"}),
+    (["--help"], {"cli", "errors"}),
+]
+LOADED_PROBE = """
+import contextlib, io, sys
+from learndim.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(code, *sorted(m for m in sys.modules if m.startswith("learndim.")))
+"""
+
+
+@pytest.mark.parametrize("argv,layers", LAYERS_LOADED, ids=[a[0] for a, _ in LAYERS_LOADED])
+def test_command_loads_only_its_layers(argv, layers):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    code, *loaded = proc.stdout.split()
+    assert (code, proc.stderr) == ("0", "")
+    assert set(loaded) == {f"learndim.{name}" for name in layers}
