@@ -239,23 +239,18 @@ def cmd_tree(args) -> int:
     return EXIT_OK
 
 
-def _games():
-    from . import games
-
-    return games
-
-
+# Each entry takes the games module first, which cmd_game has imported.
 LEARNERS = {
-    "soa": lambda fc, seed: _games().SOALearner(fc),
-    "const0": lambda fc, seed: _games().ConstantLearner(0),
-    "const1": lambda fc, seed: _games().ConstantLearner(1),
-    "random": lambda fc, seed: _games().RandomLearner(seed),
+    "soa": lambda games, fc, seed: games.SOALearner(fc),
+    "const0": lambda games, fc, seed: games.ConstantLearner(0),
+    "const1": lambda games, fc, seed: games.ConstantLearner(1),
+    "random": lambda games, fc, seed: games.RandomLearner(seed),
 }
 
 ADVERSARIES = {
-    "tree": lambda fc, seed, tree: _games().tree_adversary(fc, tree),
-    "random": lambda fc, seed, tree: _games().RandomConsistentAdversary(fc, seed),
-    "flip": lambda fc, seed, tree: _games().MajorityFlipAdversary(fc),
+    "tree": lambda games, fc, seed, tree: games.tree_adversary(fc, tree),
+    "random": lambda games, fc, seed, tree: games.RandomConsistentAdversary(fc, seed),
+    "flip": lambda games, fc, seed, tree: games.MajorityFlipAdversary(fc),
 }
 
 
@@ -269,8 +264,8 @@ def cmd_game(args) -> int:
     fc = classes.materialize(ic, n, m)
     report = dimensions.littlestone_dim(fc)
     ldim = report.value
-    learner = LEARNERS[args.learner](fc, args.seed)
-    adversary = ADVERSARIES[args.adversary](fc, args.seed, report.certificate)
+    learner = LEARNERS[args.learner](games, fc, args.seed)
+    adversary = ADVERSARIES[args.adversary](games, fc, args.seed, report.certificate)
     rounds = args.max_rounds if args.max_rounds is not None else max(ldim, 1) + len(fc.domain)
     transcript = games.play_online_game(fc, learner, adversary, rounds)
     payload = {**_fields(transcript), "ldim": ldim}

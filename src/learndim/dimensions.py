@@ -76,7 +76,9 @@ class LittlestoneTree:
     nodes[v - 1] is the point at node v, whose children are 2v (edge bit 0)
     and 2v + 1 (edge bit 1); the root is node 1, so bin(v)[3:] is v's path.
     A depth-d tree has 2**d - 1 nodes (ValueError otherwise).  Realizable
-    when every root-to-leaf path is consistent with some class member.
+    when every root-to-leaf path is consistent with some class member:
+    `verify_against` checks that for a finite class, and `tree_witness`
+    checks its uniform trees, whose paths spell indexes, for an indexed one.
     """
 
     nodes: tuple[int, ...]
@@ -117,32 +119,6 @@ class LittlestoneTree:
             return realized(2 * v, ids ^ ones) and realized(2 * v + 1, ones)
 
         return realized(1, fc.all_ids)
-
-    def verify_constructive(self, ic: IndexedClass) -> bool:
-        """Every path is realized by the index whose bit x is set where the
-        path labels x with 1; WitnessUnresolvedError when it labels a point both
-        ways or needs an index past 2**64.  One depth-first walk, 0-subtree first,
-        stacks the path's (point, label) pairs; the first leaf to fail decides."""
-        def realized(v: int, m: int, zeros: int) -> bool:
-            if v > len(nodes):
-                if m & zeros or m >= MAX_CODE:
-                    path = tuple(map(int, bin(v)[3:]))
-                    x = next((x for x, y in pairs if m >> x & 1 != y), None)
-                    raise WitnessUnresolvedError(
-                        f"path {path} needs an index past 2**64" if x is None else
-                        f"conflicting labels required at point {x} along path {path}"
-                    )
-                return all(evaluate(m, x) == y for x, y in pairs)
-            x = nodes[v - 1]
-            pairs.append((x, 0))
-            held = realized(2 * v, m, zeros | 1 << x)
-            pairs[-1] = (x, 1)
-            held = held and realized(2 * v + 1, m | 1 << x, zeros)
-            pairs.pop()
-            return held
-
-        nodes, evaluate, pairs = self.nodes, ic.evaluate, []
-        return realized(1, 0, 0)
 
 
 def _shattered_prefix(fc: FiniteClass, ids: int, count: int) -> list[int] | None:
@@ -344,17 +320,17 @@ def littlestone_memo(
       (VC <= Ldim <= floor(log2 n), Littlestone 1988).  A full cube is the
       case where P is every point.  `_shattered_prefix` checks P by cutting
       cells below CELL_BATCH cells and by counting row codes at or past it.
-    - Any other state keeps a lower and an upper bound, from [0, cap].  A
-      query they decide is answered at once; otherwise `split` scans for a
-      witness point.  A yes raises the lower bound to t, a no lowers the
-      upper bound to t - 1, and a state whose bounds meet moves to the
-      exact values.
+    - One dict keeps each state's lower and upper bound: [cap, cap] for a
+      settled state, [0, cap] for any other.  A query they decide is
+      answered at once; otherwise `split` scans for a witness point.  A yes
+      raises the lower bound to t, a no lowers the upper bound to t - 1, and
+      a state is exact once its bounds meet.
     - `split(ids, t)`, the one scan: the first point in domain order whose
       two sides both reach t - 1, asking the smaller side first and
       skipping a split with a side of fewer than 2**(t - 1) concepts (that
       side is below t - 1; this also skips the points that do not split
       the set); None when no point qualifies.
-    - `dim` asks t = lower + 1, lower + 2, ... until a no.
+    - `dim` asks t = lower + 1, lower + 2, ... until the bounds meet.
     - `tree` gives a node with r levels left the point `split` finds at r,
       the parent's yes guaranteeing one.  A node whose set shatters Q, its
       r lowest splitting points, gets the uniform subtree on Q instead (Q[j]
@@ -371,8 +347,7 @@ def littlestone_memo(
     """
     masks = fc.masks
     words = -(-len(fc.codes) // 64)
-    exact: dict[int, int] = {}
-    bounds: dict[int, list[int]] = {}
+    memo: dict[int, list[int]] = {}
     settled: dict[int, list[int]] = {}
     charged = 0
 
@@ -393,10 +368,7 @@ def littlestone_memo(
         nonlocal charged
         if t <= 0:
             return True
-        value = exact.get(ids)
-        if value is not None:
-            return value >= t
-        bound = bounds.get(ids)
+        bound = memo.get(ids)
         if bound is None:
             charged += words
             if charged > limit:
@@ -405,9 +377,7 @@ def littlestone_memo(
             points = _shattered_prefix(fc, ids, cap)
             if points is not None:
                 settled[ids] = points
-                exact[ids] = cap
-                return cap >= t
-            bound = bounds[ids] = [0, cap]
+            bound = memo[ids] = [0 if points is None else cap, cap]
         lower, upper = bound
         if t <= lower:
             return True
@@ -415,17 +385,14 @@ def littlestone_memo(
             return False
         if split(ids, t) is None:
             bound[1] = t - 1
-        else:
-            bound[0] = t
-        if bound[0] == bound[1]:
-            exact[ids] = bounds.pop(ids)[0]
-        return bound[0] >= t
+            return False
+        bound[0] = t
+        return True
 
     def dim(ids: int) -> int:
-        while (value := exact.get(ids)) is None:
-            bound = bounds.get(ids)
+        while (bound := memo.get(ids)) is None or bound[0] < bound[1]:
             at_least(ids, bound[0] + 1 if bound else 1)
-        return value
+        return bound[0]
 
     def tree(depth: int) -> LittlestoneTree:
         nodes = [0] * ((1 << depth) - 1)
@@ -593,6 +560,16 @@ def tree_witness(ic: IndexedClass, depth: int, labeling: str = "layer") -> Littl
     and WitnessUnresolvedError when the labels cannot be found among the
     first ACTIVE_SCAN_LIMIT points, need an index past the 2**64 ceiling, or
     any path fails verification; never returns an unverified tree.
+
+    The layer points P are distinct, so each path wants the points of one
+    subset m of P labelled 1 and the rest 0, and m read as an index realizes
+    it when ic.evaluate(m, x) == m >> x & 1 for every x in P: the check asks
+    that these indexes shatter P (Littlestone 1988).  It reads the paths in
+    heap order, the 0-subtree first, and each path's points root first,
+    stopping at the first miss, so a tree that holds costs exactly
+    depth * 2**depth evaluator calls.  The indexes are joined from the
+    subsets of P's two halves, so at most 2**ceil(depth / 2) of them are
+    held at once.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -614,11 +591,25 @@ def tree_witness(ic: IndexedClass, depth: int, labeling: str = "layer") -> Littl
         raise ValueError(f"unknown labeling {labeling!r}")
 
     tree = LittlestoneTree.uniform(layer_points)
-    if not tree.verify_constructive(ic):
-        raise WitnessUnresolvedError(
-            f"depth-{depth} tree with layer points {list(layer_points)} is not realizable"
-        )
+    evaluate, half = ic.evaluate, depth // 2
+    lows = _subset_codes(layer_points[half:])
+    for high in _subset_codes(layer_points[:half]):
+        for m in map(high.__or__, lows):
+            for x in layer_points:
+                if evaluate(m, x) != m >> x & 1:
+                    raise WitnessUnresolvedError(
+                        f"depth-{depth} tree with layer points {list(layer_points)} is not realizable"
+                    )
     return tree
+
+
+def _subset_codes(points: Sequence[int]) -> list[int]:
+    """The subsets of the distinct `points` as bitmasks, in heap order of
+    their paths: the first point's bit is the most significant."""
+    codes = [0]
+    for x in reversed(points):
+        codes += [code | 1 << x for code in codes]
+    return codes
 
 
 MEASURES: dict[str, Callable[..., DimensionReport]] = {

@@ -1,12 +1,14 @@
-"""The public API: the names `learndim` exports, and the knobs of each
-function and class, one per line, so that adding or removing a public name
-or a knob shows as a one-line diff here."""
+"""The public API: the names `learndim` exports, the knobs of each
+function and class, and the methods and properties of each class, one per
+line, so that adding or removing a public name, a knob or an attribute
+shows as a one-line diff here."""
 
 from __future__ import annotations
 
 import importlib
 import inspect
-from types import ModuleType
+from functools import cached_property
+from types import FunctionType, ModuleType
 
 import pytest
 
@@ -167,6 +169,50 @@ KNOBS = {
     "vc_dim": ("budget",),
 }
 
+# Per public class, the public methods, properties and classmethods that
+# its body defines (its vars()), so that adding or removing one shows as a
+# one-line diff as well.
+ATTRIBUTES = {
+    "AgreementReport": (),
+    "BudgetExceededError": (),
+    "ClassCodeError": (),
+    "Concept": (),
+    "ConstantLearner": ("observe", "predict"),
+    "DeciderVerdict": (),
+    "DimensionReport": (),
+    "FiniteClass": (
+        "all_ids",
+        "column",
+        "concepts",
+        "from_rows",
+        "index_of",
+        "labelled",
+        "masks",
+        "row",
+    ),
+    "FormalSystem": (),
+    "GameTranscript": (),
+    "IndexedClass": (),
+    "LittlestoneTree": ("depth", "labels", "paths", "uniform", "verify_against"),
+    "MachineParseError": (),
+    "MajorityFlipAdversary": ("question", "reveal"),
+    "PacReport": (),
+    "ProtocolViolationError": (),
+    "RandomConsistentAdversary": ("question", "reveal"),
+    "RandomLearner": ("observe", "predict"),
+    "RunResult": (),
+    "SOALearner": ("observe", "predict"),
+    "SaturationReport": ("final_value",),
+    "TeachingSet": ("verify",),
+    "TreeAdversary": ("question", "reveal"),
+    "TuringMachine": (),
+    "WitnessUnresolvedError": (),
+}
+
+# What vars() holds for a method, a property or a classmethod; fields, a
+# field's default and a slot's descriptor are none of these.
+_ATTRIBUTE_KINDS = (FunctionType, property, cached_property, classmethod, staticmethod)
+
 
 def _knobs(value) -> tuple[str, ...]:
     try:
@@ -210,3 +256,14 @@ def test_unknown_name_raises_attribute_error():
 def test_knobs_are_pinned():
     public = [getattr(learndim, name) for name in PUBLIC_NAMES]
     assert {v.__name__: _knobs(v) for v in public if callable(v)} == KNOBS
+
+
+def test_class_attributes_are_pinned():
+    classes = [getattr(learndim, name) for name in PUBLIC_NAMES]
+    assert {
+        cls.__name__: tuple(
+            sorted(k for k, v in vars(cls).items() if not k.startswith("_") and isinstance(v, _ATTRIBUTE_KINDS))
+        )
+        for cls in classes
+        if isinstance(cls, type)
+    } == ATTRIBUTES

@@ -1290,48 +1290,6 @@ def test_masks_across_chunk_boundaries(monkeypatch):
         assert fc.masks == reference_masks(rows, width)
 
 
-def _verdict(check):
-    try:
-        return check()
-    except WitnessUnresolvedError:
-        return "unresolved"
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data(), st.integers(min_value=0, max_value=4))
-def test_verify_constructive_matches_the_wanted_labels_reference(halters, loopers, data, depth):
-    # Every node draws a point from 0-7, so some paths want a point both ways.
-    size = 2**depth - 1
-    points = st.integers(min_value=0, max_value=7)
-    tree = LittlestoneTree(tuple(data.draw(st.lists(points, min_size=size, max_size=size))))
-    for ic in (
-        step_class(),
-        halting_class(halters[3]),
-        halting_class(loopers[0]),
-        goedel_class(inconsistent_toy()),
-    ):
-        want = _verdict(lambda: naive_verify_constructive(tree, ic))
-        assert _verdict(lambda: tree.verify_constructive(ic)) == want
-
-
-def test_verify_constructive_refuses_conflicts_and_the_index_ceiling():
-    # Path (0, 1) wants point 3 labelled 0, then 1.
-    tree = LittlestoneTree((3, 3, 3))
-    with pytest.raises(WitnessUnresolvedError, match=r"at point 3 along path \(0, 1\)$"):
-        tree.verify_constructive(step_class())
-    # Path (1,) wants point 64 labelled 1, which needs the index 2**64.
-    tree = LittlestoneTree((64,))
-    with pytest.raises(WitnessUnresolvedError, match=r"^path \(1,\) needs an index past 2\*\*64$"):
-        tree.verify_constructive(step_class())
-    # Leaves are checked in heap order, the 0-subtree first, and the first to
-    # fail decides.  Path (0, 1) wants point 3 both ways, so it raises before
-    # path (1, 0) is read; that path's index 8 puts the step class's threshold
-    # at 7, which misses point 3, so checking (1, 0) first would return False.
-    tree = LittlestoneTree((3, 3, 5))
-    with pytest.raises(WitnessUnresolvedError, match=r"at point 3 along path \(0, 1\)$"):
-        tree.verify_constructive(step_class())
-
-
 def _lying_class(base: IndexedClass, cell=None):
     """`base` with its evaluator calls logged, and its answer at `cell`,
     an (index, point) pair, flipped."""
@@ -1344,9 +1302,41 @@ def _lying_class(base: IndexedClass, cell=None):
     return IndexedClass(evaluate=evaluate, provenance=base.provenance, active=base.active), calls
 
 
-def test_verify_constructive_reads_every_path_point_and_fails_on_one_lie(halters, loopers):
+def _witness_holds(ic: IndexedClass, points: list[int]) -> bool:
+    """Whether tree_witness accepts the uniform tree on the sorted, distinct
+    `points`, given to its active labeling as the class's only active ones."""
+    ic = IndexedClass(evaluate=ic.evaluate, provenance=ic.provenance, active=set(points).__contains__)
+    try:
+        tree = tree_witness(ic, len(points), "active")
+    except WitnessUnresolvedError:
+        return False
+    assert tree == LittlestoneTree.uniform(points)
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sets(st.integers(min_value=0, max_value=63), max_size=7))
+def test_tree_witness_check_matches_the_wanted_labels_reference(halters, loopers, data, points):
+    # Distinct layer points below 64, on classes that shatter them or not,
+    # and often with one answer flipped on a path the check reads.
+    points = sorted(points)
+    for base in (
+        step_class(),
+        halting_class(halters[3]),
+        halting_class(loopers[0]),
+        goedel_class(inconsistent_toy()),
+    ):
+        if points and data.draw(st.booleans()):
+            ones = data.draw(st.sets(st.sampled_from(points)))
+            base = _lying_class(base, (sum(1 << x for x in ones), data.draw(st.sampled_from(points))))[0]
+        want = naive_verify_constructive(LittlestoneTree.uniform(points), base)
+        assert _witness_holds(base, points) == want
+
+
+def test_tree_witness_reads_every_path_point_and_fails_on_one_lie(halters, loopers):
     # A depth-d witness holds after exactly d * 2**d evaluator calls, one per
-    # point of each path; a single wrong answer on any path refutes it.
+    # point of each path; a single wrong answer on any path refutes it, read
+    # after every earlier path in heap order and the path's points above it.
     rng = random.Random(7)
     cases = (
         (halting_class(loopers[0]), "layer", 6),
@@ -1355,15 +1345,18 @@ def test_verify_constructive_reads_every_path_point_and_fails_on_one_lie(halters
     )
     for base, labeling, top in cases:
         for depth in range(top + 1):
-            tree = tree_witness(base, depth, labeling)
             ic, calls = _lying_class(base)
-            assert tree.verify_constructive(ic)
+            tree = tree_witness(ic, depth, labeling)
             assert len(calls) == depth * 2**depth
             for _ in range(4 if depth else 0):
                 leaf = rng.randrange(2**depth, 2 ** (depth + 1))
                 path = [(tree.nodes[(leaf >> k) - 1], leaf >> k - 1 & 1) for k in range(depth, 0, -1)]
                 cell = (sum(y << x for x, y in path), rng.choice(path)[0])
-                assert not tree.verify_constructive(_lying_class(base, cell)[0])
+                liar, calls = _lying_class(base, cell)
+                with pytest.raises(WitnessUnresolvedError, match="is not realizable$"):
+                    tree_witness(liar, depth, labeling)
+                points = [x for x, _ in path]
+                assert len(calls) == (leaf - 2**depth) * depth + points.index(cell[1]) + 1
 
 
 @settings(max_examples=200, deadline=None)
