@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import repeat
-from typing import Callable, Iterable, Mapping, Sequence
 
+from ._record import Record
 from .encoding import seq_bit
 from .errors import BudgetExceededError
 from .formal import FormalSystem, active_index, contradiction_scanner, system_from_spec
@@ -43,8 +43,7 @@ def eval_budget() -> int:
     return int(raw) if raw else DEFAULT_EVAL_BUDGET
 
 
-@dataclass(frozen=True)
-class IndexedClass:
+class IndexedClass(Record):
     """A class { n -> evaluate(m, n) : m in N } given by a total evaluator.
 
     `active` is set for the bit-masking constructions above: evaluate(m, n)
@@ -59,8 +58,7 @@ class IndexedClass:
     active: Callable[[int], bool] | None = None
 
 
-@dataclass(frozen=True)
-class Concept:
+class Concept(Record):
     """Threshold function: 1 at points >= threshold, 0 below."""
 
     threshold: int
@@ -108,8 +106,7 @@ def _unpack(code: int, top: int) -> tuple[int, ...]:
     return tuple(bin(code | top)[:2:-1].encode().translate(_BITS))
 
 
-@dataclass(frozen=True)
-class FiniteClass:
+class FiniteClass(Record):
     """Deduplicated restriction of a class to a finite domain window.
 
     Stored once, packed by row: `codes[i]` is concept i as an int whose bit

@@ -10,7 +10,7 @@ The evaluation budget (materialization's evaluator calls, pac's total
 sample draws) can be overridden with the LEARNDIM_EVAL_BUDGET environment
 variable.  Usage errors print one line and exit 1.
 
-JSON output writes a result dataclass as its fields by name (keys sorted,
+JSON output writes a result record as its fields by name (keys sorted,
 tuples as lists, nested results in turn); a LittlestoneTree's labels are
 keyed by bit strings such as "01", node v's edge-bit path bin(v)[3:].
 """
@@ -18,12 +18,10 @@ keyed by bit strings such as "01", node v's edge-bit path bin(v)[3:].
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import os
 import sys
 from itertools import chain, islice
-from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .errors import (
     BudgetExceededError,
@@ -35,6 +33,7 @@ from .errors import (
 
 # Each command imports the layers it runs, so that a child process loads
 # only those; the class types are imported here for annotations alone.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .classes import FiniteClass, IndexedClass
 
@@ -77,14 +76,15 @@ def _concept(fc: FiniteClass, index: int, flag: str) -> tuple[int, ...]:
 
 
 def _fields(obj) -> dict:
-    """JSON shape of a result dataclass: its fields by name, except that a
-    LittlestoneTree gives its depth and its nodes keyed by edge-bit path."""
+    """JSON shape of a result record (see learndim._record): its fields by
+    name, except that a LittlestoneTree gives its depth and its nodes keyed
+    by edge-bit path."""
     # Only a loaded dimensions layer can have built a LittlestoneTree.
     dimensions = sys.modules.get(f"{__package__}.dimensions")
     if dimensions is not None and isinstance(obj, dimensions.LittlestoneTree):
         labels = {bin(v)[3:]: x for v, x in enumerate(obj.nodes, 1)}
         return {"depth": obj.depth, "labels": labels}
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return {f: getattr(obj, f) for f in obj._fields}
 
 
 def _json(payload, indent: int | None = None) -> str:
@@ -155,7 +155,7 @@ def cmd_dim(args) -> int:
         raise ValueError("--window and --schedule are mutually exclusive")
     if args.export_class and args.window is None:
         raise ValueError("--export-class needs --window")
-    if args.export_class and Path(args.export_class).suffix not in (".csv", ".json"):
+    if args.export_class and os.path.splitext(args.export_class)[1] not in (".csv", ".json"):
         raise ValueError(f"--export-class writes .csv or .json, got {args.export_class!r}")
     if args.window is not None:
         n, m = _window(args)
@@ -166,7 +166,7 @@ def cmd_dim(args) -> int:
                 f"vc certificate {list(report.certificate)} is not shattered on window ({n}, {m})"
             )
         if args.export_class:
-            _export_class(fc, Path(args.export_class))
+            _export_class(fc, args.export_class)
         _emit(
             args,
             {**_fields(report), "window": [n, m]},
@@ -187,16 +187,17 @@ def cmd_dim(args) -> int:
     return EXIT_BUDGET if scan.incomplete else EXIT_OK
 
 
-def _export_class(fc: FiniteClass, path: Path) -> None:
+def _export_class(fc: FiniteClass, path: str) -> None:
     """Write a window as CSV (a witness column, then one per point) or JSON."""
-    if path.suffix == ".csv":
+    if os.path.splitext(path)[1] == ".csv":
         lines = ["witness," + ",".join(map(str, fc.domain))]
         lines += [f"{w}," + ",".join(map(str, c)) for w, c in zip(fc.witnesses, fc.concepts)]
         text = "\n".join(lines) + "\n"
     else:
         window = {"concepts": fc.concepts, "domain": fc.domain, "witnesses": fc.witnesses}
         text = _json(window, indent=2)
-    path.write_text(text, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as stream:
+        stream.write(text)
 
 
 def cmd_teach(args) -> int:
@@ -316,7 +317,7 @@ def cmd_reduce(args) -> int:
 def cmd_suite(args) -> int:
     from . import reduction, turing
 
-    suite = [(Path(p).stem, turing.load_tm(p)) for p in args.machines]
+    suite = [(os.path.splitext(os.path.basename(p))[0], turing.load_tm(p)) for p in args.machines]
     report = reduction.agreement_check(suite, args.budget)
     lines = [
         f"{e.name}: {e.reduction_verdict}"

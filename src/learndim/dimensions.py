@@ -9,13 +9,13 @@ stabilization flag), never a proof of the infinite-class value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from functools import reduce
 from itertools import accumulate, chain, combinations, compress, islice
 from math import comb
 from operator import and_, or_
-from typing import Callable, Iterable, Sequence
 
+from ._record import Record
 from .classes import (
     Concept,
     FiniteClass,
@@ -47,17 +47,16 @@ DEFAULT_SCHEDULE: tuple[tuple[int, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(Record):
     measure: str  # "vc" | "littlestone" | "teaching"
     value: int
     certificate: object
 
 
-@dataclass(frozen=True, slots=True)
-class TeachingSet:
+class TeachingSet(Record):
     """Labelled examples that single out `target` within its class."""
 
+    __slots__ = ("target", "examples")
     target: tuple[int, ...]
     examples: tuple[tuple[int, int], ...]
 
@@ -70,8 +69,7 @@ class TeachingSet:
         return consistent == 1 << fc.index_of(self.target)
 
 
-@dataclass(frozen=True)
-class LittlestoneTree:
+class LittlestoneTree(Record):
     """Complete binary tree with domain points at its nodes, in heap order:
     nodes[v - 1] is the point at node v, whose children are 2v (edge bit 0)
     and 2v + 1 (edge bit 1); the root is node 1, so bin(v)[3:] is v's path.
@@ -619,8 +617,7 @@ MEASURES: dict[str, Callable[..., DimensionReport]] = {
 }
 
 
-@dataclass(frozen=True)
-class SaturationReport:
+class SaturationReport(Record):
     measure: str
     windows: tuple[tuple[int, int], ...]
     values: tuple[int, ...]

@@ -10,14 +10,13 @@ trust (totality and infinite range are not checkable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from collections.abc import Callable, Mapping
 
+from ._record import Record
 from .encoding import unpair
 
 
-@dataclass(frozen=True)
-class FormalSystem:
+class FormalSystem(Record):
     theorem: Callable[[int], int]  # total enumeration of provable statement codes
 
 

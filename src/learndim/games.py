@@ -14,18 +14,20 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect
-from dataclasses import dataclass
-from fractions import Fraction
+from collections.abc import Mapping, Sequence
 from itertools import accumulate, repeat
-from typing import Mapping, Sequence
 
+from ._record import Record
 from .classes import FiniteClass, eval_budget
 from .errors import BudgetExceededError, ProtocolViolationError
 from .dimensions import DEFAULT_SEARCH_BUDGET, LittlestoneTree, littlestone_memo, vc_dim
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class GameTranscript:
+
+class GameTranscript(Record):
     rounds: tuple[tuple[int, int, int], ...]  # (x, guess, truth)
     mistakes: int
     witnesses: tuple[tuple[int, ...], ...]  # per-round consistent concept
@@ -247,8 +249,7 @@ def sample_size_bound(vcdim: int, epsilon: float, delta: float) -> int:
     return math.ceil(bound)
 
 
-@dataclass(frozen=True)
-class PacReport:
+class PacReport(Record):
     epsilon: float
     delta: float
     trials: int
@@ -299,6 +300,8 @@ def pac_experiment(
     if trials < 1:
         raise ValueError("trials must be positive")
     target_id = fc.index_of(target)  # realizable regime: the target is in the class
+
+    from fractions import Fraction  # here, since a game never builds one
 
     points = sorted(dist)
     try:

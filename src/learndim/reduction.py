@@ -11,12 +11,13 @@ contradict its impossibility in general.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from collections.abc import Callable, Sequence
 
+from ._record import Record
 from .errors import ClassCodeError
 from .turing import TuringMachine, decode_tm, encode_tm, run_bounded
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .classes import IndexedClass
 
@@ -45,8 +46,7 @@ def decode_class_code(code: int) -> IndexedClass:
     return halting_class(decode_machine(code))
 
 
-@dataclass(frozen=True)
-class DeciderVerdict:
+class DeciderVerdict(Record):
     """Finite(value) only on positive observation of the halt; Unknown(budget)
     otherwise.  Never an 'infinite' claim."""
 
@@ -79,8 +79,7 @@ def halting_from_vc(
     return HALTS if verdict.finite else NO_ANSWER
 
 
-@dataclass(frozen=True)
-class AgreementEntry:
+class AgreementEntry(Record):
     name: str
     reduction_verdict: str
     reduction_steps: int | None  # K when the verdict is halts
@@ -89,8 +88,7 @@ class AgreementEntry:
     agree: bool  # the verdict is halts iff the direct run halted
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(Record):
     entries: tuple[AgreementEntry, ...]
     budget: int
     halts: int

@@ -31,9 +31,9 @@ and between growths the step loop runs without bounds or halting checks
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from collections.abc import Callable, Mapping
 
+from ._record import Record
 from .errors import BudgetExceededError, MachineParseError
 
 HEADER_KEYS = ("states", "alphabet", "blank", "initial", "halting")
@@ -46,8 +46,7 @@ TAPE_START = 256
 TAPE_LIMIT = 2**27
 
 
-@dataclass(frozen=True)
-class TuringMachine:
+class TuringMachine(Record):
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
     blank: str
@@ -57,8 +56,7 @@ class TuringMachine:
     transitions: Mapping[tuple[str, str], tuple[str, str, str]]
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(Record):
     """Outcome of a budgeted run: Halted(steps) or StillRunning(budget)."""
 
     halted: bool

@@ -321,12 +321,14 @@ def test_measure_choices_match_the_engine_table():
 
 
 # The learndim modules a fresh process holds after main() runs one command:
-# each command imports only the layers it runs.
-WINDOW_LAYERS = {"cli", "errors", "turing", "formal", "encoding", "classes", "dimensions"}
+# each command imports only the layers it runs, and every layer imports the
+# record base of its result types.
+RUN_LAYERS = {"cli", "errors", "_record", "turing"}
+WINDOW_LAYERS = RUN_LAYERS | {"formal", "encoding", "classes", "dimensions"}
 LAYERS_LOADED = [
-    (["simulate", HALT3], {"cli", "errors", "turing"}),
-    (["reduce", HALT3], {"cli", "errors", "turing", "reduction"}),
-    (["suite", HALT3, LOOP], {"cli", "errors", "turing", "reduction"}),
+    (["simulate", HALT3], RUN_LAYERS),
+    (["reduce", HALT3], RUN_LAYERS | {"reduction"}),
+    (["suite", HALT3, LOOP], RUN_LAYERS | {"reduction"}),
     (["dim", "--class", f"halting:{HALT3}", "--window", "4"], WINDOW_LAYERS),
     (["teach", "--class", "step", "--index", "3"], WINDOW_LAYERS),
     (["tree", "--class", f"halting:{LOOP}", "--depth", "3"], WINDOW_LAYERS),
@@ -334,6 +336,10 @@ LAYERS_LOADED = [
     (["pac", "--class", f"halting:{HALT3}", "--trials", "5"], WINDOW_LAYERS | {"games"}),
     (["--help"], {"cli", "errors"}),
 ]
+# Standard modules that no command imports: dataclasses brings in inspect,
+# ast and dis, and typing is read only by type checkers.  Only pac reads
+# fractions.
+UNLOADED = ("dataclasses", "inspect", "ast", "dis", "typing")
 LOADED_PROBE = """
 import contextlib, io, sys
 from learndim.cli import main
@@ -343,6 +349,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     except SystemExit as exc:
         code = exc.code
 print(code, *sorted(m for m in sys.modules if m.startswith("learndim.")))
+print(*sorted(m for m in sys.modules if "." not in m))
 """
 
 
@@ -350,13 +357,17 @@ print(code, *sorted(m for m in sys.modules if m.startswith("learndim.")))
 def test_command_loads_only_its_layers(argv, layers):
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # -S: without site, whose .pth files may import typing for every process.
     proc = subprocess.run(
-        [sys.executable, "-c", LOADED_PROBE, *argv],
+        [sys.executable, "-S", "-c", LOADED_PROBE, *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=120,
     )
-    code, *loaded = proc.stdout.split()
+    learndim_line, stdlib_line = proc.stdout.splitlines()
+    code, *loaded = learndim_line.split()
     assert (code, proc.stderr) == ("0", "")
     assert set(loaded) == {f"learndim.{name}" for name in layers}
+    unloaded = UNLOADED + (("fractions",) if argv[0] == "game" else ())
+    assert set(stdlib_line.split()).isdisjoint(unloaded)
