@@ -337,8 +337,32 @@ def cmd_suite(args) -> int:
     return EXIT_OK if report.disagreements == 0 else EXIT_INPUT
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's help formatter, made without the terminal width.
+
+    argparse makes a formatter for every add_argument, and HelpFormatter
+    reads the width through shutil, which imports bz2, lzma and zlib.  This
+    one runs HelpFormatter.__init__, width included, on the first read of
+    its state, which only formatting help or usage makes; add_argument
+    calls only _format_args, which reads none.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self._settings = args, kwargs
+
+    def __getattr__(self, name: str):
+        if "_prog" in vars(self):  # initialised, and `name` is missing
+            raise AttributeError(name)
+        args, kwargs = self._settings
+        super().__init__(*args, **kwargs)
+        return getattr(self, name)
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one `error: ...` line and exit code 1."""
+
+    def __init__(self, *args, formatter_class=_HelpFormatter, **kwargs):
+        super().__init__(*args, formatter_class=formatter_class, **kwargs)
 
     def error(self, message: str):
         self.exit(EXIT_INPUT, f"error: {message}\n")
@@ -349,16 +373,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="learndim",
         description="Exact learnability dimensions, machine simulation, games, and reductions.",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--out", help="write output to this path instead of stdout")
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     # --seed and --budget go only on the commands that read them, so that
     # anywhere else they are rejected instead of ignored.
-    seeded = argparse.ArgumentParser(add_help=False)
+    seeded = _Parser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
-    budgeted = argparse.ArgumentParser(add_help=False)
+    budgeted = _Parser(add_help=False)
     budgeted.add_argument("--budget", type=int, default=10_000, help="step budget for simulations")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # With prog given, add_subparsers formats no usage line to derive it.
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
 
     def add_parser(name: str, *flags: argparse.ArgumentParser, **kwargs):
         return sub.add_parser(name, parents=[common, *flags], **kwargs)

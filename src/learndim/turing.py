@@ -27,11 +27,25 @@ when the alphabet has at most 256 symbols, a list of ints otherwise.  It
 doubles in place on the side the head approaches, up to TAPE_LIMIT bytes,
 and between growths the step loop runs without bounds or halting checks
 (see halt_scanner).
+
+A run goes in stretches, each as long as neither a tape edge nor the
+budget can cut it.  Where an edge cuts a stretch, two exact proofs that the
+run never halts are tried, the checks that busy-beaver enumerations run
+before simulating further:
+- blank runaway: the head sees only blanks from its cell outward in one
+  direction, and every blank-reading step from its state on moves that way
+  without halting, so each later stretch is one slice write of a known
+  trail;
+- exact cycle: two boundary configurations (state, head, tape) are equal
+  (Brent's method), so the run repeats with the least period P of that
+  configuration, and a stretch of k steps takes only k % P of them.
+A proof skips only steps in which stepping would neither halt nor grow the
+tape, so the growths, the refusals and every answer are those of stepping.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 
 from ._record import Record
 from .errors import BudgetExceededError, MachineParseError
@@ -194,6 +208,96 @@ def _compile(tm: TuringMachine) -> tuple[list[tuple[int, int, int] | None], int,
     return table, rows[tm.initial], rows[tm.halting], width
 
 
+def _blank_drift(table: list[tuple[int, int, int] | None], width: int) -> list[int]:
+    """Per state row r, the move d (+1 or -1) of every blank-reading step from
+    r on, when those steps never reach the halting row and all move d; else 0.
+
+    A run in row r whose head sees only blanks from its cell outward in
+    direction d therefore never halts (see halt_scanner).  One walk per row,
+    each ending at a row already decided, at a cycle it closes, or at the
+    halting row.
+    """
+    drift = [0] * len(table)
+    done: set[int] = set()
+    for start in range(0, len(table), width):
+        path: dict[int, int] = {}  # row -> its blank move, in walk order
+        r = start
+        while r not in done and r not in path and table[r] is not None:
+            _, path[r], r = table[r]
+        rows = list(path)
+        if r in path:  # closed a cycle: it drifts if all its moves agree
+            i = rows.index(r)
+            moves = {path[q] for q in rows[i:]}
+            d = moves.pop() if len(moves) == 1 else 0
+            for q in rows[i:]:
+                drift[q] = d
+            rows = rows[:i]
+        else:  # a decided row, or the halting row's drift of 0
+            d = drift[r]
+        for q in reversed(rows):
+            d = d if path[q] == d else 0
+            drift[q] = d
+        done.update(path)
+    return drift
+
+
+def _blank_trail(
+    table: list, row: int, steps: int, piece: type
+) -> tuple[Sequence[int] | None, int]:
+    """The symbols written by `steps` steps from `row` over blank cells, in
+    the order written (a `piece` of the tape's type, or None when all are
+    blank), and the row reached.
+
+    The blank chain from `row` must not reach the halting row.  It is walked
+    only until a row repeats; the cycle's writes are then repeated.
+    """
+    seen: dict[int, int] = {}
+    rows: list[int] = []
+    writes: list[int] = []
+    while len(rows) < steps and row not in seen:
+        seen[row] = len(rows)
+        rows.append(row)
+        write, _, row = table[row]
+        writes.append(write)
+    start, cycle, repeats, rest = len(rows), [], 0, 0
+    if len(rows) < steps:  # the row repeats: the chain cycles from seen[row]
+        start = seen[row]
+        cycle = writes[start:]
+        repeats, rest = divmod(steps - start, len(cycle))
+        row = rows[start + rest]
+    if not any(writes):  # every written symbol is the blank already there
+        return None, row
+    return piece(writes[:start]) + piece(cycle) * repeats + piece(cycle[:rest]), row
+
+
+def _blank_ahead(cells: bytearray | list[int], head: int, d: int) -> bool:
+    """Whether every cell from `head` to the tape's end in direction d is blank."""
+    lo, hi = (head, len(cells)) if d > 0 else (0, head + 1)
+    if isinstance(cells, bytearray):
+        return cells.count(0, lo, hi) == hi - lo
+    return cells[lo:hi].count(0) == hi - lo
+
+
+def _first_return(table: list, cells: bytearray | list[int], head: int,
+                  row: int) -> tuple[int, int, int]:
+    """The least period of a run whose configuration is known to recur, and
+    the lowest and highest cell its head visits in one period.  The steps
+    leave the run as they found it."""
+    start, h, r, i = cells[:], head, row, 0
+    low = high = head
+    while True:
+        cells[h], move, r = table[r + cells[h]]
+        h += move
+        i += 1
+        low, high = min(low, h), max(high, h)
+        if r == row and h == head and cells == start:
+            return i, low, high
+
+
+# Cells of the largest tape the cycle proof copies for later comparison.
+_SNAPSHOT_CELLS = 4096
+
+
 def halt_scanner(tm: TuringMachine) -> Callable[[int], int | None]:
     """Resumable halting scan on the empty input.
 
@@ -206,8 +310,32 @@ def halt_scanner(tm: TuringMachine) -> Callable[[int], int | None]:
     takes as many steps as neither tape edge nor the budget can interrupt,
     with no check inside the loop: reading the halting state's None entry
     ends the stretch, and the loop index is then the exact halting step.
-    A growth that would take the tape past TAPE_LIMIT bytes raises
-    BudgetExceededError before it allocates.
+    Before each stretch the tape doubles on the head's nearer side once
+    that edge is closer than both a quarter of the tape and the budget
+    left; a growth that would take the tape past TAPE_LIMIT bytes raises
+    BudgetExceededError before it allocates, unless the run halted on the
+    last stretch's last step.
+
+    Before a stretch that an edge cuts short of the budget, once the run
+    has taken a step per table entry and until one holds, two proofs that
+    the run never halts are tried:
+    - Blank runaway: every cell from the head outward in direction d is
+      blank, and every blank-reading step from the current row on moves d
+      (see _blank_drift).  The run then only ever reads blanks ahead, so a
+      stretch of k steps writes its known trail in one slice, moves the
+      head k * d and takes the row k steps along the blank chain.
+    - Exact cycle: Brent's method over the boundary configurations (row,
+      head, tape), with at most one snapshot, none of a tape over
+      _SNAPSHOT_CELLS cells, and a fresh start at every growth.  Once the
+      current configuration equals the snapshot, the run is periodic; its
+      least period P is the first return to it (see _first_return), and a
+      stretch of k steps takes only k % P of them.  If the cells the head
+      visits in a period keep clear of both growth margins, the tape never
+      grows again and the rest of the budget is one stretch.
+    A proof skips only steps in which stepping would neither halt nor grow
+    the tape, so the growths, the TAPE_LIMIT refusal (its step included),
+    the paused run and every answer are those of plain stepping.  A run
+    that reaches no edge-cut stretch pays nothing for the proofs.
     """
     table, start_row, halt_row, width = _compile(tm)
     tape = bytearray(TAPE_START) if width <= 256 else [0] * TAPE_START
@@ -215,18 +343,33 @@ def halt_scanner(tm: TuringMachine) -> Callable[[int], int | None]:
     blank = tape[:1]  # one blank cell, of the tape's own type
     head, row, steps = TAPE_START // 2, start_row, 0
     halted_at = 0 if start_row == halt_row else None  # set as soon as the run halts
+    # The proofs wait for a step per table entry, which bounds the cost of
+    # building the blank chains, so that a short run pays nothing for them.
+    warmup = len(table)
+    drift: list[int] | None = None  # built when the proofs are first tried
+    # Brent's cycle search: one snapshot, boundaries since it, its horizon.
+    snap: bytearray | list[int] | None = None
+    snap_row = snap_head = 0
+    since, horizon = 0, 1
+    # Proofs, kept once found: the least period of a cycle and the cells its
+    # head spans, the direction of a blank runaway; 0 while none is known.
+    period = low = high = drifting = 0
 
     def onset(n: int) -> int | None:
-        nonlocal head, row, steps, halted_at
+        nonlocal head, row, steps, halted_at, drift, snap, snap_row, snap_head
+        nonlocal since, horizon, period, low, high, drifting
         if halted_at is None and n > steps:
             # Locals, not closure cells: read on every step.
             t, cells, h, r, s = table, tape, head, row, steps
             while s < n:
-                size = len(cells)
+                size, left = len(cells), n - s
                 # Double the tape on the head's nearer side once that edge is
                 # closer than both a quarter of the tape and the budget left.
-                if min(h, size - 1 - h) < min(n - s, size // 4):
+                if min(h, size - 1 - h) < min(left, size // 4):
                     if 2 * size * cell_bytes > TAPE_LIMIT:
+                        if r == halt_row:  # the last stretch ended on the halt
+                            halted_at = s
+                            break
                         head, row, steps = h, r, s  # the paused run stays resumable
                         raise BudgetExceededError(
                             f"tape of {size} cells would grow past {TAPE_LIMIT} bytes "
@@ -235,9 +378,48 @@ def halt_scanner(tm: TuringMachine) -> Callable[[int], int | None]:
                     if h < size - 1 - h:
                         cells[:0] = blank * size
                         h += size
+                        low += size
+                        high += size
                     else:
                         cells.extend(blank * size)
-                room = min(h, len(cells) - 1 - h, n - s)
+                    snap, since, horizon = None, 0, 1
+                room = min(h, len(cells) - 1 - h, left)
+                if drifting:
+                    trail, r = _blank_trail(t, r, room, type(cells))
+                    if trail is not None:
+                        cells[h : h + drifting * room : drifting] = trail
+                    h += drifting * room
+                    s += room
+                    continue
+                if period:
+                    if min(low, len(cells) - 1 - high) >= len(cells) // 4:
+                        # The head keeps clear of both growth margins, so
+                        # the tape never grows again: the rest of the budget
+                        # is one stretch.
+                        room = left
+                    for _ in range(room % period):
+                        cells[h], move, r = t[r + cells[h]]
+                        h += move
+                    s += room
+                    continue
+                if room < left and s >= warmup:
+                    # An edge cuts the stretch short of the budget: try the
+                    # proofs.  One that holds takes over from the next
+                    # stretch on.
+                    if drift is None:
+                        drift = _blank_drift(t, width)
+                    d = drift[r]
+                    if d and _blank_ahead(cells, h, d):
+                        drifting = d
+                    elif r == snap_row and h == snap_head and cells == snap:
+                        # The configuration recurs, so the run is periodic
+                        # from here on; its least period is the first return.
+                        period, low, high = _first_return(t, cells, h, r)
+                    else:
+                        since += 1
+                        if since >= horizon and len(cells) <= _SNAPSHOT_CELLS:
+                            snap, snap_row, snap_head = cells[:], r, h
+                            since, horizon = 0, 2 * horizon
                 try:
                     for i in range(room):
                         cells[h], move, r = t[r + cells[h]]

@@ -99,6 +99,55 @@ B 1 -> 1 R halt
 
 LOOP_TEXTS = (LOOP_RIGHT, LOOP_LEFT, LOOP_PINGPONG, LOOP_WRITER, LOOP_ERASER)
 
+# A binary counter that never halts and never repeats a configuration: a
+# marker m at cell 0, the count from cell 1 on, least digit first; each
+# increment carries rightward and walks back to the marker, and a carry onto
+# a blank widens the count by a cell.  It defeats both never-halting proofs
+# of turing.halt_scanner, so its runs time plain stepping.
+COUNTER = """\
+states: q0 inc back halt
+alphabet: _ 0 1 m
+blank: _
+initial: q0
+halting: halt
+q0 _ -> m R inc
+q0 0 -> 0 R inc
+q0 1 -> 1 R inc
+q0 m -> m R inc
+inc _ -> 1 L back
+inc 0 -> 1 L back
+inc 1 -> 0 R inc
+inc m -> m R inc
+back _ -> _ R inc
+back 0 -> 0 L back
+back 1 -> 1 L back
+back m -> m R inc
+"""
+
+
+def bounded_counter_text(k: int) -> str:
+    """COUNTER with a wall w after k digits: it halts when the count first
+    carries into the wall, after counting to 2**k - 1."""
+    setup = [f"p{i}" for i in range(k + 2)]
+    symbols = ("_", "0", "1", "m", "w")
+    rules = {(p, a): f"{a} R {p}" for p in setup for a in symbols}
+    rules[("p0", "_")] = "m R p1"
+    for i in range(1, k + 1):
+        rules[(f"p{i}", "_")] = f"0 R p{i + 1}"
+    rules[(f"p{k + 1}", "_")] = "w L back"
+    for a in symbols:
+        rules[("inc", a)] = {"0": "1 L back", "1": "0 R inc", "w": "w R halt"}.get(a, f"{a} R inc")
+        rules[("back", a)] = {"0": "0 L back", "1": "1 L back"}.get(a, f"{a} R inc")
+    lines = [
+        f"states: {' '.join(setup)} inc back halt",
+        f"alphabet: {' '.join(symbols)}",
+        "blank: _",
+        "initial: p0",
+        "halting: halt",
+    ]
+    lines += [f"{q} {a} -> {rule}" for (q, a), rule in rules.items()]
+    return "\n".join(lines) + "\n"
+
 
 @pytest.fixture(scope="session")
 def halters():

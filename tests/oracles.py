@@ -378,6 +378,50 @@ def halting_step_oracle(tm, budget: int) -> int | None:
     return steps
 
 
+def stepping_halt_scanner(tm):
+    """turing.halt_scanner without its never-halting proofs: onset(n), the
+    halting step K <= n or None, from one paused run shared by all calls and
+    taken one step at a time through tm.transitions.  The tape is a list of
+    symbols that grows in the same stretches: before each stretch it doubles
+    on the head's nearer side once that edge is closer than both a quarter
+    of the tape and the budget left, and a doubling past turing.TAPE_LIMIT
+    bytes (one per cell for up to 256 symbols, else eight) raises
+    BudgetExceededError with the same message, the paused run kept; a
+    stretch then runs until an edge, the budget or the halt."""
+    from learndim import turing
+
+    cell_bytes = 1 if len(tm.alphabet) <= 256 else 8
+    tape = [tm.blank] * turing.TAPE_START
+    run = {"head": len(tape) // 2, "state": tm.initial, "steps": 0}
+
+    def onset(n: int) -> int | None:
+        head, state, steps = run["head"], run["state"], run["steps"]
+        while state != tm.halting and steps < n:
+            size = len(tape)
+            if min(head, size - 1 - head) < min(n - steps, size // 4):
+                if 2 * size * cell_bytes > turing.TAPE_LIMIT:
+                    run.update(head=head, state=state, steps=steps)
+                    raise BudgetExceededError(
+                        f"tape of {size} cells would grow past {turing.TAPE_LIMIT} bytes "
+                        f"at step {steps}"
+                    )
+                if head < size - 1 - head:
+                    tape[:0] = [tm.blank] * size
+                    head += size
+                else:
+                    tape.extend([tm.blank] * size)
+            stretch_end = steps + min(head, len(tape) - 1 - head, n - steps)
+            while state != tm.halting and steps < stretch_end:
+                write, move, state = tm.transitions[(state, tape[head])]
+                tape[head] = write
+                head += 1 if move == "R" else -1
+                steps += 1
+        run.update(head=head, state=state, steps=steps)
+        return steps if state == tm.halting and steps <= n else None
+
+    return onset
+
+
 def halting_eval_oracle(tm, m: int, n: int) -> int:
     """Literal two-clause evaluator of the halting-gated class, driven by a
     freshly simulated run each call."""

@@ -338,7 +338,7 @@ LAYERS_LOADED = [
 ]
 # Standard modules that no command imports: dataclasses brings in inspect,
 # ast and dis, and typing is read only by type checkers.  Only pac reads
-# fractions.
+# fractions, and only --help the terminal width, through shutil.
 UNLOADED = ("dataclasses", "inspect", "ast", "dis", "typing")
 LOADED_PROBE = """
 import contextlib, io, sys
@@ -370,4 +370,5 @@ def test_command_loads_only_its_layers(argv, layers):
     assert (code, proc.stderr) == ("0", "")
     assert set(loaded) == {f"learndim.{name}" for name in layers}
     unloaded = UNLOADED + (("fractions",) if argv[0] == "game" else ())
+    unloaded += ("shutil",) if argv[0] != "--help" else ()
     assert set(stdlib_line.split()).isdisjoint(unloaded)

@@ -186,6 +186,21 @@ def test_teaching_window_taught_by_its_forced_points():
     assert proc.stdout == "teaching dimension on window (11, 4096): 12\n"
 
 
+@pytest.mark.parametrize("command", ["simulate", "reduce"])
+def test_runaway_walker_refused_at_the_plain_stepping_step(command):
+    # loop.tm walks right over blanks forever.  Its tape doubles until the
+    # next doubling would pass TAPE_LIMIT, at the step where plain stepping
+    # reaches it; stepping took 11.7 s on a 2-core x86 VM, and the blank
+    # runaway proof takes each stretch at once.
+    proc = run_cli(command, LOOP, "--budget", "1000000000")
+    check_run(proc, 3)
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "budget exceeded: tape of 134217728 cells would grow past 134217728 bytes "
+        "at step 133693312\n"
+    )
+
+
 def test_window_third_integer_message():
     proc = run_cli("dim", "--class", "step", "--window", "3", "4", "5")
     assert proc.stdout == ""

@@ -1,13 +1,14 @@
 """Differential tests: the resumable halting and contradiction scans behind
 both gates against the literal oracles, over query sequences that rise,
-fall and repeat."""
+fall and repeat; and the halting scan against plain stepping, tape growth
+and its refusal included."""
 
 from __future__ import annotations
 
 import random
 from unittest import mock
 
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from learndim import (
     consistent_toy,
@@ -24,11 +25,12 @@ from learndim import (
     turing,
 )
 
-from conftest import BEAVER2, LOOP_TEXTS, halter_text
+from conftest import BEAVER2, COUNTER, LOOP_TEXTS, bounded_counter_text, halter_text
 from oracles import (
     halting_step_oracle,
     inconsistency_onset_oracle,
     prefix_consistent_oracle,
+    stepping_halt_scanner,
 )
 
 MACHINES = (
@@ -166,3 +168,67 @@ def test_wide_alphabet_machine_matches_oracle():
     for tape_start in (4, turing.TAPE_START):
         with mock.patch.object(turing, "TAPE_START", tape_start):
             assert_scans_match_oracle(tm, queries)
+
+
+def outcome(query, n: int):
+    """query(n), or the type and message of the exception it raised."""
+    try:
+        return query(n)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_scans_match_stepping(tm, queries) -> None:
+    """run_bounded, f_of_machine and halting_class(...).active against plain
+    stepping: answers, exception types and messages.  The last two share one
+    paused run across the queries, as the reference does."""
+    f = f_of_machine(tm)
+    ic = halting_class(tm)
+    reference = stepping_halt_scanner(tm)
+    for n in queries:
+        fresh = outcome(stepping_halt_scanner(tm), n)
+        want = fresh if isinstance(fresh, tuple) else (
+            (False, n) if fresh is None else (True, fresh))
+        result = outcome(lambda n: run_bounded(tm, n), n)
+        assert (result if isinstance(result, tuple) else (result.halted, result.steps)) == want
+        shared = outcome(reference, n)
+        if isinstance(shared, tuple):
+            assert outcome(f, n) == outcome(ic.active, n) == shared
+        else:
+            assert outcome(f, n) == int(shared is not None)
+            assert outcome(ic.active, n) == (shared is None)
+
+
+# Machines that the never-halting proofs must see through: the loopers (one
+# runaway each way, two cycles, a runaway writer), the counter, which
+# neither proof catches, and bounded counters, whose head and state recur
+# at stretch ends long before they halt.
+PROOF_MACHINES = (
+    [parse_tm(text) for text in LOOP_TEXTS]
+    + [parse_tm(COUNTER), parse_tm(BEAVER2)]
+    + [parse_tm(bounded_counter_text(k)) for k in (3, 6, 8)]
+)
+
+
+# Creeps left and never halts: from q1 it runs left over blanks, but a 0
+# under its head turns it back, so it is no runaway.
+CREEPER = parse_tm(machine_text(
+    ["q0", "q1", "halt"], ("_", "0"), "_", "q0",
+    {("q0", "_"): ("0", "R", "q1"), ("q0", "0"): ("_", "L", "q0"),
+     ("q1", "_"): ("_", "L", "q1"), ("q1", "0"): ("_", "L", "q0")},
+))
+
+
+# From a 4-cell start tape and under a limit of 32 or 256 bytes, runs of a
+# few thousand steps grow the tape often, and walkers are refused.
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from(PROOF_MACHINES), total_machines()),
+       query_sequences(3000), st.sampled_from([32, 256]))
+@example(HALTS_AT_START, [0, 3, 0], 32)
+@example(CREEPER, [43], 32)
+@example(parse_tm(bounded_counter_text(6)), [262], 32)
+@example(parse_tm(LOOP_TEXTS[0]), [30], 32)
+def test_halting_scans_match_plain_stepping(tm, queries, tape_limit):
+    with mock.patch.object(turing, "TAPE_START", 4), \
+            mock.patch.object(turing, "TAPE_LIMIT", tape_limit):
+        assert_scans_match_stepping(tm, queries)

@@ -12,13 +12,25 @@ from learndim import (
     TuringMachine,
     decode_tm,
     encode_tm,
+    f_of_machine,
     parse_tm,
     run_bounded,
     serialize_tm,
     turing,
 )
 
-from conftest import BEAVER2, LOOP_TEXTS, LOOP_WRITER, halter_text
+from conftest import (
+    BEAVER2,
+    COUNTER,
+    LOOP_ERASER,
+    LOOP_LEFT,
+    LOOP_PINGPONG,
+    LOOP_RIGHT,
+    LOOP_TEXTS,
+    LOOP_WRITER,
+    halter_text,
+)
+from oracles import stepping_halt_scanner
 
 ONE_RULE = """\
 states: q0 halt
@@ -148,6 +160,58 @@ def test_tape_growth_past_the_byte_limit_is_refused(monkeypatch):
     assert str(run_bounded(wide, 300)) == "StillRunning(300)"
     with pytest.raises(BudgetExceededError, match="tape of 512 cells would grow past 4096 bytes"):
         run_bounded(wide, 1000)
+
+
+def outcome(onset, n: int):
+    try:
+        return onset(n)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+def test_halt_on_the_last_cell_before_the_limit_is_a_halt(monkeypatch):
+    # From a 4-cell tape the 4-step halter ends its second stretch halted,
+    # with its head on the last cell of the 8-cell tape that TAPE_LIMIT
+    # allows.  The halt is seen before any further growth is asked for.
+    monkeypatch.setattr(turing, "TAPE_START", 4)
+    monkeypatch.setattr(turing, "TAPE_LIMIT", 8)
+    tm = parse_tm(halter_text(4))
+    assert str(run_bounded(tm, 54)) == "Halted(4)"
+    f = f_of_machine(tm)
+    assert [f(54), f(4), f(3)] == [1, 1, 0]
+    five = parse_tm(halter_text(5))
+    with pytest.raises(BudgetExceededError, match="tape of 8 cells would grow past 8 bytes at step 4"):
+        run_bounded(five, 54)
+
+
+@pytest.mark.parametrize("tape_limit", [16, 32, 64, turing.TAPE_LIMIT])
+def test_counter_matches_plain_stepping_across_growths(monkeypatch, tape_limit):
+    # The counter needs a cell more each time its count doubles.  From a
+    # 4-cell tape a run of 30,000 steps doubles the tape four times, to 64
+    # cells, and a limit of 16 or 32 bytes refuses one of those doublings.
+    monkeypatch.setattr(turing, "TAPE_START", 4)
+    monkeypatch.setattr(turing, "TAPE_LIMIT", tape_limit)
+    tm = parse_tm(COUNTER)
+    onset, reference = turing.halt_scanner(tm), stepping_halt_scanner(tm)
+    for n in (30_000, 10, 700, 5_000, 30_000, 29_999):
+        assert outcome(onset, n) == outcome(reference, n)
+        assert outcome(turing.halt_scanner(tm), n) == outcome(stepping_halt_scanner(tm), n)
+
+
+def test_cycles_answer_any_budget_at_once():
+    # Both cycles keep their heads clear of the growth margins, so a budget
+    # of any size is one stretch of fewer steps than the period.
+    for text in (LOOP_PINGPONG, LOOP_ERASER):
+        assert str(run_bounded(parse_tm(text), 10**18)) == f"StillRunning({10**18})"
+
+
+@pytest.mark.parametrize("text", [LOOP_RIGHT, LOOP_LEFT, LOOP_WRITER])
+def test_runaways_refused_where_plain_stepping_is(monkeypatch, text):
+    monkeypatch.setattr(turing, "TAPE_LIMIT", 2**15)
+    tm = parse_tm(text)
+    message = outcome(stepping_halt_scanner(tm), 10**6)
+    assert message.startswith("tape of 32768 cells would grow past 32768 bytes at step ")
+    assert outcome(turing.halt_scanner(tm), 10**18) == message
 
 
 @pytest.mark.parametrize("budget", [0, 1, 2, 100])
