@@ -34,18 +34,19 @@ run never halts are tried, the checks that busy-beaver enumerations run
 before simulating further:
 - blank runaway: the head sees only blanks from its cell outward in one
   direction, and every blank-reading step from its state on moves that way
-  without halting, so each later stretch is one slice write of a known
-  trail;
+  without halting, so each later stretch only moves the head: nothing
+  reads the cells it writes behind it, and they are not written;
 - exact cycle: two boundary configurations (state, head, tape) are equal
   (Brent's method), so the run repeats with the least period P of that
   configuration, and a stretch of k steps takes only k % P of them.
 A proof skips only steps in which stepping would neither halt nor grow the
 tape, so the growths, the refusals and every answer are those of stepping.
+After a runaway proof the paused tape and state are no longer stepping's.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 
 from ._record import Record
 from .errors import BudgetExceededError, MachineParseError
@@ -208,66 +209,21 @@ def _compile(tm: TuringMachine) -> tuple[list[tuple[int, int, int] | None], int,
     return table, rows[tm.initial], rows[tm.halting], width
 
 
-def _blank_drift(table: list[tuple[int, int, int] | None], width: int) -> list[int]:
-    """Per state row r, the move d (+1 or -1) of every blank-reading step from
-    r on, when those steps never reach the halting row and all move d; else 0.
+def _blank_drift(table: list[tuple[int, int, int] | None], row: int) -> int:
+    """The move d (+1 or -1) of every blank-reading step from `row` on, when
+    those steps never reach the halting row and all move d; else 0.
 
-    A run in row r whose head sees only blanks from its cell outward in
-    direction d therefore never halts (see halt_scanner).  One walk per row,
-    each ending at a row already decided, at a cycle it closes, or at the
-    halting row.
+    A run in `row` whose head sees only blanks from its cell outward in
+    direction d therefore never halts (see halt_scanner).  The blank chain
+    is walked until a row repeats.
     """
-    drift = [0] * len(table)
-    done: set[int] = set()
-    for start in range(0, len(table), width):
-        path: dict[int, int] = {}  # row -> its blank move, in walk order
-        r = start
-        while r not in done and r not in path and table[r] is not None:
-            _, path[r], r = table[r]
-        rows = list(path)
-        if r in path:  # closed a cycle: it drifts if all its moves agree
-            i = rows.index(r)
-            moves = {path[q] for q in rows[i:]}
-            d = moves.pop() if len(moves) == 1 else 0
-            for q in rows[i:]:
-                drift[q] = d
-            rows = rows[:i]
-        else:  # a decided row, or the halting row's drift of 0
-            d = drift[r]
-        for q in reversed(rows):
-            d = d if path[q] == d else 0
-            drift[q] = d
-        done.update(path)
-    return drift
-
-
-def _blank_trail(
-    table: list, row: int, steps: int, piece: type
-) -> tuple[Sequence[int] | None, int]:
-    """The symbols written by `steps` steps from `row` over blank cells, in
-    the order written (a `piece` of the tape's type, or None when all are
-    blank), and the row reached.
-
-    The blank chain from `row` must not reach the halting row.  It is walked
-    only until a row repeats; the cycle's writes are then repeated.
-    """
-    seen: dict[int, int] = {}
-    rows: list[int] = []
-    writes: list[int] = []
-    while len(rows) < steps and row not in seen:
-        seen[row] = len(rows)
-        rows.append(row)
-        write, _, row = table[row]
-        writes.append(write)
-    start, cycle, repeats, rest = len(rows), [], 0, 0
-    if len(rows) < steps:  # the row repeats: the chain cycles from seen[row]
-        start = seen[row]
-        cycle = writes[start:]
-        repeats, rest = divmod(steps - start, len(cycle))
-        row = rows[start + rest]
-    if not any(writes):  # every written symbol is the blank already there
-        return None, row
-    return piece(writes[:start]) + piece(cycle) * repeats + piece(cycle[:rest]), row
+    moves: dict[int, int] = {}  # row -> the head move of its blank entry
+    while row not in moves:
+        if table[row] is None:  # the halting row
+            return 0
+        _, moves[row], row = table[row]
+    distinct = set(moves.values())
+    return distinct.pop() if len(distinct) == 1 else 0
 
 
 def _blank_ahead(cells: bytearray | list[int], head: int, d: int) -> bool:
@@ -321,9 +277,9 @@ def halt_scanner(tm: TuringMachine) -> Callable[[int], int | None]:
     the run never halts are tried:
     - Blank runaway: every cell from the head outward in direction d is
       blank, and every blank-reading step from the current row on moves d
-      (see _blank_drift).  The run then only ever reads blanks ahead, so a
-      stretch of k steps writes its known trail in one slice, moves the
-      head k * d and takes the row k steps along the blank chain.
+      (see _blank_drift).  The run then only ever reads blanks ahead and
+      never reads what it writes behind, so a stretch of k steps only
+      moves the head k * d: it writes nothing and keeps its row.
     - Exact cycle: Brent's method over the boundary configurations (row,
       head, tape), with at most one snapshot, none of a tape over
       _SNAPSHOT_CELLS cells, and a fresh start at every growth.  Once the
@@ -333,9 +289,10 @@ def halt_scanner(tm: TuringMachine) -> Callable[[int], int | None]:
       visits in a period keep clear of both growth margins, the tape never
       grows again and the rest of the budget is one stretch.
     A proof skips only steps in which stepping would neither halt nor grow
-    the tape, so the growths, the TAPE_LIMIT refusal (its step included),
-    the paused run and every answer are those of plain stepping.  A run
-    that reaches no edge-cut stretch pays nothing for the proofs.
+    the tape, so the growths, the TAPE_LIMIT refusal (its step and
+    message included) and every answer are those of plain stepping, and
+    so is the paused run unless a runaway was proven.  A run that reaches
+    no edge-cut stretch pays nothing for the proofs.
     """
     table, start_row, halt_row, width = _compile(tm)
     tape = bytearray(TAPE_START) if width <= 256 else [0] * TAPE_START
@@ -343,10 +300,11 @@ def halt_scanner(tm: TuringMachine) -> Callable[[int], int | None]:
     blank = tape[:1]  # one blank cell, of the tape's own type
     head, row, steps = TAPE_START // 2, start_row, 0
     halted_at = 0 if start_row == halt_row else None  # set as soon as the run halts
-    # The proofs wait for a step per table entry, which bounds the cost of
-    # building the blank chains, so that a short run pays nothing for them.
+    # The proofs wait for a step per table entry, so that a short run pays
+    # nothing for them and a blank chain walk (a step per state at most, one
+    # walk per row) costs less than the steps already taken.
     warmup = len(table)
-    drift: list[int] | None = None  # built when the proofs are first tried
+    drift: dict[int, int] = {}  # row -> _blank_drift(table, row), once walked
     # Brent's cycle search: one snapshot, boundaries since it, its horizon.
     snap: bytearray | list[int] | None = None
     snap_row = snap_head = 0
@@ -356,7 +314,7 @@ def halt_scanner(tm: TuringMachine) -> Callable[[int], int | None]:
     period = low = high = drifting = 0
 
     def onset(n: int) -> int | None:
-        nonlocal head, row, steps, halted_at, drift, snap, snap_row, snap_head
+        nonlocal head, row, steps, halted_at, snap, snap_row, snap_head
         nonlocal since, horizon, period, low, high, drifting
         if halted_at is None and n > steps:
             # Locals, not closure cells: read on every step.
@@ -385,9 +343,6 @@ def halt_scanner(tm: TuringMachine) -> Callable[[int], int | None]:
                     snap, since, horizon = None, 0, 1
                 room = min(h, len(cells) - 1 - h, left)
                 if drifting:
-                    trail, r = _blank_trail(t, r, room, type(cells))
-                    if trail is not None:
-                        cells[h : h + drifting * room : drifting] = trail
                     h += drifting * room
                     s += room
                     continue
@@ -406,8 +361,8 @@ def halt_scanner(tm: TuringMachine) -> Callable[[int], int | None]:
                     # An edge cuts the stretch short of the budget: try the
                     # proofs.  One that holds takes over from the next
                     # stretch on.
-                    if drift is None:
-                        drift = _blank_drift(t, width)
+                    if r not in drift:
+                        drift[r] = _blank_drift(t, r)
                     d = drift[r]
                     if d and _blank_ahead(cells, h, d):
                         drifting = d

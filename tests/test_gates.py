@@ -219,6 +219,28 @@ CREEPER = parse_tm(machine_text(
 ))
 
 
+# CREEPER with 299 more symbols, none of them ever written: its tape is a
+# list of ints, not a bytearray.
+EXTRA = [f"x{i:03d}" for i in range(299)]
+WIDE_CREEPER = parse_tm(machine_text(
+    ["q0", "q1", "halt"], ("_", "0", *EXTRA), "_", "q0",
+    {**{(q, a): CREEPER.transitions[(q, a)] for q in ("q0", "q1") for a in "_0"},
+     **{(q, a): ("_", "L", q) for q in ("q0", "q1") for a in EXTRA}},
+))
+
+# bounded_counter_text(8), but the carry into the wall moves right through
+# r0 ... r39 before it halts: their blank chain moves one way into the
+# halting row, which is no runaway.
+RUN_OUT = [f"r{i}" for i in range(40)]
+RUN_OUT_COUNTER = parse_tm(
+    bounded_counter_text(8)
+    .replace("inc w -> w R halt", "inc w -> w R r0")
+    .replace(" halt\nalphabet", f" {' '.join(RUN_OUT)} halt\nalphabet")
+    + "".join(f"{q} {a} -> {a} R {nxt}\n"
+              for q, nxt in zip(RUN_OUT, RUN_OUT[1:] + ["halt"]) for a in "_01mw")
+)
+
+
 # From a 4-cell start tape and under a limit of 32 or 256 bytes, runs of a
 # few thousand steps grow the tape often, and walkers are refused.
 @settings(max_examples=150, deadline=None)
@@ -228,6 +250,9 @@ CREEPER = parse_tm(machine_text(
 @example(CREEPER, [43], 32)
 @example(parse_tm(bounded_counter_text(6)), [262], 32)
 @example(parse_tm(LOOP_TEXTS[0]), [30], 32)
+@example(RUN_OUT_COUNTER, [20000], 256)
+@example(WIDE_CREEPER, [100000], 2**15)
+@example(WIDE_CREEPER, [100000], 2**18)
 def test_halting_scans_match_plain_stepping(tm, queries, tape_limit):
     with mock.patch.object(turing, "TAPE_START", 4), \
             mock.patch.object(turing, "TAPE_LIMIT", tape_limit):

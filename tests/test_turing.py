@@ -132,7 +132,9 @@ def test_halting_monotone_and_step_stable(halters):
 
 
 def test_long_walk_peak_memory():
-    # Two million written cells: a flat byte tape, not one object per cell.
+    # The writer is proven a runaway after its warm-up and writes no more,
+    # but its byte tape still grows to two million cells, not one object
+    # per cell.
     tm = parse_tm(LOOP_WRITER)
     tracemalloc.start()
     try:
@@ -158,8 +160,11 @@ def test_tape_growth_past_the_byte_limit_is_refused(monkeypatch):
         "initial: q0\nhalting: halt\n" + "".join(f"q0 {a} -> {a} R q0\n" for a in symbols)
     )
     assert str(run_bounded(wide, 300)) == "StillRunning(300)"
-    with pytest.raises(BudgetExceededError, match="tape of 512 cells would grow past 4096 bytes"):
+    message = outcome(stepping_halt_scanner(wide), 1000)
+    assert message.startswith("tape of 512 cells would grow past 4096 bytes at step ")
+    with pytest.raises(BudgetExceededError) as err:
         run_bounded(wide, 1000)
+    assert str(err.value) == message
 
 
 def outcome(onset, n: int):
@@ -203,6 +208,28 @@ def test_cycles_answer_any_budget_at_once():
     # of any size is one stretch of fewer steps than the period.
     for text in (LOOP_PINGPONG, LOOP_ERASER):
         assert str(run_bounded(parse_tm(text), 10**18)) == f"StillRunning({10**18})"
+
+
+# Ten steps left, ten steps right, over a blank tape that it never writes.
+BOUNCER = (
+    "states: " + " ".join(f"b{i}" for i in range(20)) + " halt\n"
+    "alphabet: _\nblank: _\ninitial: b0\nhalting: halt\n"
+    + "".join(f"b{i} _ -> _ {'L' if i < 10 else 'R'} b{(i + 1) % 20}\n" for i in range(20))
+)
+
+
+def test_cycle_within_a_growth_margin_is_refused_where_plain_stepping_is(monkeypatch):
+    # The bouncer's cycle reaches cell 6 of a 32-cell tape, inside the
+    # quarter-tape margin, so a later stretch that ends there asks for a
+    # growth that the limit refuses: the cycle proof found by the first
+    # query must not answer the rest of the second one in one stretch.
+    monkeypatch.setattr(turing, "TAPE_START", 32)
+    monkeypatch.setattr(turing, "TAPE_LIMIT", 32)
+    tm = parse_tm(BOUNCER)
+    onset, reference = turing.halt_scanner(tm), stepping_halt_scanner(tm)
+    for n in (77, 3000):
+        assert outcome(onset, n) == outcome(reference, n)
+    assert outcome(reference, 3000) == "tape of 32 cells would grow past 32 bytes at step 90"
 
 
 @pytest.mark.parametrize("text", [LOOP_RIGHT, LOOP_LEFT, LOOP_WRITER])
