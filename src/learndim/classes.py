@@ -141,9 +141,10 @@ class FiniteClass(Record):
     def index_of(self, row: Sequence[int]) -> int:
         vec = tuple(row)
         code = _pack(vec) if len(vec) == len(self.domain) and set(vec) <= {0, 1} else None
-        if code not in self.codes:
-            raise ValueError("concept not in class")
-        return self.codes.index(code)
+        try:
+            return self.codes.index(code)
+        except ValueError:
+            raise ValueError("concept not in class") from None
 
     def column(self, x: int) -> int:
         try:
@@ -215,15 +216,22 @@ def goedel_prefix_class(fs: FormalSystem) -> IndexedClass:
     return masked_sequence_class(lambda n: onset(n) is None, "goedel_prefix")
 
 
+def _step_evaluate(m: int, n: int) -> int:
+    """step_class's evaluator: 0 at m = 0, else the threshold at m - 1."""
+    if m == 0:
+        return 0
+    return 1 if n >= m - 1 else 0
+
+
 def step_class() -> IndexedClass:
-    """Thresholds indexed by m >= 1 (threshold m-1) plus the zero function at m = 0."""
+    """Thresholds indexed by m >= 1 (threshold m-1) plus the zero function at m = 0.
 
-    def evaluate(m: int, n: int) -> int:
-        if m == 0:
-            return 0
-        return 1 if n >= m - 1 else 0
-
-    return IndexedClass(evaluate=evaluate, provenance="step")
+    materialize builds this class's windows in closed form, never calling
+    the evaluator: it recognizes the class by its evaluator function
+    itself, so a copy of that function, or the `provenance` label alone,
+    is read once per cell like any class without `active`.
+    """
+    return IndexedClass(evaluate=_step_evaluate, provenance="step")
 
 
 def f_of_system(fs: FormalSystem) -> Callable[[int], int]:
@@ -257,21 +265,25 @@ def materialize(ic: IndexedClass, domain_max: int, index_count: int) -> FiniteCl
     """Deduplicated window { evaluate(m, .)|[0, domain_max] : m < index_count }.
 
     Keeps the smallest witness index per concept, ordered by witness.  A
-    class without `active` is read through its evaluator, one call per cell,
-    (domain_max + 1) * index_count calls in all, a batch of consecutive
-    indexes of about BATCH_CELLS cells at a time: one evaluator map along
-    each column of the batch (along each row when the batch holds fewer
-    indexes than points), then the batch's distinct rows kept with their
-    first index, and only those packed.  So a batch holds O(BATCH_CELLS)
-    cells however large the window, or one row when a row alone is wider.
-    A batch with an entry other than 0 or 1 is read again row by row and
-    fails as from_rows fails on that row.  A class with `active` never
-    calls the evaluator: the row of index m is the set S of active points
-    <= domain_max that m carries, the smallest index carrying S is S
-    itself, so the window is every such S below index_count, witnessed by
-    S.  Either way, fails with BudgetExceededError when (domain_max + 1) *
-    index_count exceeds eval_budget(), signalling the caller to shrink the
-    window.
+    window of step_class (told by its own evaluator function, never by
+    the provenance) is built without an evaluator call: with count =
+    min(index_count, domain_max + 2), it is the zero row and the
+    thresholds at 0 .. count - 2, witnessed by indexes 0 .. count - 1.
+    Any other class without `active` is read through its evaluator, one
+    call per cell, (domain_max + 1) * index_count calls in all, a batch
+    of consecutive indexes of about BATCH_CELLS cells at a time: one
+    evaluator map along each column of the batch (along each row when the
+    batch holds fewer indexes than points), then the batch's distinct rows
+    kept with their first index, and only those packed.  So a batch holds
+    O(BATCH_CELLS) cells however large the window, or one row when a row
+    alone is wider.  A batch with an entry other than 0 or 1 is read
+    again row by row and fails as from_rows fails on that row.  A class
+    with `active` never calls the evaluator: the row of index m is the set
+    S of active points <= domain_max that m carries, the smallest index
+    carrying S is S itself, so the window is every such S below
+    index_count, witnessed by S.  All three ways fail with
+    BudgetExceededError when (domain_max + 1) * index_count exceeds
+    eval_budget(), signalling the caller to shrink the window.
     """
     if domain_max < 0:
         raise ValueError("domain_max must be nonnegative")
@@ -285,6 +297,13 @@ def materialize(ic: IndexedClass, domain_max: int, index_count: int) -> FiniteCl
             f"{_magnitude(cost)} evaluator calls, budget is {limit}"
         )
     domain = tuple(range(domain_max + 1))
+    if ic.evaluate is _step_evaluate:
+        # Index m >= 1 is the threshold at m - 1, whose row is every point
+        # from m - 1 up; from m = N + 2 on that row is index 0's zero row.
+        count = min(index_count, domain_max + 2)
+        full = (1 << (domain_max + 1)) - 1
+        codes = (0, *(full >> t << t for t in range(count - 1)))
+        return FiniteClass(domain=domain, codes=codes, witnesses=tuple(range(count)))
     if ic.active is None:
         return _read_window(ic.evaluate, domain, index_count)
     # Adding active point n appends only sets >= 2**n, above every earlier

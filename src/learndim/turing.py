@@ -35,7 +35,8 @@ before simulating further:
 - blank runaway: the head sees only blanks from its cell outward in one
   direction, and every blank-reading step from its state on moves that way
   without halting, so each later stretch only moves the head: nothing
-  reads the cells it writes behind it, and they are not written;
+  reads the cells it writes behind it, so they are not written, and a
+  growth allocates no cells: only the tape's length count doubles;
 - exact cycle: two boundary configurations (state, head, tape) are equal
   (Brent's method), so the run repeats with the least period P of that
   configuration, and a stretch of k steps takes only k % P of them.
@@ -279,7 +280,8 @@ def halt_scanner(tm: TuringMachine) -> Callable[[int], int | None]:
       blank, and every blank-reading step from the current row on moves d
       (see _blank_drift).  The run then only ever reads blanks ahead and
       never reads what it writes behind, so a stretch of k steps only
-      moves the head k * d: it writes nothing and keeps its row.
+      moves the head k * d: it writes nothing and keeps its row, and a
+      growth doubles the tape's length count but allocates no cells.
     - Exact cycle: Brent's method over the boundary configurations (row,
       head, tape), with at most one snapshot, none of a tape over
       _SNAPSHOT_CELLS cells, and a fresh start at every growth.  Once the
@@ -299,6 +301,9 @@ def halt_scanner(tm: TuringMachine) -> Callable[[int], int | None]:
     cell_bytes = 1 if width <= 256 else 8
     blank = tape[:1]  # one blank cell, of the tape's own type
     head, row, steps = TAPE_START // 2, start_row, 0
+    # The tape's length in cells.  A proven runaway grows only this count:
+    # nothing reads its cells again.
+    length = TAPE_START
     halted_at = 0 if start_row == halt_row else None  # set as soon as the run halts
     # The proofs wait for a step per table entry, so that a short run pays
     # nothing for them and a blank chain walk (a step per state at most, one
@@ -314,13 +319,13 @@ def halt_scanner(tm: TuringMachine) -> Callable[[int], int | None]:
     period = low = high = drifting = 0
 
     def onset(n: int) -> int | None:
-        nonlocal head, row, steps, halted_at, snap, snap_row, snap_head
+        nonlocal head, row, steps, length, halted_at, snap, snap_row, snap_head
         nonlocal since, horizon, period, low, high, drifting
         if halted_at is None and n > steps:
             # Locals, not closure cells: read on every step.
-            t, cells, h, r, s = table, tape, head, row, steps
+            t, cells, h, r, s, size = table, tape, head, row, steps, length
             while s < n:
-                size, left = len(cells), n - s
+                left = n - s
                 # Double the tape on the head's nearer side once that edge is
                 # closer than both a quarter of the tape and the budget left.
                 if min(h, size - 1 - h) < min(left, size // 4):
@@ -328,26 +333,28 @@ def halt_scanner(tm: TuringMachine) -> Callable[[int], int | None]:
                         if r == halt_row:  # the last stretch ended on the halt
                             halted_at = s
                             break
-                        head, row, steps = h, r, s  # the paused run stays resumable
+                        head, row, steps, length = h, r, s, size  # the paused run stays resumable
                         raise BudgetExceededError(
                             f"tape of {size} cells would grow past {TAPE_LIMIT} bytes "
                             f"at step {s}"
                         )
                     if h < size - 1 - h:
-                        cells[:0] = blank * size
+                        if not drifting:
+                            cells[:0] = blank * size
                         h += size
                         low += size
                         high += size
-                    else:
+                    elif not drifting:
                         cells.extend(blank * size)
+                    size *= 2
                     snap, since, horizon = None, 0, 1
-                room = min(h, len(cells) - 1 - h, left)
+                room = min(h, size - 1 - h, left)
                 if drifting:
                     h += drifting * room
                     s += room
                     continue
                 if period:
-                    if min(low, len(cells) - 1 - high) >= len(cells) // 4:
+                    if min(low, size - 1 - high) >= size // 4:
                         # The head keeps clear of both growth margins, so
                         # the tape never grows again: the rest of the budget
                         # is one stretch.
@@ -372,7 +379,7 @@ def halt_scanner(tm: TuringMachine) -> Callable[[int], int | None]:
                         period, low, high = _first_return(t, cells, h, r)
                     else:
                         since += 1
-                        if since >= horizon and len(cells) <= _SNAPSHOT_CELLS:
+                        if since >= horizon and size <= _SNAPSHOT_CELLS:
                             snap, snap_row, snap_head = cells[:], r, h
                             since, horizon = 0, 2 * horizon
                 try:
@@ -386,7 +393,7 @@ def halt_scanner(tm: TuringMachine) -> Callable[[int], int | None]:
             else:
                 if r == halt_row:
                     halted_at = s
-            head, row, steps = h, r, s
+            head, row, steps, length = h, r, s, size
         return halted_at if halted_at is not None and halted_at <= n else None
 
     return onset

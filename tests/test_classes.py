@@ -157,6 +157,13 @@ def test_materialize_validates_and_guards(monkeypatch):
     monkeypatch.setenv("LEARNDIM_EVAL_BUDGET", "16")
     with pytest.raises(BudgetExceededError):
         materialize(ic, 3, 10)
+    # The closed form reads no cell but is charged every one: a cost of
+    # exactly the budget answers, one more is refused.
+    assert materialize(ic, 3, 4).codes == (0, 0b1111, 0b1110, 0b1100)
+    assert materialize(ic, 15, 1).codes == (0,)
+    with pytest.raises(BudgetExceededError) as err:
+        materialize(ic, 16, 1)
+    assert str(err.value) == "window (16, 1) needs 17 evaluator calls, budget is 16"
 
 
 def test_monotone_refinement(halters):

@@ -11,7 +11,8 @@ realizability checks against their path-by-path references; materialize
 against the cell-by-cell window scan, also on irregular tables read in many
 batches, and every packed and derived form of a class against its rows;
 plus the generic window's one evaluator call per cell and its batch-bounded
-memory, and cost guards on large full-cube and
+memory, the step class's closed-form windows (and that only its own
+evaluator takes them), and cost guards on large full-cube and
 near-cube windows (the heap-ordered tree on (16, 2**17) among them), on
 large Hamming balls, wide PAC supports and large PAC samples, and the draw
 counts of PAC trials that stop early and of those that cannot."""
@@ -972,8 +973,9 @@ def test_witnesses_strictly_increase():
         goedel_class(inconsistent_toy()),
         goedel_prefix_class(inconsistent_toy_at(3)),
         step_class(),
+        IndexedClass(evaluate=step_eval_oracle, provenance="read"),
     ):
-        for window in ((5, 64), (5, 40), (6, 100), (4, 16)):  # masked and generic paths
+        for window in ((5, 64), (5, 40), (6, 100), (4, 16)):  # masked, closed-form and read
             fc = materialize(ic, *window)
             assert increasing(fc), (ic.provenance, window)
 
@@ -1144,7 +1146,8 @@ def test_pac_cumulative_weights_are_linear_in_the_support():
 
 
 def _window_cases(halters, loopers, beaver):
-    """(class, oracle evaluator) pairs: every gated construction and step."""
+    """(class, oracle evaluator) pairs: every gated construction, step, and
+    step's thresholds read through an evaluator of their own."""
     cases = [
         (halting_class(tm), lambda m, n, tm=tm: halting_eval_oracle(tm, m, n))
         for tm in [*halters.values(), *loopers, beaver]
@@ -1155,6 +1158,7 @@ def _window_cases(halters, loopers, beaver):
             (goedel_prefix_class(fs), lambda m, n, t=fs.theorem: goedel_prefix_eval_oracle(t, m, n))
         )
     cases.append((step_class(), step_eval_oracle))
+    cases.append((IndexedClass(evaluate=step_eval_oracle, provenance="read"), step_eval_oracle))
     return cases
 
 
@@ -1227,6 +1231,8 @@ def test_generic_window_matches_definitional_scan_on_irregular_tables(
 def test_generic_window_calls_the_evaluator_once_per_cell(domain_max, batches):
     # Several full batches and a partial one, read by columns on 4 points
     # and by rows on 300 (a batch there holds fewer indexes than points).
+    # The thresholds under step_class's label, through another function,
+    # are read too: the label does not choose the closed form.
     width = domain_max + 1
     index_count = batches * (classes.BATCH_CELLS // width) + 5
     hits = bytearray(width * index_count)
@@ -1235,18 +1241,19 @@ def test_generic_window_calls_the_evaluator_once_per_cell(domain_max, batches):
         hits[m * width + n] += 1
         return step_eval_oracle(m, n)
 
-    fc = materialize(IndexedClass(evaluate=evaluate, provenance="counted"), domain_max, index_count)
+    fc = materialize(IndexedClass(evaluate=evaluate, provenance="step"), domain_max, index_count)
     assert hits == b"\x01" * len(hits)
     rows, witnesses = naive_materialize(step_eval_oracle, domain_max, index_count)
     assert list(fc.concepts) == rows and list(fc.witnesses) == witnesses
 
 
 def test_generic_window_memory_is_bounded_by_its_batch():
-    # Reading the (1000, 1001) step window a batch at a time peaks well
-    # below one transpose of the whole window into row tuples (about 8 MB).
+    # Reading the thresholds' (1000, 1001) window a batch at a time peaks
+    # well below one transpose of the whole window into row tuples (about
+    # 8 MB).  The evaluator is not step_class's own, which is never read.
     domain_max, index_count = 1000, 1001
-    evaluate = step_class().evaluate
-    columns = [bytes(map(evaluate, range(index_count), itertools.repeat(n))) for n in range(domain_max + 1)]
+    ic = IndexedClass(evaluate=step_eval_oracle, provenance="counted")
+    columns = [bytes(map(ic.evaluate, range(index_count), itertools.repeat(n))) for n in range(domain_max + 1)]
     tracemalloc.start()
     try:
         rows = list(zip(*columns))
@@ -1256,13 +1263,38 @@ def test_generic_window_memory_is_bounded_by_its_batch():
     del rows, columns
     tracemalloc.start()
     try:
-        fc = materialize(step_class(), domain_max, index_count)
+        fc = materialize(ic, domain_max, index_count)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(fc.codes) == index_count
     assert unbatched > 7 * 2**20
     assert peak < unbatched / 8
+
+
+def _step_windows():
+    """(domain_max, index_count) pairs around the closed form's bends."""
+    windows = set()
+    for n in range(65):
+        for m in (1, 2, n, n + 1, n + 2, n + 3, *(2**k for k in range(8))):
+            windows.add((n, m))
+    for n in (0, 1, 2, 13, 64, 200):
+        for m in (255, 256, 1024, 4096, 4999, 5000):
+            windows.add((n, m))
+    return sorted((n, m) for n, m in windows if m >= 1)
+
+
+def test_step_windows_in_closed_form_match_the_definitional_scan(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a step window reached the evaluator reader")
+
+    monkeypatch.setattr(classes, "_read_window", refuse)
+    for domain_max, index_count in _step_windows():
+        fc = materialize(step_class(), domain_max, index_count)
+        rows, witnesses = naive_materialize(step_eval_oracle, domain_max, index_count)
+        assert list(fc.witnesses) == witnesses, (domain_max, index_count)
+        assert fc.codes == reference_codes(rows), (domain_max, index_count)
+        assert fc.domain == tuple(range(domain_max + 1))
 
 
 @settings(max_examples=200, deadline=None)

@@ -186,6 +186,19 @@ def test_teaching_window_taught_by_its_forced_points():
     assert proc.stdout == "teaching dimension on window (11, 4096): 12\n"
 
 
+def test_wide_step_windows():
+    # Step windows are built in closed form, here the zero row and 4,000
+    # thresholds on 4,001 points; reading the 16,008,001 cells took 1.5 s.
+    # The VC search on top still runs out of subset checks.
+    proc = run_cli("dim", "--class", "step", "--measure", "vc", "--window", "4000", "4001")
+    check_run(proc, 3)
+    assert proc.stdout == ""
+    assert proc.stderr == "budget exceeded: vc_dim exceeded 2000000 subset checks at size 11\n"
+    proc = run_cli("dim", "--class", "step", "--measure", "littlestone", "--window", "2000", "2001")
+    check_run(proc, 0)
+    assert proc.stdout == "littlestone on window (2000, 2001): 10\n"
+
+
 @pytest.mark.parametrize("command", ["simulate", "reduce"])
 def test_runaway_walker_refused_at_the_plain_stepping_step(command):
     # loop.tm walks right over blanks forever.  Its tape doubles until the

@@ -13,6 +13,7 @@ from learndim import (
     decode_tm,
     encode_tm,
     f_of_machine,
+    load_tm,
     parse_tm,
     run_bounded,
     serialize_tm,
@@ -28,6 +29,7 @@ from conftest import (
     LOOP_RIGHT,
     LOOP_TEXTS,
     LOOP_WRITER,
+    MACHINES_DIR,
     halter_text,
 )
 from oracles import stepping_halt_scanner
@@ -132,9 +134,8 @@ def test_halting_monotone_and_step_stable(halters):
 
 
 def test_long_walk_peak_memory():
-    # The writer is proven a runaway after its warm-up and writes no more,
-    # but its byte tape still grows to two million cells, not one object
-    # per cell.
+    # The writer is proven a runaway after its warm-up and writes no more;
+    # from then on only its tape's length count grows, not its cells.
     tm = parse_tm(LOOP_WRITER)
     tracemalloc.start()
     try:
@@ -143,6 +144,25 @@ def test_long_walk_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8_000_000
+
+
+def test_drifting_runaway_refused_without_allocating_its_tape():
+    # loop.tm is proven a runaway after its warm-up.  Its tape's length
+    # count still doubles up to the refusal at plain stepping's step, but
+    # no cell is allocated past the proof, where stepping's tape reaches
+    # 128 MB.
+    loop = load_tm(MACHINES_DIR / "loop.tm")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as err:
+            run_bounded(loop, 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        "tape of 134217728 cells would grow past 134217728 bytes at step 133693312"
+    )
+    assert peak < 16 * 2**20
 
 
 def test_tape_growth_past_the_byte_limit_is_refused(monkeypatch):
@@ -239,6 +259,10 @@ def test_runaways_refused_where_plain_stepping_is(monkeypatch, text):
     message = outcome(stepping_halt_scanner(tm), 10**6)
     assert message.startswith("tape of 32768 cells would grow past 32768 bytes at step ")
     assert outcome(turing.halt_scanner(tm), 10**18) == message
+    # Queries resumed past the proof grow the tape from the length it reached.
+    onset, reference = turing.halt_scanner(tm), stepping_halt_scanner(tm)
+    for n in (5_000, 3_000, 20_000, 10**6, 10**18):
+        assert outcome(onset, n) == outcome(reference, n)
 
 
 @pytest.mark.parametrize("budget", [0, 1, 2, 100])
