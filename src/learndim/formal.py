@@ -5,12 +5,16 @@ Negation is the fixed-point-free involution code XOR 1, which is exactly the
 structure the class constructions consume: equality of codes and a computable
 negation.  Toy systems cover the consistent, immediately inconsistent, and
 delayed-inconsistency cases; user-supplied enumerations are accepted on
-trust (totality and infinite range are not checkable).
+trust (totality and infinite range are not checkable).  The contradiction
+scan enumerates a user system's theorems at most once per scanner and the
+toys' not at all: their onsets are known in closed form.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Mapping
+from functools import partial
 
 from ._record import Record
 from .encoding import unpair
@@ -43,8 +47,18 @@ def contradiction_scanner(fs: FormalSystem) -> Callable[[int], int | None]:
 
     Returns onset(n): the smallest k <= n such that theorem(k) negates some
     theorem(i) with i < k, else None.  The set of theorems seen so far is
-    shared by all calls, so each theorem is enumerated at most once.
+    shared by all calls, so each theorem is enumerated at most once, and
+    the toys are enumerated not at all: the scanner recognizes their
+    enumeration functions themselves, so a copy of one, such as a lambda
+    around a toy's theorem, is scanned like any user system.
     """
+    theorem = fs.theorem
+    if theorem is _evens:
+        return lambda n: None
+    if isinstance(theorem, partial) and theorem.func is _evens_then_all:
+        (k,) = theorem.args  # onset k + 1, see inconsistent_toy_at
+        first = k + 1
+        return lambda n: first if first <= n else None
     seen: set[int] = set()
     scanned = -1
     found: int | None = None
@@ -83,29 +97,40 @@ def inconsistency_onset(fs: FormalSystem, scan_limit: int) -> int | None:
     return contradiction_scanner(fs)(scan_limit)
 
 
+def _evens(i: int) -> int:
+    """consistent_toy's enumeration."""
+    return 2 * i
+
+
+def _evens_then_all(k: int, i: int) -> int:
+    """inconsistent_toy_at(k)'s enumeration, with k bound by a partial."""
+    return 2 * i if i < k else i - k
+
+
 def consistent_toy() -> FormalSystem:
     """Enumerates the even codes 2i: infinitely many theorems, no contradiction."""
-    return FormalSystem(theorem=lambda i: 2 * i)
+    return FormalSystem(theorem=_evens)
 
 
 def inconsistent_toy() -> FormalSystem:
-    """Enumerates every code: proves each statement and its negation."""
-    return FormalSystem(theorem=lambda i: i)
+    """Enumerates every code: proves each statement and its negation.
+
+    It is inconsistent_toy_at(0), whose theorem(i) is i - 0 = i.
+    """
+    return inconsistent_toy_at(0)
 
 
 def inconsistent_toy_at(k: int) -> FormalSystem:
     """Consistent for the first k theorems, then enumerates every code.
 
     theorem(i) = 2i for i < k and i - k afterwards, so the first
-    contradictory pair enters the prefix at a finite, scan-locatable index.
+    contradictory pair is theorem(k) = 0 and theorem(k + 1) = 1: the onset
+    is k + 1.  k must be an integer (TypeError otherwise) and nonnegative.
     """
+    k = operator.index(k)
     if k < 0:
         raise ValueError("onset length must be nonnegative")
-
-    def theorem(i: int) -> int:
-        return 2 * i if i < k else i - k
-
-    return FormalSystem(theorem=theorem)
+    return FormalSystem(theorem=partial(_evens_then_all, k))
 
 
 def system_from_spec(spec: Mapping) -> FormalSystem:

@@ -64,6 +64,7 @@ MATRIX = [
     (["dim", "--class", "halting:/nonexistent/m.tm"], None, 1),
     (["dim", "--class", "goedel:weird"], None, 1),
     (["dim", "--class", "goedel:inconsistent_at:x"], None, 1),
+    (["dim", "--class", "goedel_prefix:inconsistent_at:2.5"], None, 1),
     (["tree", "--class", "goedel_prefix:inconsistent_at", "--depth", "2"], None, 1),
     (["game", "--class", "goedel:inconsistent_at:-3"], None, 1),
     (["pac", "--class", "missing.json"], None, 1),

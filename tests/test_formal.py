@@ -1,6 +1,9 @@
-"""Toy formal systems and their contradiction predicates."""
+"""Toy formal systems and their contradiction predicates, and the toys'
+onsets in closed form against the scanning loop and the oracle."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +21,8 @@ from learndim import (
     system_from_spec,
 )
 from learndim.formal import contradiction_scanner
+
+from oracles import inconsistency_onset_oracle
 
 
 def test_negation_values_and_involution():
@@ -109,6 +114,41 @@ def test_delayed_onset_located_by_scan(k):
 
 def test_onset_none_for_consistent_system():
     assert inconsistency_onset(consistent_toy(), 2000) is None
+
+
+def test_toy_onsets_in_closed_form_match_the_scan_and_the_oracle():
+    # Queries at k, k + 1 and k + 2, rising then falling, on one scanner
+    # each for the toy and for the same enumeration behind a lambda, which
+    # the scanner walks theorem by theorem.
+    for k in range(301):
+        toy = inconsistent_toy_at(k)
+        wrapped = FormalSystem(theorem=lambda i, theorem=toy.theorem: theorem(i))
+        closed, scan = contradiction_scanner(toy), contradiction_scanner(wrapped)
+        queries = [k, k + 1, k + 2]
+        codes = [toy.theorem(i) for i in range(k + 3)]
+        want = {n: inconsistency_onset_oracle(codes.__getitem__, n) for n in queries}
+        for n in queries + queries[::-1]:
+            assert closed(n) == scan(n) == want[n], (k, n)
+
+
+def test_toy_scans_hold_no_theorem_set():
+    # Scanning the theorems holds a set of a million codes: 67 MB each.
+    tracemalloc.start()
+    try:
+        onset = inconsistency_onset(inconsistent_toy_at(10**6), 2 * 10**6)
+        consistent = prefix_consistent(consistent_toy(), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (onset, consistent) == (10**6 + 1, True)
+    assert peak < 2**20
+
+
+def test_delayed_onset_must_be_a_nonnegative_integer():
+    with pytest.raises(TypeError):
+        inconsistent_toy_at(2.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        inconsistent_toy_at(-1)
 
 
 @given(st.integers(min_value=0, max_value=60))

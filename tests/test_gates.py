@@ -1,16 +1,19 @@
 """Differential tests: the resumable halting and contradiction scans behind
 both gates against the literal oracles, over query sequences that rise,
-fall and repeat; and the halting scan against plain stepping, tape growth
-and its refusal included."""
+fall and repeat, the contradiction scan on the toys' closed forms and on
+enumerations that take the scanning loop; and the halting scan against
+plain stepping, tape growth and its refusal included."""
 
 from __future__ import annotations
 
 import random
+from functools import partial
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
 from learndim import (
+    FormalSystem,
     consistent_toy,
     f_of_machine,
     f_of_system,
@@ -40,10 +43,26 @@ MACHINES = (
 )
 
 machines = st.sampled_from(MACHINES)
-systems = st.one_of(
+
+
+def listed_then_evens(codes: tuple[int, ...], i: int) -> int:
+    return codes[i] if i < len(codes) else 2 * i
+
+
+toys = st.one_of(
     st.just(consistent_toy()),
     st.just(inconsistent_toy()),
     st.integers(min_value=0, max_value=30).map(inconsistent_toy_at),
+)
+# The toys take the scanner's closed forms.  The same enumerations behind a
+# lambda, and listed codes (odd ones first, repeats, and clashes wherever
+# they fall) followed by evens, take its scanning loop.
+systems = st.one_of(
+    toys,
+    toys.map(lambda fs: FormalSystem(theorem=lambda i: fs.theorem(i))),
+    st.lists(st.integers(min_value=0, max_value=60), max_size=40).map(
+        lambda codes: FormalSystem(theorem=partial(listed_then_evens, tuple(codes)))
+    ),
 )
 
 
