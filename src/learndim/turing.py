@@ -87,27 +87,34 @@ def parse_tm(text: str) -> TuringMachine:
 
     Raises MachineParseError (with line number) on syntax errors, unknown
     states or symbols, duplicate or missing transitions, and transitions
-    out of the halting state.
+    out of the halting state.  Lines are checked in text order, and each
+    transition line's checks in a fixed order (token count, states,
+    symbols, move, halting source, duplicate), so a line with two faults
+    reports the first.
+
+    The cost is linear in the text: each line is tokenized once, and names
+    are checked against sets of the declared states and symbols.
     """
     headers: dict[str, list[str]] = {}
     transitions: dict[tuple[str, str], tuple[str, str, str]] = {}
     transition_lines: list[tuple[int, list[str]]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, rest = line.partition(":")
-        if sep and key.strip() in HEADER_KEYS:
+        line = raw.partition("#")[0]
+        if ":" in line:
+            key, _, rest = line.partition(":")
             name = key.strip()
-            if name in headers:
-                raise MachineParseError(f"duplicate header '{name}'", lineno)
-            values = rest.split()
-            if not values:
-                raise MachineParseError(f"header '{name}' needs at least one token", lineno)
-            headers[name] = values
-        else:
-            transition_lines.append((lineno, line.split()))
+            if name in HEADER_KEYS:
+                if name in headers:
+                    raise MachineParseError(f"duplicate header '{name}'", lineno)
+                values = rest.split()
+                if not values:
+                    raise MachineParseError(f"header '{name}' needs at least one token", lineno)
+                headers[name] = values
+                continue
+        tokens = line.split()
+        if tokens:
+            transition_lines.append((lineno, tokens))
 
     for name in HEADER_KEYS:
         if name not in headers:
@@ -116,16 +123,18 @@ def parse_tm(text: str) -> TuringMachine:
         if len(headers[name]) != 1:
             raise MachineParseError(f"header '{name}' takes exactly one token")
 
-    states = tuple(sorted(set(headers["states"])))
-    alphabet = tuple(sorted(set(headers["alphabet"])))
+    state_set = set(headers["states"])
+    symbol_set = set(headers["alphabet"])
+    states = tuple(sorted(state_set))
+    alphabet = tuple(sorted(symbol_set))
     blank = headers["blank"][0]
     initial = headers["initial"][0]
     halting = headers["halting"][0]
 
-    if blank not in alphabet:
+    if blank not in symbol_set:
         raise MachineParseError(f"blank symbol '{blank}' not in alphabet")
     for role, name in (("initial", initial), ("halting", halting)):
-        if name not in states:
+        if name not in state_set:
             raise MachineParseError(f"{role} state '{name}' not in states")
 
     for lineno, tokens in transition_lines:
@@ -134,13 +143,13 @@ def parse_tm(text: str) -> TuringMachine:
                 "expected 'state symbol -> symbol move state'", lineno
             )
         state, symbol, _, write, move, nxt = tokens
-        if state not in states:
+        if state not in state_set:
             raise MachineParseError(f"unknown state '{state}'", lineno)
-        if nxt not in states:
+        if nxt not in state_set:
             raise MachineParseError(f"unknown state '{nxt}'", lineno)
-        if symbol not in alphabet:
+        if symbol not in symbol_set:
             raise MachineParseError(f"unknown symbol '{symbol}'", lineno)
-        if write not in alphabet:
+        if write not in symbol_set:
             raise MachineParseError(f"unknown symbol '{write}'", lineno)
         if move not in ("L", "R"):
             raise MachineParseError(f"move must be L or R, got '{move}'", lineno)
@@ -150,12 +159,15 @@ def parse_tm(text: str) -> TuringMachine:
             raise MachineParseError(f"duplicate transition for ({state}, {symbol})", lineno)
         transitions[(state, symbol)] = (write, move, nxt)
 
-    for state in states:
-        if state == halting:
-            continue
-        for symbol in alphabet:
-            if (state, symbol) not in transitions:
-                raise MachineParseError(f"missing transition for ({state}, {symbol})")
+    # Every key is a distinct (non-halting state, symbol) pair, so the table
+    # is total exactly when it holds them all; otherwise name the first gap.
+    if len(transitions) < (len(states) - 1) * len(alphabet):
+        for state in states:
+            if state == halting:
+                continue
+            for symbol in alphabet:
+                if (state, symbol) not in transitions:
+                    raise MachineParseError(f"missing transition for ({state}, {symbol})")
 
     return TuringMachine(states, alphabet, blank, initial, halting, transitions)
 

@@ -12,6 +12,7 @@ settling and pruning rules over frozensets),
 optimal tree labels from unpruned frozenset values, SOA predictions by
 comparing the mistake-tree dimensions of the two restrictions, the gated-class
 evaluators by literal transcription of their two-clause definitions, machine
+texts by checking each name with a scan of the declared names, machine
 runs by walking the transition table, prefix consistency by comparing
 every pair of theorems, class windows by evaluating every cell, a
 class's packed forms by reading its rows cell by cell, the PAC
@@ -26,7 +27,13 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from learndim import BudgetExceededError, FiniteClass, WitnessUnresolvedError
+from learndim import (
+    BudgetExceededError,
+    FiniteClass,
+    MachineParseError,
+    TuringMachine,
+    WitnessUnresolvedError,
+)
 
 
 def all_patterns_present(fc: FiniteClass, points: tuple[int, ...]) -> bool:
@@ -361,6 +368,89 @@ def goedel_eval_oracle(theorem, m: int, n: int) -> int:
     if theorem(i) == theorem(j) ^ 1:
         return bit_of(m, n)
     return 0
+
+
+HEADER_KEYS = ("states", "alphabet", "blank", "initial", "halting")
+
+
+def naive_parse_tm(text: str) -> TuringMachine:
+    """turing.parse_tm as it was when every name was checked by a linear
+    scan of the sorted `states` and `alphabet` tuples: the reference for the
+    faster parser's machines, messages and line numbers.
+
+    Raises MachineParseError (with line number) on syntax errors, unknown
+    states or symbols, duplicate or missing transitions, and transitions
+    out of the halting state.
+    """
+    headers: dict[str, list[str]] = {}
+    transitions: dict[tuple[str, str], tuple[str, str, str]] = {}
+    transition_lines: list[tuple[int, list[str]]] = []
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, rest = line.partition(":")
+        if sep and key.strip() in HEADER_KEYS:
+            name = key.strip()
+            if name in headers:
+                raise MachineParseError(f"duplicate header '{name}'", lineno)
+            values = rest.split()
+            if not values:
+                raise MachineParseError(f"header '{name}' needs at least one token", lineno)
+            headers[name] = values
+        else:
+            transition_lines.append((lineno, line.split()))
+
+    for name in HEADER_KEYS:
+        if name not in headers:
+            raise MachineParseError(f"missing header '{name}'")
+    for name in ("blank", "initial", "halting"):
+        if len(headers[name]) != 1:
+            raise MachineParseError(f"header '{name}' takes exactly one token")
+
+    states = tuple(sorted(set(headers["states"])))
+    alphabet = tuple(sorted(set(headers["alphabet"])))
+    blank = headers["blank"][0]
+    initial = headers["initial"][0]
+    halting = headers["halting"][0]
+
+    if blank not in alphabet:
+        raise MachineParseError(f"blank symbol '{blank}' not in alphabet")
+    for role, name in (("initial", initial), ("halting", halting)):
+        if name not in states:
+            raise MachineParseError(f"{role} state '{name}' not in states")
+
+    for lineno, tokens in transition_lines:
+        if len(tokens) != 6 or tokens[2] != "->":
+            raise MachineParseError(
+                "expected 'state symbol -> symbol move state'", lineno
+            )
+        state, symbol, _, write, move, nxt = tokens
+        if state not in states:
+            raise MachineParseError(f"unknown state '{state}'", lineno)
+        if nxt not in states:
+            raise MachineParseError(f"unknown state '{nxt}'", lineno)
+        if symbol not in alphabet:
+            raise MachineParseError(f"unknown symbol '{symbol}'", lineno)
+        if write not in alphabet:
+            raise MachineParseError(f"unknown symbol '{write}'", lineno)
+        if move not in ("L", "R"):
+            raise MachineParseError(f"move must be L or R, got '{move}'", lineno)
+        if state == halting:
+            raise MachineParseError("halting state cannot have outgoing transitions", lineno)
+        if (state, symbol) in transitions:
+            raise MachineParseError(f"duplicate transition for ({state}, {symbol})", lineno)
+        transitions[(state, symbol)] = (write, move, nxt)
+
+    for state in states:
+        if state == halting:
+            continue
+        for symbol in alphabet:
+            if (state, symbol) not in transitions:
+                raise MachineParseError(f"missing transition for ({state}, {symbol})")
+
+    return TuringMachine(states, alphabet, blank, initial, halting, transitions)
 
 
 def halting_step_oracle(tm, budget: int) -> int | None:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import timeit
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from learndim import (
     BudgetExceededError,
@@ -30,9 +32,10 @@ from conftest import (
     LOOP_TEXTS,
     LOOP_WRITER,
     MACHINES_DIR,
+    bounded_counter_text,
     halter_text,
 )
-from oracles import stepping_halt_scanner
+from oracles import naive_parse_tm, stepping_halt_scanner
 
 ONE_RULE = """\
 states: q0 halt
@@ -109,6 +112,187 @@ def test_missing_transition_rejected():
 def test_missing_header_rejected():
     with pytest.raises(MachineParseError):
         parse_tm("states: a\nalphabet: _\nblank: _\ninitial: a\nq0 _ -> _ R a\n")
+
+
+def _rule(line: str) -> str:
+    """ONE_RULE with its transition line replaced."""
+    return ONE_RULE.replace("q0 _ -> _ R halt", line)
+
+
+# Every raise in parse_tm: (case, text, the error's str, its line).
+PARSE_FAULTS = [
+    ("duplicate header", ONE_RULE + "states: q0 halt\n", "line 7: duplicate header 'states'", 7),
+    ("empty header", ONE_RULE.replace("initial: q0", "initial: # none"),
+     "line 4: header 'initial' needs at least one token", 4),
+    ("missing header", ONE_RULE.replace("alphabet: _\n", ""), "missing header 'alphabet'", None),
+    ("multi-token header", ONE_RULE.replace("blank: _", "blank: _ 1"),
+     "header 'blank' takes exactly one token", None),
+    ("blank", ONE_RULE.replace("blank: _", "blank: 1"), "blank symbol '1' not in alphabet", None),
+    ("initial", ONE_RULE.replace("initial: q0", "initial: q9"),
+     "initial state 'q9' not in states", None),
+    ("halting", ONE_RULE.replace("halting: halt", "halting: stop"),
+     "halting state 'stop' not in states", None),
+    ("token count", _rule("q0 _ -> _ R"),
+     "line 6: expected 'state symbol -> symbol move state'", 6),
+    ("arrow", _rule("q0 _ => _ R halt"),
+     "line 6: expected 'state symbol -> symbol move state'", 6),
+    ("source", _rule("q9 _ -> _ R halt"), "line 6: unknown state 'q9'", 6),
+    ("target", _rule("q0 _ -> _ R q9"), "line 6: unknown state 'q9'", 6),
+    ("read", _rule("q0 1 -> _ R halt"), "line 6: unknown symbol '1'", 6),
+    ("write", _rule("q0 _ -> 1 R halt"), "line 6: unknown symbol '1'", 6),
+    ("move", _rule("q0 _ -> _ X halt"), "line 6: move must be L or R, got 'X'", 6),
+    ("from halting", ONE_RULE + "halt _ -> _ R halt\n",
+     "line 7: halting state cannot have outgoing transitions", 7),
+    ("duplicate transition", ONE_RULE + "q0 _ -> _ L halt\n",
+     "line 7: duplicate transition for (q0, _)", 7),
+    ("missing transition", halter_text(2).replace("q1 1 -> 1 R q1\n", ""),
+     "missing transition for (q1, 1)", None),
+    # Two faults on one line: the unknown state is checked before the move.
+    ("state before move", _rule("q0 _ -> _ X q9"), "line 6: unknown state 'q9'", 6),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [case[1:] for case in PARSE_FAULTS],
+    ids=[case[0] for case in PARSE_FAULTS],
+)
+def test_every_parse_error_pins_message_and_line(text, message, line):
+    with pytest.raises(MachineParseError) as err:
+        parse_tm(text)
+    assert str(err.value) == message
+    assert err.value.line == line
+
+
+def _fresh(taken, stem: str) -> str:
+    """A name of `stem` and digits that is not in `taken`."""
+    i = 0
+    while f"{stem}{i}" in taken:
+        i += 1
+    return f"{stem}{i}"
+
+
+# Names without whitespace or '#'; ':', '-' and '>' let tokens look like
+# header keys or arrows.
+NAMES = st.text(alphabet="ab01_:->", min_size=1, max_size=3)
+CORRUPTIONS = (
+    "source", "target", "read", "write", "move", "count", "from halting",
+    "duplicate transition", "missing transition", "duplicate header",
+    "empty header", "missing header", "multi-token header", "blank",
+    "initial", "halting",
+)
+
+
+@st.composite
+def machine_texts(draw):
+    """Machine descriptions with random names, comments, blank lines and
+    shuffled lines, valid or with one corruption."""
+    states = draw(st.lists(NAMES, min_size=2, max_size=5, unique=True))
+    if draw(st.booleans()):
+        symbols = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    else:  # past 256 symbols the tape is a list
+        stem = draw(NAMES)
+        symbols = [f"{stem}{i}" for i in range(draw(st.integers(257, 300)))]
+    rng = draw(st.randoms(use_true_random=True))
+    halting, initial = rng.choice(states), rng.choice(states)
+    blank = rng.choice(symbols)
+    headers = {
+        "states": " ".join(rng.sample(states, len(states)) + rng.sample(states, 1)),
+        "alphabet": " ".join(rng.sample(symbols, len(symbols))),
+        "blank": blank,
+        "initial": initial,
+        "halting": halting,
+    }
+    rules = [
+        [q, a, "->", rng.choice(symbols), rng.choice("LR"), rng.choice(states)]
+        for q in states if q != halting for a in symbols
+    ]
+    kind = draw(st.sampled_from((None,) + CORRUPTIONS))
+    if kind in ("source", "target", "read", "write", "move", "count"):
+        rule = rng.choice(rules)
+        if kind == "source":
+            rule[0] = _fresh(states, "q")
+        elif kind == "target":
+            rule[5] = _fresh(states, "q")
+        elif kind == "read":
+            rule[1] = _fresh(symbols, "s")
+        elif kind == "write":
+            rule[3] = _fresh(symbols, "s")
+        elif kind == "move":
+            rule[4] = rng.choice(["X", "l", "LR", "->"])
+        elif rng.random() < 0.5:
+            rule.pop(rng.randrange(6))
+        else:
+            rule.insert(rng.randrange(7), rng.choice(symbols))
+    elif kind == "from halting":
+        rules.append([halting, rng.choice(symbols), "->", blank, "R", initial])
+    elif kind == "duplicate transition":
+        rules.append(rng.choice(rules)[:3] + [rng.choice(symbols), "L", rng.choice(states)])
+    elif kind == "missing transition":
+        rules.pop(rng.randrange(len(rules)))
+    elif kind in ("empty header", "missing header", "multi-token header"):
+        key = rng.choice(list(headers))
+        if kind == "empty header":
+            headers[key] = ""
+        elif kind == "missing header":
+            del headers[key]
+        else:
+            headers[key] += " " + rng.choice(states + symbols)
+    elif kind == "blank":
+        headers["blank"] = _fresh(symbols, "s")
+    elif kind in ("initial", "halting"):
+        headers[kind] = _fresh(states, "q")
+    lines = [" ".join(rule) for rule in rules]
+    if kind == "duplicate header":
+        key = rng.choice(list(headers))
+        lines.append(f"{key}: {headers[key]}")
+    lines += [
+        rng.choice(["{}: {}", "{} :{}", "{}:\t{} "]).format(key, value)
+        for key, value in headers.items()
+    ]
+    rng.shuffle(lines)
+    for _ in range(rng.randrange(4)):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "   ", "# note", " # x: y"]))
+    lines = [
+        rng.choice(["", " "]) + line + rng.choice(["", "", " # why", "\t"])
+        if rng.random() < 0.3 else line
+        for line in lines
+    ]
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(machine_texts())
+def test_parse_tm_matches_naive_parser(text):
+    try:
+        expected = naive_parse_tm(text)
+    except MachineParseError as naive:
+        with pytest.raises(MachineParseError) as err:
+            parse_tm(text)
+        assert str(err.value) == str(naive)
+        assert err.value.line == naive.line
+    else:
+        tm = parse_tm(text)
+        assert tm == expected
+        assert repr(tm) == repr(expected)  # transitions in the same order too
+
+
+def test_parse_tm_matches_naive_parser_on_fixtures():
+    texts = [halter_text(k) for k in range(0, 701, 50)]
+    texts += [*LOOP_TEXTS, BEAVER2, COUNTER, ONE_RULE, bounded_counter_text(4)]
+    texts += [path.read_text() for path in sorted(MACHINES_DIR.glob("*.tm"))]
+    for text in texts:
+        assert repr(parse_tm(text)) == repr(naive_parse_tm(text))
+
+
+def test_parse_time_grows_linearly_with_the_machine():
+    # Four times the states takes about four times as long; checking each
+    # name by a scan of the declared names took about sixteen times.
+    def best(text):
+        return min(timeit.repeat(lambda: parse_tm(text), number=1, repeat=3))
+
+    small, large = best(halter_text(2000)), best(halter_text(8000))
+    assert large / small < 8, f"2000 states: {small:.4f} s, 8000 states: {large:.4f} s"
 
 
 def test_run_bounded_budgets():
