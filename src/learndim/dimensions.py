@@ -27,6 +27,9 @@ from .classes import (
 from .encoding import MAX_CODE
 from .errors import BudgetExceededError, WitnessUnresolvedError
 
+# The one bound on every exact search, set nowhere else: subset checks
+# (vc_dim, teaching_set, teaching_dim), memo words (littlestone_memo),
+# tree paths (LittlestoneTree.uniform) and game rounds (play_online_game).
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
 # The shatter checks cut fewer cells (id sets) than this, about 8 MB of id
@@ -182,12 +185,11 @@ def _require_nonempty(fc: FiniteClass) -> None:
         raise ValueError("dimension measures require a nonempty class")
 
 
-def _budget_error(
-    search: str, limit: int, points: int, sizes: Iterable[int]
-) -> BudgetExceededError:
+def _budget_error(search: str, points: int, sizes: Iterable[int]) -> BudgetExceededError:
     """The plain search over the subsets of `points` points, checking all
     C(points, s) of each size s of `sizes` in turn, runs out at the first
-    size it cannot finish within `limit` checks."""
+    size it cannot finish within DEFAULT_SEARCH_BUDGET checks."""
+    limit = DEFAULT_SEARCH_BUDGET
     checked = 0
     for size in sizes:
         checked += comb(points, size)
@@ -196,7 +198,7 @@ def _budget_error(
     return BudgetExceededError(f"{search} exceeded {limit} subset checks at size {size}")
 
 
-def vc_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionReport:
+def vc_dim(fc: FiniteClass) -> DimensionReport:
     """Exact VC-dimension with a maximum shattered set as certificate.
 
     Sizes go largest first, from the pattern-count bound 2**n <= |concepts|
@@ -206,28 +208,27 @@ def vc_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionReport:
     window answers there, with no masks built); past them
     `_first_shattered` finds the size's first shattered set.
 
-    The budget charges what the plain largest-first search over every
-    subset would check: the C(d, s) subsets of each size s above the
+    DEFAULT_SEARCH_BUDGET bounds what the plain largest-first search over
+    every subset would check: the C(d, s) subsets of each size s above the
     answer's, plus the answer's lexicographic rank among its size's, plus
-    1.  Past the budget it raises BudgetExceededError naming the size at
-    which the plain search would have run out; the search stops as soon as
-    the subsets it has ruled out pass the budget.
+    1.  Past DEFAULT_SEARCH_BUDGET it raises BudgetExceededError naming the
+    size at which the plain search would have run out; the search stops as
+    soon as the subsets it has ruled out pass it.
     """
     _require_nonempty(fc)
-    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
     d = len(fc.domain)
     sizes = range(min(d, len(fc.codes).bit_length() - 1), -1, -1)
     checked = 0  # the plain search's checks before this size
     for size in sizes:
-        if checked >= limit:
-            raise _budget_error("vc_dim", limit, d, sizes)
+        if checked >= DEFAULT_SEARCH_BUDGET:
+            raise _budget_error("vc_dim", d, sizes)
         if _shatters(fc.codes, range(size)):
             return DimensionReport(measure="vc", value=size, certificate=fc.domain[:size])
-        positions, ruled_out = _first_shattered(fc, size, limit - checked)
+        positions, ruled_out = _first_shattered(fc, size, DEFAULT_SEARCH_BUDGET - checked)
         # The sets ruled out, then the answer's own check.
         checked += ruled_out + (positions is not None)
-        if checked > limit:
-            raise _budget_error("vc_dim", limit, d, sizes)
+        if checked > DEFAULT_SEARCH_BUDGET:
+            raise _budget_error("vc_dim", d, sizes)
         if positions is not None:
             certificate = tuple(fc.domain[j] for j in positions)
             return DimensionReport(measure="vc", value=size, certificate=certificate)
@@ -298,7 +299,7 @@ def _cut(cells: list[int], ones: int, need: int) -> list[int] | None:
 
 
 def littlestone_memo(
-    fc: FiniteClass, limit: int
+    fc: FiniteClass,
 ) -> tuple[Callable[[int], int], Callable[[int, int], bool], Callable[[int], LittlestoneTree]]:
     """Memoized Littlestone dimension of a set of concepts of `fc`, given as
     a bitmask of concept ids, answered by threshold queries: `dim(ids)`, the
@@ -339,10 +340,12 @@ def littlestone_memo(
 
     Every answer is the unpruned recursion's, so the tree and SOA see
     exactly what it would give.  Each state's first visit charges the width
-    of one id-mask key, ceil(|C| / 64) words, against `limit` before the
-    state is stored (BudgetExceededError past it); a query with t <= 0
-    visits nothing, and a settled state is one visit.
+    of one id-mask key, ceil(|C| / 64) words, against DEFAULT_SEARCH_BUDGET
+    as read when the memo is built, before the state is stored
+    (BudgetExceededError past it); a query with t <= 0 visits nothing, and
+    a settled state is one visit.
     """
+    limit = DEFAULT_SEARCH_BUDGET
     masks = fc.masks
     words = -(-len(fc.codes) // 64)
     memo: dict[int, list[int]] = {}
@@ -419,20 +422,18 @@ def littlestone_memo(
     return dim, at_least, tree
 
 
-def littlestone_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionReport:
+def littlestone_dim(fc: FiniteClass) -> DimensionReport:
     """Exact Littlestone dimension with an optimal mistake tree certificate,
-    both from one `littlestone_memo`, whose memo words the budget bounds.
-    The value is the maximal realizable tree depth (cross-checked against
-    direct tree search in the test suite)."""
+    both from one `littlestone_memo`, whose memo words DEFAULT_SEARCH_BUDGET
+    bounds.  The value is the maximal realizable tree depth (cross-checked
+    against direct tree search in the test suite)."""
     _require_nonempty(fc)
-    dim, _, tree = littlestone_memo(fc, DEFAULT_SEARCH_BUDGET if budget is None else budget)
+    dim, _, tree = littlestone_memo(fc)
     value = dim(fc.all_ids)
     return DimensionReport(measure="littlestone", value=value, certificate=tree(value))
 
 
-def teaching_set(
-    fc: FiniteClass, concept: Sequence[int], *, budget: int | None = None
-) -> TeachingSet:
+def teaching_set(fc: FiniteClass, concept: Sequence[int]) -> TeachingSet:
     """Minimum teaching set for `concept`, as a minimum cover of the other
     concepts by the points that rule them out (disagree with `concept`).
 
@@ -450,24 +451,23 @@ def teaching_set(
     so the first hit is also the first hit of the plain size-ordered search
     over all subsets of the candidate points.
 
-    The budget charges what that plain search would check: for c candidate
-    points and an answer of size k, the sum of C(c, s) for s < k plus the
-    answer's lexicographic rank among the size-k subsets, plus 1 (2**c when
-    the answer is every candidate).  A charge past the budget raises
+    DEFAULT_SEARCH_BUDGET bounds what that plain search would check: for c
+    candidate points and an answer of size k, the sum of C(c, s) for s < k
+    plus the answer's lexicographic rank among the size-k subsets, plus 1
+    (2**c when the answer is every candidate).  A charge past it raises
     BudgetExceededError naming the size at which the plain search would
-    have run out; the subsets actually checked never exceed the budget.
+    have run out; the subsets actually checked never exceed it.
     """
-    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
     i = fc.index_of(concept)
-    return _teacher(fc, limit)(i)
+    return _teacher(fc)(i)
 
 
-def _teacher(fc: FiniteClass, limit: int) -> Callable[[int], TeachingSet]:
+def _teacher(fc: FiniteClass) -> Callable[[int], TeachingSet]:
     """`teaching_set` by concept id, with what the forced-point rule and the
     search need computed once per class: the set of codes, per candidate
     point (in point order) its column's bit and its two labelled examples,
     shared by every answer that lists the point, and the plain search's
-    checks before each size."""
+    checks before each size, charged against DEFAULT_SEARCH_BUDGET."""
     codes = set(fc.codes)
     varying = reduce(or_, fc.codes) & ~reduce(and_, fc.codes)
     columns = sorted((x, j) for j, x in enumerate(fc.domain) if varying >> j & 1)
@@ -486,8 +486,8 @@ def _teacher(fc: FiniteClass, limit: int) -> Callable[[int], TeachingSet]:
         if codes.issuperset(neighbours):
             # Every candidate is forced and they are the answer: the plain
             # search's last subset.
-            if 1 << c > limit:
-                raise _budget_error("teaching_set", limit, c, range(c + 1))
+            if 1 << c > DEFAULT_SEARCH_BUDGET:
+                raise _budget_error("teaching_set", c, range(c + 1))
             examples = tuple([pair[code >> j & 1] for j, pair in pairs])
             return TeachingSet(target=target, examples=examples)
         full, masks = fc.all_ids, fc.masks
@@ -504,8 +504,8 @@ def _teacher(fc: FiniteClass, limit: int) -> Callable[[int], TeachingSet]:
         for r in range(len(rest) + 1):
             size = len(forced) + r
             for checked, extra in enumerate(combinations(rest, r), 1):
-                if below[size] + checked > limit:
-                    raise _budget_error("teaching_set", limit, c, range(c + 1))
+                if below[size] + checked > DEFAULT_SEARCH_BUDGET:
+                    raise _budget_error("teaching_set", c, range(c + 1))
                 covered = 0
                 for k in extra:
                     covered |= rules_out[k]
@@ -513,8 +513,8 @@ def _teacher(fc: FiniteClass, limit: int) -> Callable[[int], TeachingSet]:
                     points = sorted(forced + list(extra))
                     # Its lexicographic rank is C(c, size) - 1 less the subsets after it.
                     after = (comb(c - 1 - k, size - n) for n, k in enumerate(points))
-                    if below[size] + comb(c, size) - sum(after) > limit:
-                        raise _budget_error("teaching_set", limit, c, range(c + 1))
+                    if below[size] + comb(c, size) - sum(after) > DEFAULT_SEARCH_BUDGET:
+                        raise _budget_error("teaching_set", c, range(c + 1))
                     chosen = [pairs[k] for k in points]
                     examples = tuple([pair[code >> j & 1] for j, pair in chosen])
                     return TeachingSet(target=target, examples=examples)
@@ -523,11 +523,10 @@ def _teacher(fc: FiniteClass, limit: int) -> Callable[[int], TeachingSet]:
     return teach
 
 
-def teaching_dim(fc: FiniteClass, *, budget: int | None = None) -> DimensionReport:
+def teaching_dim(fc: FiniteClass) -> DimensionReport:
     """Worst-case minimum teaching set size, with all per-concept sets."""
     _require_nonempty(fc)
-    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    sets = list(map(_teacher(fc, limit), range(len(fc.codes))))
+    sets = list(map(_teacher(fc), range(len(fc.codes))))
     value = max(len(ts.examples) for ts in sets)
     return DimensionReport(measure="teaching", value=value, certificate=sets)
 

@@ -20,7 +20,8 @@ from itertools import accumulate, repeat
 from ._record import Record
 from .classes import FiniteClass, eval_budget
 from .errors import BudgetExceededError, ProtocolViolationError
-from .dimensions import DEFAULT_SEARCH_BUDGET, LittlestoneTree, littlestone_memo, vc_dim
+from . import dimensions
+from .dimensions import LittlestoneTree, littlestone_memo, vc_dim
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -45,7 +46,7 @@ class SOALearner:
     Makes at most Ldim mistakes against any realizable adversary.  The
     version space is a bitmask of concept ids, and one Littlestone memo
     serves every round of the game, its words charged against
-    DEFAULT_SEARCH_BUDGET.
+    DEFAULT_SEARCH_BUDGET as read when the learner is built.
     Each prediction takes one exact value and one threshold query: the
     ones side wins when its dimension is at least the zeros side's plus
     one.  SOA may ask about states that the value climb over the full class
@@ -56,7 +57,7 @@ class SOALearner:
     def __init__(self, fc: FiniteClass):
         self.fc = fc
         self.ids = fc.all_ids
-        self.dim, self.at_least, _ = littlestone_memo(fc, DEFAULT_SEARCH_BUDGET)
+        self.dim, self.at_least, _ = littlestone_memo(fc)
 
     def predict(self, x: int) -> int:
         if not self.ids:
@@ -198,9 +199,9 @@ def play_online_game(
     BudgetExceededError before the first round when max_rounds exceeds
     DEFAULT_SEARCH_BUDGET.
     """
-    if max_rounds > DEFAULT_SEARCH_BUDGET:
+    if max_rounds > dimensions.DEFAULT_SEARCH_BUDGET:
         raise BudgetExceededError(
-            f"{max_rounds} rounds exceed the game budget of {DEFAULT_SEARCH_BUDGET}"
+            f"{max_rounds} rounds exceed the game budget of {dimensions.DEFAULT_SEARCH_BUDGET}"
         )
     rounds: list[tuple[int, int, int]] = []
     witnesses: list[tuple[int, ...]] = []

@@ -143,7 +143,7 @@ KNOBS = {
     "inconsistent_toy": (),
     "inconsistent_toy_at": (),
     "is_shattered": (),
-    "littlestone_dim": ("budget",),
+    "littlestone_dim": (),
     "load_tm": (),
     "materialize": (),
     "negation": (),
@@ -161,12 +161,12 @@ KNOBS = {
     "step_class": (),
     "step_concept": (),
     "system_from_spec": (),
-    "teaching_dim": ("budget",),
-    "teaching_set": ("budget",),
+    "teaching_dim": (),
+    "teaching_set": (),
     "tree_adversary": (),
     "tree_witness": ("labeling",),
     "unpair": (),
-    "vc_dim": ("budget",),
+    "vc_dim": (),
 }
 
 # Per public class, the public methods, properties and classmethods that

@@ -9,8 +9,11 @@ import pytest
 
 from learndim import (
     BudgetExceededError,
+    ConstantLearner,
     FiniteClass,
     LittlestoneTree,
+    RandomConsistentAdversary,
+    SOALearner,
     TeachingSet,
     WitnessUnresolvedError,
     consistent_toy,
@@ -22,6 +25,7 @@ from learndim import (
     is_shattered,
     littlestone_dim,
     materialize,
+    play_online_game,
     saturating_index_count,
     saturation_scan,
     step_class,
@@ -45,6 +49,14 @@ from oracles import (
 )
 
 SINGLETON = FiniteClass.from_rows(range(3), [(0, 1, 0)])
+
+
+def with_budget(limit: int, search, *args):
+    """`search(*args)` with dimensions.DEFAULT_SEARCH_BUDGET patched to
+    `limit`; safe inside Hypothesis tests, unlike the monkeypatch fixture."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dimensions, "DEFAULT_SEARCH_BUDGET", limit)
+        return search(*args)
 
 
 def test_is_shattered_empty_set():
@@ -117,10 +129,10 @@ def test_littlestone_step_three_concepts():
 
 def test_teaching_set_singleton_empty():
     # One concept checks nothing, so even a zero budget answers.
-    ts = teaching_set(SINGLETON, (0, 1, 0), budget=0)
+    ts = with_budget(0, teaching_set, SINGLETON, (0, 1, 0))
     assert ts.examples == ()
     assert ts.verify(SINGLETON)
-    assert teaching_dim(SINGLETON, budget=0).value == 0
+    assert with_budget(0, teaching_dim, SINGLETON).value == 0
 
 
 def test_teaching_set_concept_must_belong():
@@ -257,23 +269,44 @@ def test_saturation_scan_rejects_bad_schedules(loopers):
 def test_budget_guards_raise():
     steps = materialize(step_class(), 7, 20)
     with pytest.raises(BudgetExceededError):
-        vc_dim(steps, budget=3)
+        with_budget(3, vc_dim, steps)
     cube = hypercube_class(4)
     # The VC sandwich settles a full cube at its root: one state.
-    assert littlestone_dim(cube, budget=1).value == 4
+    assert with_budget(1, littlestone_dim, cube).value == 4
     with pytest.raises(BudgetExceededError):
-        littlestone_dim(cube, budget=0)
+        with_budget(0, littlestone_dim, cube)
     # The step window's thresholds shatter no pair, so the sandwich settles
     # only its small states.  Its threshold queries visit 8 states; the
     # exact-value recursion they replaced visited 24 (27 with the halving
     # bound alone).
     assert naive_threshold_littlestone_states(steps) == 8
     assert naive_pruned_littlestone_states(steps) == 24
-    assert littlestone_dim(steps, budget=8).value == 3
+    assert with_budget(8, littlestone_dim, steps).value == 3
     with pytest.raises(BudgetExceededError):
-        littlestone_dim(steps, budget=7)
+        with_budget(7, littlestone_dim, steps)
     with pytest.raises(BudgetExceededError):
-        teaching_set(cube, cube.concepts[0], budget=2)
+        with_budget(2, teaching_set, cube, cube.concepts[0])
+
+
+def test_one_search_budget_reaches_every_search(monkeypatch):
+    # Every search reads dimensions.DEFAULT_SEARCH_BUDGET, so patching that
+    # one constant reaches each of them, SOA's memo and the game's round
+    # bound among them.
+    cube = hypercube_class(4)
+    monkeypatch.setattr(dimensions, "DEFAULT_SEARCH_BUDGET", 0)
+    adversary = RandomConsistentAdversary(cube)
+    searches = [
+        ("vc_dim exceeded 0 subset checks at size 4", lambda: vc_dim(cube)),
+        ("littlestone_dim exceeded 0 memo words", lambda: littlestone_dim(cube)),
+        ("teaching_set exceeded 0 subset checks at size 0", lambda: teaching_set(cube, cube.concepts[0])),
+        ("teaching_set exceeded 0 subset checks at size 0", lambda: teaching_dim(cube)),
+        ("littlestone_dim exceeded 0 memo words", lambda: SOALearner(cube).predict(0)),
+        ("depth-0 tree has over 0 paths", lambda: tree_witness(step_class(), 0)),
+        ("1 rounds exceed the game budget of 0", lambda: play_online_game(cube, ConstantLearner(0), adversary, 1)),
+    ]
+    for message, search in searches:
+        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+            search()
 
 
 def test_teaching_budget_charges_the_plain_search_on_a_cube():
@@ -282,9 +315,9 @@ def test_teaching_budget_charges_the_plain_search_on_a_cube():
     # + 4 subsets below size 4 plus the first of size 4.
     cube = hypercube_class(4)
     assert naive_teaching_search(cube, cube.concepts[0], 16)[1] == 16
-    assert len(teaching_set(cube, cube.concepts[0], budget=16).examples) == 4
+    assert len(with_budget(16, teaching_set, cube, cube.concepts[0]).examples) == 4
     with pytest.raises(BudgetExceededError, match="exceeded 15 subset checks at size 4"):
-        teaching_set(cube, cube.concepts[0], budget=15)
+        with_budget(15, teaching_set, cube, cube.concepts[0])
 
 
 def test_empty_class_rejected():

@@ -61,7 +61,7 @@ from learndim import (
 )
 
 from learndim import classes, dimensions
-from learndim.dimensions import DEFAULT_SEARCH_BUDGET, littlestone_memo
+from learndim.dimensions import littlestone_memo
 
 from conftest import hypercube_class
 from oracles import (
@@ -90,6 +90,14 @@ from oracles import (
     reference_masks,
     step_eval_oracle,
 )
+
+
+def with_budget(limit: int, search, *args):
+    """`search(*args)` with dimensions.DEFAULT_SEARCH_BUDGET patched to
+    `limit`; safe inside Hypothesis tests, unlike the monkeypatch fixture."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dimensions, "DEFAULT_SEARCH_BUDGET", limit)
+        return search(*args)
 
 
 @st.composite
@@ -168,17 +176,17 @@ def _assert_teaching_matches_the_plain_search(fc: FiniteClass) -> None:
     """Every concept's teaching set, and its answer or error message at
     budgets charge - 1, charge and 0, are the plain size-ordered search's."""
     for target in fc.concepts:
-        examples, charge = naive_teaching_search(fc, target, DEFAULT_SEARCH_BUDGET)
+        examples, charge = naive_teaching_search(fc, target, dimensions.DEFAULT_SEARCH_BUDGET)
         assert teaching_set(fc, target).examples == examples
         for limit in (charge - 1, charge, 0):
             try:
                 want = naive_teaching_search(fc, target, limit)[0]
             except BudgetExceededError as exc:
                 with pytest.raises(BudgetExceededError) as got:
-                    teaching_set(fc, target, budget=limit)
+                    with_budget(limit, teaching_set, fc, target)
                 assert str(got.value) == str(exc)
             else:
-                assert teaching_set(fc, target, budget=limit).examples == want
+                assert with_budget(limit, teaching_set, fc, target).examples == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -234,9 +242,9 @@ def test_teaching_sets_on_a_full_cube_window_are_the_forced_points():
     for code, ts in zip(fc.codes, report.certificate):
         forced = [x for j, x in enumerate(fc.domain) if code ^ 1 << j in codes]
         assert [x for x, _ in ts.examples] == sorted(forced)
-    assert teaching_dim(fc, budget=2**12).value == 12
+    assert with_budget(2**12, teaching_dim, fc).value == 12
     with pytest.raises(BudgetExceededError, match=r"exceeded 4095 subset checks at size 12$"):
-        teaching_dim(fc, budget=2**12 - 1)
+        with_budget(2**12 - 1, teaching_dim, fc)
 
 
 def test_teaching_dim_memory_on_a_full_cube_window():
@@ -261,9 +269,9 @@ def test_teaching_dim_memory_on_a_full_cube_window():
 def test_littlestone_budget_counts_each_state_once(fc):
     states = naive_threshold_littlestone_states(fc)
     assert states <= naive_pruned_littlestone_states(fc) <= naive_littlestone_states(fc)
-    assert littlestone_dim(fc, budget=states).value == naive_littlestone_dim(fc)
+    assert with_budget(states, littlestone_dim, fc).value == naive_littlestone_dim(fc)
     with pytest.raises(BudgetExceededError):
-        littlestone_dim(fc, budget=states - 1)
+        with_budget(states - 1, littlestone_dim, fc)
 
 
 @settings(max_examples=100, deadline=None)
@@ -272,7 +280,7 @@ def test_pruned_littlestone_values_are_exact_on_every_state(fc, data):
     # SOA reads the values of arbitrary version spaces from one shared memo,
     # so a prune that returned only a lower bound on some state would
     # corrupt its predictions even where the whole class's value is right.
-    dim, at_least, _ = littlestone_memo(fc, DEFAULT_SEARCH_BUDGET)
+    dim, at_least, _ = littlestone_memo(fc)
     subsets = st.integers(min_value=1, max_value=fc.all_ids)
     for ids in data.draw(st.lists(subsets, min_size=1, max_size=8)):
         rows = [row for i, row in enumerate(fc.concepts) if ids >> i & 1]
@@ -369,10 +377,10 @@ def test_threshold_queries_match_the_oracles_where_the_cap_is_loose(fc, data):
     assert report.certificate.nodes == tuple(labels[p] for p in sorted(labels, key=lambda p: (len(p), p)))
     assert naive_threshold_littlestone_states(fc) <= naive_pruned_littlestone_states(fc)
     words = naive_threshold_littlestone_words(fc)
-    assert littlestone_dim(fc, budget=words) == report
+    assert with_budget(words, littlestone_dim, fc) == report
     with pytest.raises(BudgetExceededError):
-        littlestone_dim(fc, budget=words - 1)
-    dim, at_least, _ = littlestone_memo(fc, DEFAULT_SEARCH_BUDGET)
+        with_budget(words - 1, littlestone_dim, fc)
+    dim, at_least, _ = littlestone_memo(fc)
     for ids in data.draw(st.lists(st.integers(min_value=1, max_value=fc.all_ids), max_size=4)):
         rows = [row for i, row in enumerate(fc.concepts) if ids >> i & 1]
         value = naive_littlestone_dim(FiniteClass.from_rows(fc.domain, rows))
@@ -401,11 +409,11 @@ def test_littlestone_on_a_hamming_ball_asks_few_states():
     # cap of 9.  The exact-value recursion passed 2M states after 25 s and
     # 292 MB; the threshold queries visit 141 states of 11 words each.
     fc = _hamming_ball(16, 3)
-    report = littlestone_dim(fc, budget=141 * 11)
+    report = with_budget(141 * 11, littlestone_dim, fc)
     assert report.value == 3
     assert report.certificate.verify_against(fc)
     with pytest.raises(BudgetExceededError, match="exceeded 1550 memo words"):
-        littlestone_dim(fc, budget=141 * 11 - 1)
+        with_budget(141 * 11 - 1, littlestone_dim, fc)
 
 
 def test_littlestone_memory_on_a_large_hamming_ball():
@@ -424,9 +432,9 @@ def test_littlestone_memory_on_a_large_hamming_ball():
     assert report.value == 4
     assert report.certificate.verify_against(fc)
     assert peak < 8 * 2**20
-    assert littlestone_dim(fc, budget=2336 * 203) == report
+    assert with_budget(2336 * 203, littlestone_dim, fc) == report
     with pytest.raises(BudgetExceededError):
-        littlestone_dim(fc, budget=2336 * 203 - 1)
+        with_budget(2336 * 203 - 1, littlestone_dim, fc)
 
 
 
@@ -439,11 +447,11 @@ def test_tree_fill_asks_the_smaller_side_first():
     ]
     fc = FiniteClass.from_rows(range(4), rows)
     assert naive_threshold_littlestone_states(fc) == 9
-    report = littlestone_dim(fc, budget=9)
+    report = with_budget(9, littlestone_dim, fc)
     assert report.value == naive_littlestone_dim(fc) == 3
     assert report.certificate.labels == naive_littlestone_tree(fc)
     with pytest.raises(BudgetExceededError):
-        littlestone_dim(fc, budget=8)
+        with_budget(8, littlestone_dim, fc)
 
 
 def _random_codes_class(points: int, draws: int) -> FiniteClass:
@@ -456,9 +464,9 @@ def test_littlestone_memo_is_charged_in_words():
     # 2,000 random 40-point codes: 890 states of 32 words each.
     fc = _random_codes_class(40, 2000)
     assert len(fc.codes) == 2000
-    assert littlestone_dim(fc, budget=890 * 32).value == 10
+    assert with_budget(890 * 32, littlestone_dim, fc).value == 10
     with pytest.raises(BudgetExceededError, match="exceeded 28479 memo words"):
-        littlestone_dim(fc, budget=890 * 32 - 1)
+        with_budget(890 * 32 - 1, littlestone_dim, fc)
 
 
 def test_littlestone_memo_words_are_bounded_before_they_grow():
@@ -470,7 +478,7 @@ def test_littlestone_memo_words_are_bounded_before_they_grow():
     fc.masks  # cached: built outside the traced peak
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError, match=f"exceeded {DEFAULT_SEARCH_BUDGET} memo words"):
+        with pytest.raises(BudgetExceededError, match=f"exceeded {dimensions.DEFAULT_SEARCH_BUDGET} memo words"):
             littlestone_dim(fc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -517,7 +525,7 @@ def vc_classes(draw) -> FiniteClass:
 def test_vc_search_and_charges_match_the_plain_search(fc):
     # The pruned search returns the plain largest-first search's first
     # shattered set, and charges, and reports on running out, as it does.
-    value, certificate, charge = naive_vc_search(fc, DEFAULT_SEARCH_BUDGET)
+    value, certificate, charge = naive_vc_search(fc, dimensions.DEFAULT_SEARCH_BUDGET)
     report = vc_dim(fc)
     assert (report.value, report.certificate) == (value, certificate)
     for limit in (charge - 1, charge, 0):
@@ -525,10 +533,10 @@ def test_vc_search_and_charges_match_the_plain_search(fc):
             want = naive_vc_search(fc, limit)[1]
         except BudgetExceededError as exc:
             with pytest.raises(BudgetExceededError) as got:
-                vc_dim(fc, budget=limit)
+                with_budget(limit, vc_dim, fc)
             assert str(got.value) == str(exc)
         else:
-            assert vc_dim(fc, budget=limit).certificate == want
+            assert with_budget(limit, vc_dim, fc).certificate == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -538,7 +546,7 @@ def test_row_code_checks_past_the_cell_batch_match_the_oracles(fc, data):
     # checks: the VC search's past its first cuts, and the VC sandwich's on
     # the whole class, on drawn id sets and on the sub-states that the tree
     # fill and SOA reach.
-    value, certificate, charge = naive_vc_search(fc, DEFAULT_SEARCH_BUDGET)
+    value, certificate, charge = naive_vc_search(fc, dimensions.DEFAULT_SEARCH_BUDGET)
     outcomes = {}
     for limit in (charge - 1, charge, 0):
         try:
@@ -561,16 +569,16 @@ def test_row_code_checks_past_the_cell_batch_match_the_oracles(fc, data):
             assert (report.value, report.certificate) == (value, certificate)
             for limit, want in outcomes.items():
                 try:
-                    got = vc_dim(fc, budget=limit).certificate
+                    got = with_budget(limit, vc_dim, fc).certificate
                 except BudgetExceededError as exc:
                     got = str(exc)
                 assert got == want
-            report = littlestone_dim(fc, budget=words)
+            report = with_budget(words, littlestone_dim, fc)
             assert report.value == ldim
             assert report.certificate.labels == labels
             with pytest.raises(BudgetExceededError):
-                littlestone_dim(fc, budget=words - 1)
-            dim, _, _ = littlestone_memo(fc, DEFAULT_SEARCH_BUDGET)
+                with_budget(words - 1, littlestone_dim, fc)
+            dim, _, _ = littlestone_memo(fc)
             assert {ids: dim(ids) for ids in values} == values
             learner = SOALearner(fc)
             history: list[tuple[int, int]] = []
@@ -588,10 +596,10 @@ def test_vc_charge_on_a_sparse_goedel_window():
     # sets starting at point 0 and 119 more before (1, 2, 17, 18).
     fc = materialize(goedel_class(inconsistent_toy()), 18, 2**19)
     assert len(fc.codes) == 16
-    assert naive_vc_search(fc, DEFAULT_SEARCH_BUDGET) == (4, (1, 2, 17, 18), 936)
-    assert vc_dim(fc, budget=936).certificate == (1, 2, 17, 18)
+    assert naive_vc_search(fc, dimensions.DEFAULT_SEARCH_BUDGET) == (4, (1, 2, 17, 18), 936)
+    assert with_budget(936, vc_dim, fc).certificate == (1, 2, 17, 18)
     with pytest.raises(BudgetExceededError, match=r"exceeded 935 subset checks at size 4$"):
-        vc_dim(fc, budget=935)
+        with_budget(935, vc_dim, fc)
 
 
 def test_vc_search_stops_once_its_charge_passes_the_budget(monkeypatch):
@@ -612,7 +620,7 @@ def test_vc_search_stops_once_its_charge_passes_the_budget(monkeypatch):
 
     monkeypatch.setattr(dimensions, "_cut", counting_cut)
     with pytest.raises(BudgetExceededError, match=r"exceeded 10 subset checks at size 6$"):
-        vc_dim(fc, budget=10)
+        with_budget(10, vc_dim, fc)
     assert cuts <= 7 * 12
 
 
@@ -630,14 +638,14 @@ def test_vc_search_on_a_wide_near_cube_stops_cutting_at_the_cell_batch():
     fc = FiniteClass.from_rows(range(16), rows)
     tracemalloc.start()
     try:
-        report = vc_dim(fc, budget=487)
+        report = with_budget(487, vc_dim, fc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert report.certificate == (0, *range(2, 13), 15)
     assert peak < 24 * 2**20
     with pytest.raises(BudgetExceededError, match=r"exceeded 486 subset checks at size 13$"):
-        vc_dim(fc, budget=486)
+        with_budget(486, vc_dim, fc)
 
 
 def test_vc_dim_on_a_full_cube_window_answers_from_the_codes():
@@ -646,11 +654,11 @@ def test_vc_dim_on_a_full_cube_window_answers_from_the_codes():
     # codes count answers, charged as one check, and no id mask is built.
     looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
     fc = materialize(halting_class(looper), 13, 2**14)
-    report = vc_dim(fc, budget=1)
+    report = with_budget(1, vc_dim, fc)
     assert (report.value, report.certificate) == (14, fc.domain)
     assert "masks" not in fc.__dict__
     with pytest.raises(BudgetExceededError, match=r"exceeded 0 subset checks at size 14$"):
-        vc_dim(fc, budget=0)
+        with_budget(0, vc_dim, fc)
 
 
 def test_vc_dim_memory_is_linear_on_a_full_cube_window():
@@ -678,11 +686,11 @@ def test_littlestone_states_on_a_full_cube_window_stay_linear():
     # restrictions.
     looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
     fc = materialize(halting_class(looper), 9, 1024)
-    report = littlestone_dim(fc, budget=16)
+    report = with_budget(16, littlestone_dim, fc)
     assert report.value == 10
     assert report.certificate == LittlestoneTree.uniform(fc.domain)
     with pytest.raises(BudgetExceededError):
-        littlestone_dim(fc, budget=15)
+        with_budget(15, littlestone_dim, fc)
 
 
 def test_littlestone_cut_cells_on_a_large_cube_window_stay_small():
@@ -695,14 +703,14 @@ def test_littlestone_cut_cells_on_a_large_cube_window_stay_small():
     fc.masks  # cached: built outside the traced peak
     tracemalloc.start()
     try:
-        report = littlestone_dim(fc, budget=256)
+        report = with_budget(256, littlestone_dim, fc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert report.value == 14
     assert peak < 16 * 2**20
     with pytest.raises(BudgetExceededError):
-        littlestone_dim(fc, budget=255)
+        with_budget(255, littlestone_dim, fc)
 
 
 def test_littlestone_memory_on_a_full_cube_window():
@@ -733,7 +741,7 @@ def test_littlestone_tree_memory_on_a_large_cube_window():
     fc.masks  # cached: built outside the traced peak
     tracemalloc.start()
     try:
-        tree = littlestone_dim(fc, budget=2048).certificate
+        tree = with_budget(2048, littlestone_dim, fc).certificate
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -741,7 +749,7 @@ def test_littlestone_tree_memory_on_a_large_cube_window():
     assert tree == LittlestoneTree.uniform(fc.domain)
     assert peak < 16 * 2**20
     with pytest.raises(BudgetExceededError):
-        littlestone_dim(fc, budget=2047)
+        with_budget(2047, littlestone_dim, fc)
 
 
 def test_masked_materialize_memory_on_a_large_cube_window():
@@ -807,12 +815,12 @@ def test_wide_root_is_settled_by_one_row_code_count(monkeypatch):
     monkeypatch.setattr(dimensions, "_shatters", counting)
     looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
     fc = materialize(halting_class(looper), 15, 2**16)
-    report = littlestone_dim(fc, budget=1024)
+    report = with_budget(1024, littlestone_dim, fc)
     assert report.value == 16
     assert report.certificate == LittlestoneTree.uniform(fc.domain)
     assert calls == 1
     with pytest.raises(BudgetExceededError):
-        littlestone_dim(fc, budget=1023)
+        with_budget(1023, littlestone_dim, fc)
 
 
 def test_masks_build_in_linear_time():
@@ -855,7 +863,7 @@ def test_soa_stays_inside_the_unpruned_closure(fc, adversary, seed):
     # SOA may ask about states the value climb never visited, but each is a
     # split of a version space, so the unpruned closure bounds its memo.
     learner = SOALearner(fc)
-    learner.dim, learner.at_least, _ = littlestone_memo(fc, naive_littlestone_states(fc))
+    learner.dim, learner.at_least, _ = with_budget(naive_littlestone_states(fc), littlestone_memo, fc)
     opponent = {
         "tree": lambda: tree_adversary(fc, littlestone_dim(fc).certificate),
         "random": lambda: RandomConsistentAdversary(fc, seed),
