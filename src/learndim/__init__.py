@@ -44,7 +44,6 @@ _EXPORTS = {
         "system_from_spec",
     ),
     "classes": (
-        "Concept",
         "FiniteClass",
         "IndexedClass",
         "class_from_spec",
@@ -56,7 +55,6 @@ _EXPORTS = {
         "materialize",
         "saturating_index_count",
         "step_class",
-        "step_concept",
     ),
     "dimensions": (
         "DEFAULT_SCHEDULE",
@@ -64,7 +62,6 @@ _EXPORTS = {
         "LittlestoneTree",
         "SaturationReport",
         "TeachingSet",
-        "default_schedule",
         "escape_witness",
         "growth_schedule",
         "is_shattered",

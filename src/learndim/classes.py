@@ -17,7 +17,6 @@ by the teaching constructions.
 
 from __future__ import annotations
 
-import json
 import os
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import cached_property
@@ -54,24 +53,7 @@ class IndexedClass(Record):
     """
 
     evaluate: Callable[[int, int], int]
-    provenance: str
     active: Callable[[int], bool] | None = None
-
-
-class Concept(Record):
-    """Threshold function: 1 at points >= threshold, 0 below."""
-
-    threshold: int
-
-    def __call__(self, n: int) -> int:
-        return 1 if n >= self.threshold else 0
-
-
-def step_concept(k: int) -> Concept:
-    """Threshold function: 1 at points >= k, 0 below."""
-    if k < 0:
-        raise ValueError("threshold must be nonnegative")
-    return Concept(threshold=k)
 
 
 # Maps a row's 0/1 entries to the digits of its code, and back.
@@ -190,30 +172,30 @@ class FiniteClass(Record):
         return ones if y else ones ^ self.all_ids
 
 
-def masked_sequence_class(active: Callable[[int], bool], provenance: str) -> IndexedClass:
+def masked_sequence_class(active: Callable[[int], bool]) -> IndexedClass:
     """Class whose m-th member is the m-th bit sequence gated by `active`."""
 
     def evaluate(m: int, n: int) -> int:
         return seq_bit(m, n) if active(n) else 0
 
-    return IndexedClass(evaluate=evaluate, provenance=provenance, active=active)
+    return IndexedClass(evaluate=evaluate, active=active)
 
 
 def goedel_class(fs: FormalSystem) -> IndexedClass:
     """Bits pass at points whose pair decodes to a contradictory theorem pair."""
-    return masked_sequence_class(lambda n: active_index(fs, n), "goedel")
+    return masked_sequence_class(lambda n: active_index(fs, n))
 
 
 def halting_class(tm: TuringMachine) -> IndexedClass:
     """Bits pass at point n while the machine has not halted within n steps."""
     onset = halt_scanner(tm)
-    return masked_sequence_class(lambda n: onset(n) is None, "halting")
+    return masked_sequence_class(lambda n: onset(n) is None)
 
 
 def goedel_prefix_class(fs: FormalSystem) -> IndexedClass:
     """Bits pass at point n while the theorem prefix 0..n is consistent."""
     onset = contradiction_scanner(fs)
-    return masked_sequence_class(lambda n: onset(n) is None, "goedel_prefix")
+    return masked_sequence_class(lambda n: onset(n) is None)
 
 
 def _step_evaluate(m: int, n: int) -> int:
@@ -228,10 +210,10 @@ def step_class() -> IndexedClass:
 
     materialize builds this class's windows in closed form, never calling
     the evaluator: it recognizes the class by its evaluator function
-    itself, so a copy of that function, or the `provenance` label alone,
-    is read once per cell like any class without `active`.
+    itself, so a copy of that function is read once per cell like any
+    class without `active`.
     """
-    return IndexedClass(evaluate=_step_evaluate, provenance="step")
+    return IndexedClass(evaluate=_step_evaluate)
 
 
 def f_of_system(fs: FormalSystem) -> Callable[[int], int]:
@@ -265,10 +247,10 @@ def materialize(ic: IndexedClass, domain_max: int, index_count: int) -> FiniteCl
     """Deduplicated window { evaluate(m, .)|[0, domain_max] : m < index_count }.
 
     Keeps the smallest witness index per concept, ordered by witness.  A
-    window of step_class (told by its own evaluator function, never by
-    the provenance) is built without an evaluator call: with count =
-    min(index_count, domain_max + 2), it is the zero row and the
-    thresholds at 0 .. count - 2, witnessed by indexes 0 .. count - 1.
+    window of step_class (told by its own evaluator function) is built
+    without an evaluator call: with count = min(index_count, domain_max + 2),
+    it is the zero row and the thresholds at 0 .. count - 2, witnessed by
+    indexes 0 .. count - 1.
     Any other class without `active` is read through its evaluator, one
     call per cell, (domain_max + 1) * index_count calls in all, a batch
     of consecutive indexes of about BATCH_CELLS cells at a time: one
@@ -375,8 +357,3 @@ def class_from_spec(spec: Mapping) -> IndexedClass:
             raise ValueError("halting construction requires a 'machine' path")
         return halting_class(load_tm(machine))
     raise ValueError(f"unknown class spec: construction {construction!r}")
-
-
-def load_class_spec(path) -> IndexedClass:
-    with open(path, "r", encoding="utf-8") as fh:
-        return class_from_spec(json.load(fh))

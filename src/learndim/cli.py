@@ -23,13 +23,7 @@ import os
 import sys
 from itertools import chain, islice
 
-from .errors import (
-    BudgetExceededError,
-    ClassCodeError,
-    MachineParseError,
-    ProtocolViolationError,
-    WitnessUnresolvedError,
-)
+from .errors import BudgetExceededError, ProtocolViolationError, WitnessUnresolvedError
 
 # Each command imports the layers it runs, so that a child process loads
 # only those; the class types are imported here for annotations alone.
@@ -47,25 +41,33 @@ EXIT_PROTOCOL = 4
 # imports no engine; a test keeps the two equal.
 MEASURES = ("vc", "littlestone", "teaching")
 
+# The contradiction-gated constructions, the two built on a formal system:
+# dim scans them by growth_schedule and tree labels them by active points.
+CONTRADICTION_GATED = ("goedel", "goedel_prefix")
 
-def parse_class_arg(text: str) -> IndexedClass:
-    """Class spec strings: 'step', 'goedel:consistent', 'goedel:inconsistent',
+
+def parse_class_arg(text: str) -> tuple[str, IndexedClass]:
+    """The construction a class spec names, and its class.  Spec strings:
+    'step', 'goedel:consistent', 'goedel:inconsistent',
     'goedel:inconsistent_at:K', 'goedel_prefix:...', 'halting:PATH', or a
-    path to a JSON config file."""
+    path to a JSON config file (see classes.class_from_spec)."""
     from . import classes
 
     if text.endswith(".json"):
-        return classes.load_class_spec(text)
-    head, _, rest = text.partition(":")
-    spec: dict = {"construction": head}
-    if head == "halting":
-        spec["machine"] = rest
-    elif head in ("goedel", "goedel_prefix"):
-        kind, _, onset = rest.partition(":")
-        spec["system"] = {"kind": kind}
-        if onset:
-            spec["system"]["onset"] = onset
-    return classes.class_from_spec(spec)
+        with open(text, "r", encoding="utf-8") as fh:
+            spec = json.load(fh)
+    else:
+        head, _, rest = text.partition(":")
+        spec = {"construction": head}
+        if head == "halting":
+            spec["machine"] = rest
+        elif head in CONTRADICTION_GATED:
+            kind, _, onset = rest.partition(":")
+            spec["system"] = {"kind": kind}
+            if onset:
+                spec["system"]["onset"] = onset
+    ic = classes.class_from_spec(spec)  # refuses a spec that names no construction
+    return spec["construction"], ic
 
 
 def _concept(fc: FiniteClass, index: int, flag: str) -> tuple[int, ...]:
@@ -150,7 +152,7 @@ def cmd_simulate(args) -> int:
 def cmd_dim(args) -> int:
     from . import classes, dimensions
 
-    ic = parse_class_arg(args.class_spec)
+    construction, ic = parse_class_arg(args.class_spec)
     if args.window is not None and args.schedule:
         raise ValueError("--window and --schedule are mutually exclusive")
     if args.export_class and args.window is None:
@@ -174,7 +176,10 @@ def cmd_dim(args) -> int:
             csv_text=f"measure,N,M,value\n{args.measure},{n},{m},{report.value}\n",
         )
         return EXIT_OK
-    schedule = dimensions.default_schedule(ic)
+    if construction in CONTRADICTION_GATED:
+        schedule = dimensions.growth_schedule(ic)
+    else:
+        schedule = dimensions.DEFAULT_SCHEDULE
     scan = dimensions.saturation_scan(ic, args.measure, schedule)
     lines = [
         f"{args.measure} over schedule {list(scan.windows)}: values {list(scan.values)}",
@@ -207,14 +212,14 @@ def cmd_teach(args) -> int:
         if (args.class_spec, args.window, args.index) != (None, None, None):
             raise ValueError("--escape takes no --class, --window or --index")
         points = [int(tok) for tok in args.escape.replace(",", " ").split()]
-        concept = dimensions.escape_witness([(x, 0) for x in points])
-        payload = {"threshold": concept.threshold, "kind": "threshold"}
-        _emit(args, payload, [f"escape witness: threshold {concept.threshold}"])
+        threshold = dimensions.escape_witness([(x, 0) for x in points])
+        payload = {"threshold": threshold, "kind": "threshold"}
+        _emit(args, payload, [f"escape witness: threshold {threshold}"])
         return EXIT_OK
     if not args.class_spec:
         raise ValueError("teach needs --class (or --escape)")
-    ic = parse_class_arg(args.class_spec)
-    n, m = _window(args, default=(8, 10) if ic.provenance == "step" else (5, 64))
+    construction, ic = parse_class_arg(args.class_spec)
+    n, m = _window(args, default=(8, 10) if construction == "step" else (5, 64))
     fc = classes.materialize(ic, n, m)
     if args.index is not None:
         ts = dimensions.teaching_set(fc, _concept(fc, args.index, "--index"))
@@ -228,10 +233,10 @@ def cmd_teach(args) -> int:
 def cmd_tree(args) -> int:
     from . import dimensions
 
-    ic = parse_class_arg(args.class_spec)
+    construction, ic = parse_class_arg(args.class_spec)
     labeling = args.labeling
     if labeling is None:
-        labeling = "active" if ic.provenance in ("goedel", "goedel_prefix") else "layer"
+        labeling = "active" if construction in CONTRADICTION_GATED else "layer"
     tree = dimensions.tree_witness(ic, args.depth, labeling)
     paths = 2**tree.depth
     # The labels are 2**depth bit strings: text output does not build them.
@@ -260,7 +265,7 @@ def cmd_game(args) -> int:
 
     if args.max_rounds is not None and args.max_rounds < 0:
         raise ValueError(f"--max-rounds must be nonnegative, got {args.max_rounds}")
-    ic = parse_class_arg(args.class_spec)
+    _, ic = parse_class_arg(args.class_spec)
     n, m = _window(args)
     fc = classes.materialize(ic, n, m)
     report = dimensions.littlestone_dim(fc)
@@ -277,7 +282,7 @@ def cmd_game(args) -> int:
 def cmd_pac(args) -> int:
     from . import classes, games
 
-    ic = parse_class_arg(args.class_spec)
+    _, ic = parse_class_arg(args.class_spec)
     n, m = _window(args)
     fc = classes.materialize(ic, n, m)
     target = _concept(fc, args.target_index, "--target-index")
@@ -446,9 +451,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MachineParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -458,7 +460,7 @@ def main(argv=None) -> int:
     except ProtocolViolationError as exc:
         print(f"protocol violation: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
-    except (ClassCodeError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

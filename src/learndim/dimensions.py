@@ -16,14 +16,7 @@ from math import comb
 from operator import and_, or_
 
 from ._record import Record
-from .classes import (
-    Concept,
-    FiniteClass,
-    IndexedClass,
-    eval_budget,
-    materialize,
-    step_concept,
-)
+from .classes import FiniteClass, IndexedClass, eval_budget, materialize
 from .encoding import MAX_CODE
 from .errors import BudgetExceededError, WitnessUnresolvedError
 
@@ -531,9 +524,9 @@ def teaching_dim(fc: FiniteClass) -> DimensionReport:
     return DimensionReport(measure="teaching", value=value, certificate=sets)
 
 
-def escape_witness(sample: Sequence[tuple[int, int]]) -> Concept:
-    """Threshold concept consistent with a zero-labelled sample yet distinct
-    from the zero function: threshold at (max sampled point) + 1.
+def escape_witness(sample: Sequence[tuple[int, int]]) -> int:
+    """Threshold of a concept consistent with a zero-labelled sample yet
+    distinct from the zero function: (max sampled point) + 1.
 
     Certifies that the zero function has no finite teaching set among the
     thresholds.
@@ -545,7 +538,7 @@ def escape_witness(sample: Sequence[tuple[int, int]]) -> Concept:
             raise ValueError("escape witness is defined for zero-labelled samples only")
         if x < 0:
             raise ValueError("sample points must be natural numbers")
-    return step_concept(max(x for x, _ in sample) + 1)
+    return max(x for x, _ in sample) + 1
 
 
 def tree_witness(ic: IndexedClass, depth: int, labeling: str = "layer") -> LittlestoneTree:
@@ -693,12 +686,3 @@ def growth_schedule(ic: IndexedClass) -> tuple[tuple[int, int], ...]:
     if len(schedule) < windows and actives[0] > 0:
         schedule.insert(0, (actives[0] - 1, 2 ** actives[0]))
     return tuple(schedule)
-
-
-def default_schedule(ic: IndexedClass) -> tuple[tuple[int, int], ...]:
-    """Scan schedule for a class: active-milestone windows for the sparse
-    contradiction-gated constructions, the generic saturating windows
-    otherwise."""
-    if ic.provenance in ("goedel", "goedel_prefix"):
-        return growth_schedule(ic)
-    return DEFAULT_SCHEDULE

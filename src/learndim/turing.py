@@ -192,8 +192,16 @@ def serialize_tm(tm: TuringMachine) -> str:
 
 
 def load_tm(path) -> TuringMachine:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_tm(fh.read())
+    """The machine in the file at `path`.  A file that is not UTF-8 text or
+    not a valid description raises MachineParseError naming `path` first
+    (and keeping the offending line number, if any)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_tm(fh.read())
+    except (UnicodeDecodeError, MachineParseError) as exc:
+        error = MachineParseError(f"{path}: {exc}")
+        error.line = getattr(exc, "line", None)
+        raise error from exc
 
 
 def _compile(tm: TuringMachine) -> tuple[list[tuple[int, int, int] | None], int, int, int]:

@@ -23,11 +23,11 @@ from learndim import (
     class_code,
     consistent_toy,
     decode_machine,
-    default_schedule,
     encode_tm,
     decode_tm,
     escape_witness,
     goedel_class,
+    growth_schedule,
     halting_class,
     halting_from_vc,
     inconsistent_toy,
@@ -85,8 +85,8 @@ def test_criterion_01_halting_dimension_identity(halters):
 
 def test_criterion_02_consistency_collapse():
     ic = goedel_class(consistent_toy())
-    assert default_schedule(ic) == DEFAULT_SCHEDULE
-    for n, m in default_schedule(ic):
+    assert growth_schedule(ic) == DEFAULT_SCHEDULE
+    for n, m in growth_schedule(ic):
         fc = materialize(ic, n, m)
         assert len(fc.concepts) == 1
         assert vc_dim(fc).value == 0
@@ -98,7 +98,7 @@ def test_criterion_02_consistency_collapse():
 def test_criterion_03_inconsistency_growth():
     fs = inconsistent_toy()
     ic = goedel_class(fs)
-    schedule = default_schedule(ic)
+    schedule = growth_schedule(ic)
     values = []
     for n, m in schedule:
         fc = materialize(ic, n, m)
@@ -123,8 +123,7 @@ def test_criterion_04_teaching_identities():
     rng = random.Random(44)
     for _ in range(50):
         points = [rng.randrange(1000) for _ in range(rng.randint(1, 8))]
-        witness = escape_witness([(x, 0) for x in points])
-        assert witness.threshold == max(points) + 1
+        assert escape_witness([(x, 0) for x in points]) == max(points) + 1
     _ok(4, "threshold teaching pairs {(k-1,0),(k,1)} and escape witness max+1")
 
 

@@ -18,7 +18,6 @@ PUBLIC_NAMES = {
     "AgreementReport",
     "BudgetExceededError",
     "ClassCodeError",
-    "Concept",
     "ConstantLearner",
     "DEFAULT_SCHEDULE",
     "DeciderVerdict",
@@ -52,7 +51,6 @@ PUBLIC_NAMES = {
     "decode_class_code",
     "decode_machine",
     "decode_tm",
-    "default_schedule",
     "encode_tm",
     "escape_witness",
     "f_of_machine",
@@ -82,7 +80,6 @@ PUBLIC_NAMES = {
     "seq_bit",
     "serialize_tm",
     "step_class",
-    "step_concept",
     "system_from_spec",
     "teaching_dim",
     "teaching_set",
@@ -98,7 +95,6 @@ KNOBS = {
     "AgreementReport": (),
     "BudgetExceededError": (),
     "ClassCodeError": (),
-    "Concept": (),
     "ConstantLearner": (),
     "DeciderVerdict": (),
     "DimensionReport": (),
@@ -129,7 +125,6 @@ KNOBS = {
     "decode_class_code": (),
     "decode_machine": (),
     "decode_tm": (),
-    "default_schedule": (),
     "encode_tm": (),
     "escape_witness": (),
     "f_of_machine": (),
@@ -159,7 +154,6 @@ KNOBS = {
     "seq_bit": (),
     "serialize_tm": (),
     "step_class": (),
-    "step_concept": (),
     "system_from_spec": (),
     "teaching_dim": (),
     "teaching_set": (),
@@ -176,7 +170,6 @@ ATTRIBUTES = {
     "AgreementReport": (),
     "BudgetExceededError": (),
     "ClassCodeError": (),
-    "Concept": (),
     "ConstantLearner": ("observe", "predict"),
     "DeciderVerdict": (),
     "DimensionReport": (),

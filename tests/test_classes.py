@@ -212,7 +212,7 @@ BAD_ENTRIES = [
 @pytest.mark.parametrize("m", [5, 2 * (BATCH_CELLS // 4) + 3])
 def test_generic_window_rejects_entries_other_than_bits(bad, error, text, m):
     # On 4 points, index 5 lies in the first batch, the other in the third.
-    ic = IndexedClass(evaluate=lambda i, n: bad if (i, n) == (m, 1) else 0, provenance="bad")
+    ic = IndexedClass(evaluate=lambda i, n: bad if (i, n) == (m, 1) else 0)
     with pytest.raises(error, match="^" + re.escape(text.format(m=m)) + "$"):
         materialize(ic, 3, m + 5)
 
@@ -221,7 +221,7 @@ def test_generic_window_rejects_entries_other_than_bits_in_wide_rows():
     # 300 points: a batch holds fewer indexes than points and is read by rows.
     m = BATCH_CELLS // 300 + 7
     row = (0, 2) + (0,) * 298
-    ic = IndexedClass(evaluate=lambda i, n: row[n] if i == m else 0, provenance="bad")
+    ic = IndexedClass(evaluate=lambda i, n: row[n] if i == m else 0)
     with pytest.raises(ValueError, match=re.escape(f"row {m} {row} has an entry other than 0 or 1")):
         materialize(ic, 299, m + 5)
 
@@ -276,15 +276,15 @@ def test_finite_class_exports(tmp_path, capsys):
 
 
 def test_class_from_spec(tmp_path, halters):
-    assert class_from_spec({"construction": "step"}).provenance == "step"
-    ic = class_from_spec(
-        {"construction": "goedel", "system": {"kind": "consistent"}}
-    )
-    assert ic.provenance == "goedel"
+    assert class_from_spec({"construction": "step"}).active is None
+    for kind, fs in (("consistent", consistent_toy()), ("inconsistent", inconsistent_toy())):
+        ic = class_from_spec({"construction": "goedel", "system": {"kind": kind}})
+        assert [ic.active(n) for n in range(40)] == [active_index(fs, n) for n in range(40)]
     path = tmp_path / "m.tm"
     path.write_text(halter_text(2), encoding="utf-8")
     ic = class_from_spec({"construction": "halting", "machine": str(path)})
-    assert ic.provenance == "halting"
+    # Active while the machine has not halted, which it does at step 2.
+    assert [ic.active(n) for n in range(6)] == [True, True, False, False, False, False]
     with pytest.raises(ValueError):
         class_from_spec({"construction": "goedel"})
     with pytest.raises(ValueError):

@@ -232,6 +232,73 @@ def test_class_spec_json_file(capsys, tmp_path):
     assert "vc on window (4, 32): 0" in out
 
 
+# The defaults go by the construction a spec names, spelled as a string or
+# as a JSON file: the contradiction-gated constructions (goedel,
+# goedel_prefix) are scanned by growth_schedule and labelled by their
+# active points, every other class scanned by DEFAULT_SCHEDULE and
+# labelled by layer; teach defaults to the window (8, 10) on step alone.
+GOEDEL_PREFIX_3 = {
+    "construction": "goedel_prefix",
+    "system": {"kind": "inconsistent_at", "onset": 3},
+}
+STEP = {"construction": "step"}
+GROWTH_3 = (
+    "vc over schedule [(0, 2), (1, 4), (2, 8), (3, 16)]: values [1, 2, 3, 4]\n"
+    "stabilized: False (window evidence only)\n"
+)
+GENERIC = (
+    "vc over schedule [(3, 16), (4, 32), (5, 64), (6, 128), (7, 256)]: "
+    "values [{0}, {0}, {0}, {0}, {0}]\nstabilized: True at {0}\n"
+)
+DEFAULT_SCANS = [
+    (
+        "goedel:inconsistent",
+        "vc over schedule [(0, 2), (1, 4), (2, 8), (17, 262144), (18, 524288)]: "
+        "values [0, 1, 2, 3, 4]\nstabilized: False (window evidence only)\n",
+    ),
+    ("goedel_prefix:inconsistent_at:3", GROWTH_3),
+    (GOEDEL_PREFIX_3, GROWTH_3),
+    (f"halting:{HALT3}", GENERIC.format(3)),
+    ("step", GENERIC.format(1)),
+    (STEP, GENERIC.format(1)),
+]
+ACTIVE_MESSAGE = "unresolved: found only 4 active points below 100000, need 5; witness unresolved\n"
+DEFAULT_LABELINGS = [
+    ("goedel_prefix:inconsistent_at:3", ACTIVE_MESSAGE),
+    (GOEDEL_PREFIX_3, ACTIVE_MESSAGE),
+    (
+        f"halting:{HALT3}",
+        "unresolved: depth-5 tree with layer points [0, 1, 2, 3, 4] is not realizable\n",
+    ),
+]
+
+
+def class_arg(spec, tmp_path) -> str:
+    """A spec string as it is, a spec mapping as a JSON file."""
+    if isinstance(spec, str):
+        return spec
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("spec, out", DEFAULT_SCANS, ids=[str(s) for s, _ in DEFAULT_SCANS])
+def test_dim_default_schedule_per_construction(capsys, tmp_path, spec, out):
+    argv = ("dim", "--class", class_arg(spec, tmp_path), "--schedule", "default")
+    assert run_cli(capsys, *argv) == (0, out, "")
+
+
+@pytest.mark.parametrize("spec, err", DEFAULT_LABELINGS, ids=[str(s) for s, _ in DEFAULT_LABELINGS])
+def test_tree_default_labeling_per_construction(capsys, tmp_path, spec, err):
+    argv = ("tree", "--class", class_arg(spec, tmp_path), "--depth", "5")
+    assert run_cli(capsys, *argv) == (3, "", err)
+
+
+def test_teach_json_step_spec_default_window(capsys, tmp_path):
+    argv = ("teach", "--class", class_arg(STEP, tmp_path))
+    assert run_cli(capsys, *argv) == (0, "teaching dimension on window (8, 10): 2\n", "")
+
+
 def test_unknown_class_spec_exit_1(capsys):
     code, _, err = run_cli(capsys, "dim", "--class", "mystery:thing")
     assert code == 1

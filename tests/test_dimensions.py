@@ -184,12 +184,16 @@ def test_teaching_dim_grows_for_inconsistent_goedel():
 
 
 def test_escape_witness_values():
-    assert escape_witness([(0, 0)]).threshold == 1
-    witness = escape_witness([(2, 0), (7, 0), (4, 0)])
-    assert witness.threshold == 8
-    # Consistent with the sample, distinct from zero at the threshold.
-    assert all(witness(x) == 0 for x in (2, 7, 4))
-    assert witness(8) == 1
+    assert escape_witness([(0, 0)]) == 1
+    sample = [(2, 0), (7, 0), (4, 0)]
+    threshold = escape_witness(sample)
+    assert threshold == 8
+    # The threshold concept is a step_class member (index threshold + 1),
+    # consistent with the sample and distinct from zero at the threshold.
+    fc = materialize(step_class(), threshold, threshold + 2)
+    row = fc.row(threshold + 1)
+    assert all(row[x] == y for x, y in sample)
+    assert row[threshold] == 1
 
 
 def test_escape_witness_rejects_one_labels():

@@ -981,11 +981,11 @@ def test_witnesses_strictly_increase():
         goedel_class(inconsistent_toy()),
         goedel_prefix_class(inconsistent_toy_at(3)),
         step_class(),
-        IndexedClass(evaluate=step_eval_oracle, provenance="read"),
+        IndexedClass(evaluate=step_eval_oracle),
     ):
         for window in ((5, 64), (5, 40), (6, 100), (4, 16)):  # masked, closed-form and read
             fc = materialize(ic, *window)
-            assert increasing(fc), (ic.provenance, window)
+            assert increasing(fc), (ic, window)
 
 
 def _pac_rare_point_setup(support: int, rarity: int = 16):
@@ -1166,7 +1166,7 @@ def _window_cases(halters, loopers, beaver):
             (goedel_prefix_class(fs), lambda m, n, t=fs.theorem: goedel_prefix_eval_oracle(t, m, n))
         )
     cases.append((step_class(), step_eval_oracle))
-    cases.append((IndexedClass(evaluate=step_eval_oracle, provenance="read"), step_eval_oracle))
+    cases.append((IndexedClass(evaluate=step_eval_oracle), step_eval_oracle))
     return cases
 
 
@@ -1228,7 +1228,7 @@ def test_generic_window_matches_definitional_scan_on_irregular_tables(
     pool = data.draw(st.lists(row, min_size=1, max_size=8))
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
     table = [rng.choice(pool) for _ in range(index_count)]
-    ic = IndexedClass(evaluate=lambda m, n: table[m][n], provenance="table")
+    ic = IndexedClass(evaluate=lambda m, n: table[m][n])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classes, "BATCH_CELLS", batch_cells)
         fc = materialize(ic, domain_max, index_count)
@@ -1239,8 +1239,8 @@ def test_generic_window_matches_definitional_scan_on_irregular_tables(
 def test_generic_window_calls_the_evaluator_once_per_cell(domain_max, batches):
     # Several full batches and a partial one, read by columns on 4 points
     # and by rows on 300 (a batch there holds fewer indexes than points).
-    # The thresholds under step_class's label, through another function,
-    # are read too: the label does not choose the closed form.
+    # The thresholds through a function other than step_class's own are
+    # read too: only that function chooses the closed form.
     width = domain_max + 1
     index_count = batches * (classes.BATCH_CELLS // width) + 5
     hits = bytearray(width * index_count)
@@ -1249,7 +1249,7 @@ def test_generic_window_calls_the_evaluator_once_per_cell(domain_max, batches):
         hits[m * width + n] += 1
         return step_eval_oracle(m, n)
 
-    fc = materialize(IndexedClass(evaluate=evaluate, provenance="step"), domain_max, index_count)
+    fc = materialize(IndexedClass(evaluate=evaluate), domain_max, index_count)
     assert hits == b"\x01" * len(hits)
     rows, witnesses = naive_materialize(step_eval_oracle, domain_max, index_count)
     assert list(fc.concepts) == rows and list(fc.witnesses) == witnesses
@@ -1260,7 +1260,7 @@ def test_generic_window_memory_is_bounded_by_its_batch():
     # well below one transpose of the whole window into row tuples (about
     # 8 MB).  The evaluator is not step_class's own, which is never read.
     domain_max, index_count = 1000, 1001
-    ic = IndexedClass(evaluate=step_eval_oracle, provenance="counted")
+    ic = IndexedClass(evaluate=step_eval_oracle)
     columns = [bytes(map(ic.evaluate, range(index_count), itertools.repeat(n))) for n in range(domain_max + 1)]
     tracemalloc.start()
     try:
@@ -1339,13 +1339,13 @@ def _lying_class(base: IndexedClass, cell=None):
         calls.append((m, n))
         return base.evaluate(m, n) ^ ((m, n) == cell)
 
-    return IndexedClass(evaluate=evaluate, provenance=base.provenance, active=base.active), calls
+    return IndexedClass(evaluate=evaluate, active=base.active), calls
 
 
 def _witness_holds(ic: IndexedClass, points: list[int]) -> bool:
     """Whether tree_witness accepts the uniform tree on the sorted, distinct
     `points`, given to its active labeling as the class's only active ones."""
-    ic = IndexedClass(evaluate=ic.evaluate, provenance=ic.provenance, active=set(points).__contains__)
+    ic = IndexedClass(evaluate=ic.evaluate, active=set(points).__contains__)
     try:
         tree = tree_witness(ic, len(points), "active")
     except WitnessUnresolvedError:
@@ -1428,7 +1428,7 @@ def test_masked_materialize_reads_only_the_activity_predicate(halters, loopers):
             calls["active"] += 1
             return base.active(n)
 
-        ic = IndexedClass(evaluate=evaluate, provenance=base.provenance, active=active)
+        ic = IndexedClass(evaluate=evaluate, active=active)
         for domain_max in (0, 1, 5, 12):
             for index_count in (1, 2, 3, 7, 64, 100, 4096, 5000):
                 calls.update(evaluate=0, active=0)

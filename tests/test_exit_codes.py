@@ -249,3 +249,25 @@ def test_json_class_spec_still_accepted(tmp_path):
     proc = run_cli("dim", "--class", str(path), "--window", "5")
     check_run(proc, 0)
     assert proc.stdout == "vc on window (5, 64): 3\n"
+
+
+BAD_MACHINE_FILES = {
+    "malformed": b"states: q0\n",
+    "not-utf-8": "states: caf\xe9\n".encode("latin-1"),
+}
+LOADING_COMMANDS = {
+    "simulate": lambda path: ["simulate", path],
+    "suite": lambda path: ["suite", HALT3, path],
+    "dim": lambda path: ["dim", "--class", f"halting:{path}"],
+}
+
+
+@pytest.mark.parametrize("content", BAD_MACHINE_FILES.values(), ids=list(BAD_MACHINE_FILES))
+@pytest.mark.parametrize("command", LOADING_COMMANDS)
+def test_bad_machine_file_exit_1_naming_the_file(tmp_path, command, content):
+    path = tmp_path / "bad.tm"
+    path.write_bytes(content)
+    proc = run_cli(*LOADING_COMMANDS[command](str(path)))
+    check_run(proc, 1)
+    # In a suite of many files the message says which one failed.
+    assert proc.stderr.startswith(f"error: {path}: "), proc.stderr

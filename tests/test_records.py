@@ -8,7 +8,7 @@ import inspect
 
 import pytest
 
-from learndim.classes import Concept, FiniteClass, IndexedClass
+from learndim.classes import FiniteClass, IndexedClass
 from learndim.dimensions import DimensionReport, LittlestoneTree, SaturationReport, TeachingSet
 from learndim.formal import FormalSystem
 from learndim.games import GameTranscript, PacReport
@@ -33,10 +33,9 @@ RECORDS = [
     (FormalSystem, (abs,), "FormalSystem(theorem=<built-in function abs>)"),
     (
         IndexedClass,
-        (max, "step", None),
-        "IndexedClass(evaluate=<built-in function max>, provenance='step', active=None)",
+        (max, None),
+        "IndexedClass(evaluate=<built-in function max>, active=None)",
     ),
-    (Concept, (3,), "Concept(threshold=3)"),
     (
         FiniteClass,
         ((0, 1), (0, 1, 3), (0, 1, 2)),
@@ -98,8 +97,8 @@ def test_record_is_a_frozen_value(cls, values, text):
 
 
 def test_record_defaults_and_checks():
-    assert IndexedClass(max, "step") == IndexedClass(max, "step", None)
-    assert IndexedClass(max, "step").active is None
+    assert IndexedClass(max) == IndexedClass(max, None)
+    assert IndexedClass(max).active is None
     assert RunResult(True, 3) != DeciderVerdict(True, 3)
     with pytest.raises(ValueError, match="2\\*\\*d - 1 nodes, not 2"):
         LittlestoneTree(nodes=(1, 2))

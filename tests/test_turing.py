@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import timeit
 import tracemalloc
 
@@ -93,6 +94,19 @@ def test_bad_transition_lines_report_line_numbers(mutation, fragment):
         parse_tm(bad)
     assert fragment in str(err.value)
     assert err.value.line == 6
+
+
+def test_load_errors_name_the_file_and_keep_the_line(tmp_path):
+    path = tmp_path / "bad.tm"
+    path.write_text(ONE_RULE.replace("q0 _ -> _ R halt", "q0 ? -> _ R halt"), encoding="utf-8")
+    with pytest.raises(MachineParseError) as err:
+        load_tm(path)
+    assert str(err.value) == f"{path}: line 6: unknown symbol '?'"
+    assert err.value.line == 6
+    path.write_bytes(b"states: caf\xe9\n")
+    with pytest.raises(MachineParseError, match="^" + re.escape(f"{path}: 'utf-8' codec")) as err:
+        load_tm(path)
+    assert err.value.line is None
 
 
 def test_duplicate_transition_rejected():
