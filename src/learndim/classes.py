@@ -61,7 +61,8 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-# Concepts whose binary digits FiniteClass.masks joins into one string.
+# Concepts whose binary digits FiniteClass.masks and FiniteClass.concepts
+# join into one string.
 MASK_CHUNK = 4096
 
 # Evaluator cells that materialize reads per batch of indexes on a class
@@ -83,11 +84,6 @@ def _row_code(i: int, vec: tuple, width: int) -> int:
     return _pack(vec)
 
 
-def _unpack(code: int, top: int) -> tuple[int, ...]:
-    """The row packed as `code`, given top = 1 << (number of columns)."""
-    return tuple(bin(code | top)[:2:-1].encode().translate(_BITS))
-
-
 class FiniteClass(Record):
     """Deduplicated restriction of a class to a finite domain window.
 
@@ -102,8 +98,10 @@ class FiniteClass(Record):
 
     Derived and cached on first use: `masks`, the class packed by column
     (one id mask per point), `concepts`, the rows as tuples of 0/1 for
-    output that lists them, and `all_ids`.  `row(i)` builds one row
-    without the others.
+    output that lists them, and `all_ids`.  `masks` and `concepts` are
+    both read off the codes' binary digits MASK_CHUNK concepts at a time,
+    `concepts` by cutting a chunk's digits into rows in bulk rather than
+    decoding row by row.  `row(i)` builds one row without the others.
     """
 
     domain: tuple[int, ...]
@@ -153,13 +151,25 @@ class FiniteClass(Record):
 
     @cached_property
     def concepts(self) -> tuple[tuple[int, ...], ...]:
-        """Per concept, its row: its label on each domain column."""
-        top = 1 << len(self.domain)
-        return tuple([_unpack(code, top) for code in self.codes])
+        """Per concept, its row: its label on each domain column, decoded
+        MASK_CHUNK concepts at a time.  A chunk's codes are written out in
+        binary, each reversed to put column 0 first, joined into one digit
+        string, turned into 0/1 bytes by one translate, and cut into rows of
+        one byte per column, so only the chunk's digits are held at once."""
+        width = len(self.domain)
+        if not width:
+            return ((),) * len(self.codes)
+        top = 1 << width
+        rows: list[tuple[int, ...]] = []
+        for start in range(0, len(self.codes), MASK_CHUNK):
+            chunk = self.codes[start : start + MASK_CHUNK]
+            digits = "".join([bin(code | top)[:2:-1] for code in chunk])
+            rows += zip(*[iter(digits.encode().translate(_BITS))] * width)
+        return tuple(rows)
 
     def row(self, i: int) -> tuple[int, ...]:
         """Concept i's row, built alone: `concepts[i]` without the others."""
-        return _unpack(self.codes[i], 1 << len(self.domain))
+        return tuple(bin(self.codes[i] | 1 << len(self.domain))[:2:-1].encode().translate(_BITS))
 
     @cached_property
     def all_ids(self) -> int:

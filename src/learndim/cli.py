@@ -44,20 +44,24 @@ MEASURES = ("vc", "littlestone", "teaching")
 # The contradiction-gated constructions, the two built on a formal system:
 # dim scans them by growth_schedule and tree labels them by active points.
 CONTRADICTION_GATED = ("goedel", "goedel_prefix")
+CONSTRUCTIONS = ("step", "halting", *CONTRADICTION_GATED)
 
 
 def parse_class_arg(text: str) -> tuple[str, IndexedClass]:
     """The construction a class spec names, and its class.  Spec strings:
     'step', 'goedel:consistent', 'goedel:inconsistent',
     'goedel:inconsistent_at:K', 'goedel_prefix:...', 'halting:PATH', or a
-    path to a JSON config file (see classes.class_from_spec)."""
+    path to a JSON config file (see classes.class_from_spec).  A text whose
+    part before its first ':' names a construction is a spec string, so
+    'halting:m.json' names a machine file; any other text ending in '.json'
+    is a config file."""
     from . import classes
 
-    if text.endswith(".json"):
+    head, _, rest = text.partition(":")
+    if head not in CONSTRUCTIONS and text.endswith(".json"):
         with open(text, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
     else:
-        head, _, rest = text.partition(":")
         spec = {"construction": head}
         if head == "halting":
             spec["machine"] = rest

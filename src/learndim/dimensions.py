@@ -452,26 +452,30 @@ def teaching_set(fc: FiniteClass, concept: Sequence[int]) -> TeachingSet:
     have run out; the subsets actually checked never exceed it.
     """
     i = fc.index_of(concept)
-    return _teacher(fc)(i)
+    return _teacher(fc, _candidate_pairs(fc))(i, fc.row(i))
 
 
-def _teacher(fc: FiniteClass) -> Callable[[int], TeachingSet]:
-    """`teaching_set` by concept id, with what the forced-point rule and the
-    search need computed once per class: the set of codes, per candidate
-    point (in point order) its column's bit and its two labelled examples,
-    shared by every answer that lists the point, and the plain search's
-    checks before each size, charged against DEFAULT_SEARCH_BUDGET."""
-    codes = set(fc.codes)
+def _candidate_pairs(fc: FiniteClass) -> list[tuple[int, tuple]]:
+    """Per candidate point (a column on which the class varies), in point
+    order, its column and its two labelled examples, shared by every
+    answer that lists the point."""
     varying = reduce(or_, fc.codes) & ~reduce(and_, fc.codes)
     columns = sorted((x, j) for j, x in enumerate(fc.domain) if varying >> j & 1)
-    c = len(columns)
-    flips = [1 << j for _, j in columns]
-    pairs = [(j, ((x, 0), (x, 1))) for x, j in columns]
+    return [(j, ((x, 0), (x, 1))) for x, j in columns]
+
+
+def _teacher(fc: FiniteClass, pairs: list) -> Callable[[int, tuple[int, ...]], TeachingSet]:
+    """`teaching_set` by concept id and row, with what the forced-point rule
+    and the search need computed once per class: the set of codes, per
+    candidate point in `pairs` its column's bit, and the plain search's
+    checks before each size, charged against DEFAULT_SEARCH_BUDGET."""
+    codes = set(fc.codes)
+    c = len(pairs)
+    flips = [1 << j for j, _ in pairs]
     # The plain search checks below[s] subsets before size s.
     below = list(accumulate((comb(c, s) for s in range(c)), initial=0))
 
-    def teach(i: int) -> TeachingSet:
-        target = fc.row(i)
+    def teach(i: int, target: tuple[int, ...]) -> TeachingSet:
         if len(fc.codes) == 1:
             return TeachingSet(target=target, examples=())
         code = fc.codes[i]
@@ -517,9 +521,31 @@ def _teacher(fc: FiniteClass) -> Callable[[int], TeachingSet]:
 
 
 def teaching_dim(fc: FiniteClass) -> DimensionReport:
-    """Worst-case minimum teaching set size, with all per-concept sets."""
+    """Worst-case minimum teaching set size, with all per-concept sets, each
+    as `teaching_set` gives it for the concept's row in `fc.concepts`.
+
+    A class of more than one concept with exactly 2**c concepts over its c
+    candidate points is the full cube on them: its concepts are distinct
+    and agree off those points.  Every neighbour is then in the class, so
+    every candidate is forced for every concept and teaches it, and all the
+    sets are built at once, the examples read off each row in point order.
+    The charge is `teaching_set`'s for such a concept, all 2**c subsets, so
+    a budget below it fails with the same message.  One concept charges
+    nothing and answers 0 at any budget; every other class is taught
+    concept by concept.
+    """
     _require_nonempty(fc)
-    sets = list(map(_teacher(fc), range(len(fc.codes))))
+    pairs = _candidate_pairs(fc)
+    c = len(pairs)
+    if len(fc.codes) == 1 << c > 1:
+        if 1 << c > DEFAULT_SEARCH_BUDGET:
+            raise _budget_error("teaching_set", c, range(c + 1))
+        sets = [
+            TeachingSet(target=row, examples=tuple([pair[row[j]] for j, pair in pairs]))
+            for row in fc.concepts
+        ]
+    else:
+        sets = list(map(_teacher(fc, pairs), range(len(fc.codes)), fc.concepts))
     value = max(len(ts.examples) for ts in sets)
     return DimensionReport(measure="teaching", value=value, certificate=sets)
 

@@ -232,6 +232,15 @@ def test_class_spec_json_file(capsys, tmp_path):
     assert "vc on window (4, 32): 0" in out
 
 
+def test_class_spec_string_naming_a_json_machine_file(capsys, tmp_path):
+    # A text whose part before its first ':' names a construction is a spec
+    # string, whatever its suffix: only other '.json' texts are config files.
+    machine = tmp_path / "halt3.json"
+    machine.write_text(Path(HALT3).read_text(encoding="utf-8"), encoding="utf-8")
+    code, out, err = run_cli(capsys, "dim", "--class", f"halting:{machine}", "--window", "3")
+    assert (code, out, err) == (0, "vc on window (3, 16): 3\n", "")
+
+
 # The defaults go by the construction a spec names, spelled as a string or
 # as a JSON file: the contradiction-gated constructions (goedel,
 # goedel_prefix) are scanned by growth_schedule and labelled by their

@@ -9,19 +9,22 @@ cube-shaped classes, the states and subtrees the VC sandwich settles, and
 the teaching sets read off Hamming neighbours); a mistake tree's two
 realizability checks against their path-by-path references; materialize
 against the cell-by-cell window scan, also on irregular tables read in many
-batches, and every packed and derived form of a class against its rows;
-plus the generic window's one evaluator call per cell and its batch-bounded
-memory, the step class's closed-form windows (and that only its own
-evaluator takes them), and cost guards on large full-cube and
-near-cube windows (the heap-ordered tree on (16, 2**17) among them), on
-large Hamming balls, wide PAC supports and large PAC samples, and the draw
-counts of PAC trials that stop early and of those that cannot."""
+batches, and every packed and derived form of a class against its rows
+(the rows decoded in bulk against row by row, across word widths, a chunk
+boundary and the three window builders); plus the generic window's one
+evaluator call per cell and its batch-bounded memory, the step class's
+closed-form windows (and that only its own evaluator takes them), and cost
+guards on large full-cube and near-cube windows (the heap-ordered tree on
+(16, 2**17), teaching_dim's growth and the row decode's memory among them),
+on large Hamming balls, wide PAC supports and large PAC samples, and the
+draw counts of PAC trials that stop early and of those that cannot."""
 
 from __future__ import annotations
 
 import itertools
 import random
 import time
+import timeit
 import tracemalloc
 from pathlib import Path
 
@@ -147,7 +150,7 @@ def test_measures_match_oracles_with_verified_certificates(fc):
 
 
 @st.composite
-def cube_like_classes(draw) -> FiniteClass:
+def cube_like_classes(draw, full_subcube: bool = False) -> FiniteClass:
     """Classes on which some concepts are settled by their Hamming
     neighbours and others are not.
 
@@ -155,13 +158,16 @@ def cube_like_classes(draw) -> FiniteClass:
     values on the others; sometimes a few of its concepts removed and a few
     added one flip away from it, so that one class mixes concepts whose
     neighbour across every varying column is in it with concepts missing
-    one.  Concept order is shuffled, and the domain shuffled and scaled."""
-    n = draw(st.integers(min_value=1, max_value=8))
-    free = draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=min(n, 5)))
+    one.  With `full_subcube`, always the subcube itself, on a proper
+    subset of at least two columns.  Concept order is shuffled, and the
+    domain shuffled and scaled."""
+    n = draw(st.integers(min_value=1 + full_subcube, max_value=8))
+    most = min(n - full_subcube, 5)
+    free = draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=most))
     codes = [draw(st.integers(min_value=0, max_value=2**n - 1)) & ~sum(1 << j for j in free)]
     for j in free:
         codes += [code | 1 << j for code in codes]
-    if draw(st.booleans()):
+    if not full_subcube and draw(st.booleans()):
         removed = draw(st.sets(st.sampled_from(codes), min_size=1, max_size=min(3, len(codes) - 1)))
         flips = st.tuples(st.sampled_from(codes), st.integers(min_value=0, max_value=n - 1))
         added = [code ^ 1 << j for code, j in draw(st.lists(flips, max_size=3))]
@@ -207,6 +213,44 @@ def test_teaching_sets_and_charges_match_the_plain_search_on_cube_like_classes(f
     assert teaching_dim(fc).certificate == [teaching_set(fc, target) for target in fc.concepts]
 
 
+@settings(max_examples=100, deadline=None)
+@given(cube_like_classes(full_subcube=True))
+def test_teaching_dim_builds_a_full_subcube_certificate_as_teaching_set_does(fc):
+    # teaching_dim builds a full cube's sets in one batch, off the rows,
+    # with one charge of all 2**c subsets of its c candidate points; the
+    # domain is shuffled, so point order is not column order.
+    c = (len(fc.codes) - 1).bit_length()
+    report = teaching_dim(fc)
+    assert report.value == c
+    assert report.certificate == [teaching_set(fc, target) for target in fc.concepts]
+    assert with_budget(2**c, teaching_dim, fc) == report
+    with pytest.raises(BudgetExceededError) as bulk:
+        with_budget(2**c - 1, teaching_dim, fc)
+    with pytest.raises(BudgetExceededError) as single:
+        with_budget(2**c - 1, teaching_set, fc, fc.concepts[0])
+    assert str(bulk.value) == str(single.value)
+
+
+def test_teaching_dim_time_grows_linearly_with_a_full_cube_window():
+    # Four times the concepts (the looper's (14, 2**15) window against its
+    # (12, 2**13) one, each built afresh so its rows are decoded again)
+    # take about five times as long, 0.08 s against 0.016 s on a 2-core x86
+    # VM; work quadratic in the concepts would take sixteen times or more.
+    looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
+    ic = halting_class(looper)
+
+    def best(domain_max):
+        fc = materialize(ic, domain_max, 2 ** (domain_max + 1))
+
+        def run():
+            teaching_dim(FiniteClass(domain=fc.domain, codes=fc.codes, witnesses=fc.witnesses))
+
+        return min(timeit.repeat(run, "gc.enable()", number=1, repeat=5))
+
+    small, large = best(12), best(14)
+    assert large / small < 8, f"(12, 2**13): {small:.4f} s, (14, 2**15): {large:.4f} s"
+
+
 def test_teaching_dim_resolves_no_concept_by_row(monkeypatch):
     # teaching_dim works by concept id: looking each concept up with
     # index_of, a scan over the codes, would make it quadratic in |C|.
@@ -228,8 +272,9 @@ def test_teaching_dim_resolves_no_concept_by_row(monkeypatch):
 def test_teaching_sets_on_a_full_cube_window_are_the_forced_points():
     # The looper's (11, 4096) window is the full 12-cube.  Every point is
     # forced for every concept (its neighbour across that point is in the
-    # class), so each answer is read off the set of codes: no id mask is
-    # built and no subset search runs.  About 0.03 s on a 2-core x86 VM,
+    # class), so every answer is all the points, built at once off the
+    # rows: no id mask is built and no subset search runs.  About 0.007 s
+    # on a 2-core x86 VM, 0.015 s by a set-of-codes lookup per concept,
     # 0.2 s for the forced-set search and over 20 s for a greedy cover
     # followed by a search from size 0.  The charge is still the plain
     # search's, all 2**12 subsets of the 12 candidate points.
@@ -1316,6 +1361,73 @@ def test_from_rows_packs_like_the_row_reference(data, width):
     for i, row in enumerate(rows):
         first.setdefault(row, i)
     _assert_packs_rows(FiniteClass.from_rows(domain, rows), list(first), list(first.values()))
+
+
+def _assert_concepts_decode_row_by_row(fc: FiniteClass) -> None:
+    """fc.concepts, decoded in bulk, holds fc.row(i) for each concept i,
+    tuples of plain ints."""
+    assert fc.concepts == tuple(fc.row(i) for i in range(len(fc.codes)))
+    assert all(type(row) is tuple for row in fc.concepts)
+    assert all(type(label) is int for row in fc.concepts for label in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([0, 1, 8, 63, 64, 65, 130]))
+def test_concepts_decode_in_bulk_as_row_by_row(data, width):
+    # Widths either side of a machine word, and the empty domain, whose
+    # one possible concept is the empty row.
+    codes = data.draw(
+        st.lists(st.integers(min_value=0, max_value=2**width - 1), max_size=40, unique=True)
+    )
+    domain = data.draw(st.permutations([3 * i for i in range(width)]))
+    rows = [tuple(code >> j & 1 for j in range(width)) for code in codes]
+    _assert_concepts_decode_row_by_row(FiniteClass.from_rows(domain, rows))
+
+
+def test_concepts_decode_across_a_chunk_boundary():
+    # More than MASK_CHUNK concepts, so the rows come from two chunks.
+    rng = random.Random(29)
+    for width in (13, 65):
+        codes: set[int] = set()
+        while len(codes) <= classes.MASK_CHUNK:
+            codes.add(rng.getrandbits(width))
+        rows = [tuple(code >> j & 1 for j in range(width)) for code in codes]
+        fc = FiniteClass.from_rows(range(width), rows)
+        assert len(fc.codes) > classes.MASK_CHUNK
+        _assert_concepts_decode_row_by_row(fc)
+        assert list(fc.concepts) == rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.data(),
+    st.integers(min_value=0, max_value=9),
+    st.integers(min_value=1, max_value=1100),
+)
+def test_concepts_decode_in_bulk_on_every_window_builder(
+    halters, loopers, beaver, data, domain_max, index_count
+):
+    # The gated classes' masked witness lists, step's closed form, and the
+    # thresholds read through another evaluator by _read_window.
+    ic, _ = data.draw(st.sampled_from(_window_cases(halters, loopers, beaver)))
+    _assert_concepts_decode_row_by_row(materialize(ic, domain_max, index_count))
+
+
+def test_concepts_memory_beyond_the_rows_is_bounded_by_a_chunk():
+    # The looper's (15, 2**16) window: its rows take about 11 MB, and the
+    # decode peaks about 0.63 MB above them, most of it the list the rows
+    # are gathered in.  Decoding every code in one chunk peaked about
+    # 2.04 MB above them.
+    looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
+    fc = materialize(halting_class(looper), 15, 2**16)
+    tracemalloc.start()
+    try:
+        rows = fc.concepts
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 2**16
+    assert peak - held <= 2**20, (held, peak)
 
 
 def test_masks_across_chunk_boundaries(monkeypatch):

@@ -151,6 +151,14 @@ def test_budget_and_usage_messages():
         assert proc.stderr == "error: escape witness requires a nonempty sample\n"
 
 
+def test_missing_json_class_spec_is_one_error_line(tmp_path):
+    # A '.json' text naming no construction is still read as a config file.
+    missing = tmp_path / "x.json"
+    proc = run_cli("dim", "--class", str(missing), "--window", "3")
+    check_run(proc, 1)
+    assert proc.stderr == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
 def test_littlestone_window_past_the_unpruned_state_budget():
     # The looper's window 13 is the full 14-cube: its 3**14 unpruned
     # Littlestone states exceed the search budget; the VC sandwich settles
