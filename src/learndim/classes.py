@@ -102,6 +102,8 @@ class FiniteClass(Record):
     both read off the codes' binary digits MASK_CHUNK concepts at a time,
     `concepts` by cutting a chunk's digits into rows in bulk rather than
     decoding row by row.  `row(i)` builds one row without the others.
+    `column(x)` and `labelled(x, y)` read per-point maps, built once in
+    O(|domain|): `_columns` from the domain, `_label_masks` from `masks`.
     """
 
     domain: tuple[int, ...]
@@ -127,10 +129,24 @@ class FiniteClass(Record):
             raise ValueError("concept not in class") from None
 
     def column(self, x: int) -> int:
+        """The column of point x, by one lookup in `_columns`."""
         try:
-            return self.domain.index(x)
-        except ValueError:
+            return self._columns[x]
+        except (KeyError, TypeError):  # TypeError: an unhashable point
             raise ValueError(f"point {x} not in domain window") from None
+
+    @cached_property
+    def _columns(self) -> dict[int, int]:
+        """Per domain point, its column."""
+        return {x: j for j, x in enumerate(self.domain)}
+
+    @cached_property
+    def _label_masks(self) -> dict[int, tuple[int, int]]:
+        """Per domain point, the id masks of the concepts labelling it 0 and
+        1, read once off `masks`.  Kept apart from `_columns`, so that a
+        caller that needs only columns (`is_shattered`, say) builds no masks."""
+        full = self.all_ids
+        return {x: (ones ^ full, ones) for x, ones in zip(self.domain, self.masks)}
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -177,9 +193,13 @@ class FiniteClass(Record):
         return (1 << len(self.codes)) - 1
 
     def labelled(self, x: int, y: int) -> int:
-        """Bitmask of the concepts labelling point x with y."""
-        ones = self.masks[self.column(x)]
-        return ones if y else ones ^ self.all_ids
+        """Bitmask of the concepts labelling point x with y, by one lookup in
+        `_label_masks`."""
+        try:
+            zeros, ones = self._label_masks[x]
+        except (KeyError, TypeError):  # TypeError: an unhashable point
+            raise ValueError(f"point {x} not in domain window") from None
+        return ones if y else zeros
 
 
 def masked_sequence_class(active: Callable[[int], bool]) -> IndexedClass:

@@ -167,9 +167,15 @@ def cmd_dim(args) -> int:
         n, m = _window(args)
         fc = classes.materialize(ic, n, m)
         report = dimensions.MEASURES[args.measure](fc)
+        # Each certificate is checked before anything is written.
         if args.measure == "vc" and not dimensions.is_shattered(fc, report.certificate):
             raise WitnessUnresolvedError(
                 f"vc certificate {list(report.certificate)} is not shattered on window ({n}, {m})"
+            )
+        if args.measure == "littlestone" and not report.certificate.verify_against(fc):
+            raise WitnessUnresolvedError(
+                f"littlestone certificate of depth {report.certificate.depth} "
+                f"is not realizable on window ({n}, {m})"
             )
         if args.export_class:
             _export_class(fc, args.export_class)

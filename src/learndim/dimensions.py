@@ -29,6 +29,13 @@ DEFAULT_SEARCH_BUDGET = 2_000_000
 # masks at 2**15 concepts, and count row codes (_shatters) at or past it.
 CELL_BATCH = 1024
 
+# LittlestoneTree.verify_against counts a uniform subtree's ids by their
+# row codes, instead of cutting them at its 2**k - 1 nodes, when that reads
+# at most this many codes per path of the subtree.  A cut costs several
+# times what reading one code does, but on the small, dense classes of the
+# online games reading two codes per path already costs more than cutting.
+CODES_PER_PATH = 1
+
 # Points scanned for active ones by tree_witness and growth_schedule.
 ACTIVE_SCAN_LIMIT = 100_000
 
@@ -84,10 +91,7 @@ class LittlestoneTree(Record):
     @classmethod
     def uniform(cls, layer_points: Sequence[int]) -> "LittlestoneTree":
         """Tree labelling every node of layer k by layer_points[k]."""
-        depth = len(layer_points)
-        # Same test as 2**depth > DEFAULT_SEARCH_BUDGET, without building 2**depth.
-        if depth >= DEFAULT_SEARCH_BUDGET.bit_length():
-            raise BudgetExceededError(f"depth-{depth} tree has over {DEFAULT_SEARCH_BUDGET} paths")
+        _refuse_tree_depth(len(layer_points))
         return cls(tuple(chain.from_iterable([x] * (1 << k) for k, x in enumerate(layer_points))))
 
     @property
@@ -104,15 +108,62 @@ class LittlestoneTree(Record):
             yield tuple((bits >> i) & 1 for i in range(self.depth))
 
     def verify_against(self, fc: FiniteClass) -> bool:
-        """Every path is realized by some concept of the finite class: the ids
-        consistent with each node's path, cut once per edge, are never empty."""
+        """Every path is realized by some concept of the finite class.
+
+        Walking down from the root, the ids consistent with a node's path
+        are cut once per edge, and must never be empty.  A node whose
+        subtree of k >= 2 layers is uniform, each layer slice
+        nodes[(v << j) - 1 : ((v + 1) << j) - 1] holding one point, is
+        instead checked by one count: its paths are realized exactly when
+        those ids shatter its layer points, one `_shatters` call on their
+        codes.  A point repeated in its layers, or one already fixed above
+        it, fails that count, as it must.  The count reads the codes up to
+        the highest id in the set, so a node is counted only when that is
+        at most CODES_PER_PATH codes per path of its subtree (the root of
+        a full cube, say), and its slices are read only then.  Any other
+        node is cut, so a tree that is nowhere uniform costs one cut per
+        edge, as with no count at all.
+        """
+        nodes, depth = self.nodes, self.depth
+
         def realized(v: int, ids: int) -> bool:
-            if not ids or v > len(self.nodes):
+            if not ids or v > len(nodes):
                 return ids != 0
-            ones = ids & fc.labelled(self.nodes[v - 1], 1)
+            k = depth + 1 - v.bit_length()
+            if k > 1 and ids.bit_length() <= CODES_PER_PATH << k:
+                layers = self._layer_points(v, k)
+                if layers is not None:
+                    return _shatters(_codes_of(fc, ids), [fc.column(x) for x in layers])
+            ones = ids & fc.labelled(nodes[v - 1], 1)
             return realized(2 * v, ids ^ ones) and realized(2 * v + 1, ones)
 
         return realized(1, fc.all_ids)
+
+    def _layer_points(self, v: int, k: int) -> list[int] | None:
+        """The point of each of the k layers of node v's subtree, if each
+        layer slice holds one point; None otherwise."""
+        points = []
+        for j in range(k):
+            layer = self.nodes[(v << j) - 1 : ((v + 1) << j) - 1]
+            if layer.count(layer[0]) < len(layer):
+                return None
+            points.append(layer[0])
+        return points
+
+
+def _codes_of(fc: FiniteClass, ids: int) -> Iterable[int]:
+    """The row codes of the concepts in the id set `ids`, in id order."""
+    if ids == fc.all_ids:
+        return fc.codes
+    # Bit i of ids is the i-th digit of bin(ids) from the end.
+    return compress(fc.codes, map("1".__eq__, bin(ids)[:1:-1]))
+
+
+def _refuse_tree_depth(depth: int) -> None:
+    """BudgetExceededError for a tree of over DEFAULT_SEARCH_BUDGET paths:
+    the test 2**depth > DEFAULT_SEARCH_BUDGET, without building 2**depth."""
+    if depth >= DEFAULT_SEARCH_BUDGET.bit_length():
+        raise BudgetExceededError(f"depth-{depth} tree has over {DEFAULT_SEARCH_BUDGET} paths")
 
 
 def _shattered_prefix(fc: FiniteClass, ids: int, count: int) -> list[int] | None:
@@ -146,10 +197,7 @@ def _shattered_prefix(fc: FiniteClass, ids: int, count: int) -> list[int] | None
     else:
         return None
     if half >= CELL_BATCH:
-        codes = fc.codes
-        if ids != fc.all_ids:  # bit i of ids is the i-th digit of bin(ids) from the end
-            codes = compress(codes, map("1".__eq__, bin(ids)[:1:-1]))
-        return points if _shatters(codes, points) else None
+        return points if _shatters(_codes_of(fc, ids), points) else None
     cells = [ids]
     for ones in splits:
         cells = _cut(cells, ones, 1)
@@ -589,11 +637,16 @@ def tree_witness(ic: IndexedClass, depth: int, labeling: str = "layer") -> Littl
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    if labeling not in ("layer", "active"):
+        raise ValueError(f"unknown labeling {labeling!r}")
+    if labeling == "active" and ic.active is None:
+        raise ValueError("active labeling requires a class with an activity predicate")
+    # Before any point is listed: past 2**63 - 1, len(range(depth)) and
+    # islice(..., depth) overflow.
+    _refuse_tree_depth(depth)
     if labeling == "layer":
         layer_points = range(depth)
-    elif labeling == "active":
-        if ic.active is None:
-            raise ValueError("active labeling requires a class with an activity predicate")
+    else:
         actives = (n for n in range(ACTIVE_SCAN_LIMIT + 1) if ic.active(n))
         layer_points = list(islice(actives, depth))
         if len(layer_points) < depth:
@@ -603,8 +656,6 @@ def tree_witness(ic: IndexedClass, depth: int, labeling: str = "layer") -> Littl
             )
         if layer_points and 1 << layer_points[-1] >= MAX_CODE:
             raise WitnessUnresolvedError(f"active point {layer_points[-1]} needs an index past 2**64")
-    else:
-        raise ValueError(f"unknown labeling {labeling!r}")
 
     tree = LittlestoneTree.uniform(layer_points)
     evaluate, half = ic.evaluate, depth // 2

@@ -160,7 +160,10 @@ class MajorityFlipAdversary:
     """Asks the most contested point and reveals the minority label.
 
     Shrinks the version space as fast as labels can be flipped against the
-    crowd while staying realizable; ignores the learner's guess.
+    crowd while staying realizable; ignores the learner's guess.  The most
+    contested point is the first in domain order whose minority side,
+    min(count, size - count) = (size - |size - 2 count|) / 2, is largest:
+    the first that minimizes |size - 2 count|.
     """
 
     def __init__(self, fc: FiniteClass):
@@ -168,10 +171,10 @@ class MajorityFlipAdversary:
         self.ids = fc.all_ids
 
     def question(self) -> int:
-        size = self.ids.bit_count()
-        counts = [(self.ids & ones).bit_count() for ones in self.fc.masks]
-        minorities = [min(size - count, count) for count in counts]
-        return self.fc.domain[minorities.index(max(minorities))]
+        ids = self.ids
+        size = ids.bit_count()
+        gaps = [abs(size - 2 * (ids & ones).bit_count()) for ones in self.fc.masks]
+        return self.fc.domain[gaps.index(min(gaps))]
 
     def reveal(self, x: int, guess: int) -> int:
         ones = (self.ids & self.fc.labelled(x, 1)).bit_count()
@@ -219,9 +222,10 @@ def play_online_game(
             raise ProtocolViolationError("revealed history is unrealizable", t)
         # The lowest consistent id only grows with the history, so each
         # witness row is built once and shared by its rounds.
-        if _lowest_id(consistent) != witness_id:
-            witness_id = _lowest_id(consistent)
-            witness = fc.row(witness_id)
+        lowest = _lowest_id(consistent)
+        if lowest != witness_id:
+            witness_id = lowest
+            witness = fc.row(lowest)
         witnesses.append(witness)
         rounds.append((x, guess, truth))
         if guess != truth:

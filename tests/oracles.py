@@ -16,9 +16,10 @@ texts by checking each name with a scan of the declared names, machine
 runs by walking the transition table, prefix consistency by comparing
 every pair of theorems, class windows by evaluating every cell, a
 class's packed forms by reading its rows cell by cell, the PAC
-experiment by scoring every row on every drawn example, and a mistake
+experiment by scoring every row on every drawn example, a mistake
 tree's checks path by path from its labels: against a finite class's rows,
-and constructively by collecting each path's wanted labels.
+and constructively by collecting each path's wanted labels, and the flip
+adversary by counting the labels of its consistent rows.
 """
 
 from __future__ import annotations
@@ -586,6 +587,37 @@ def naive_verify_against(labels: dict[tuple[int, ...], int], fc: FiniteClass) ->
         any(all(row[col[x]] == y for x, y in points) for row in fc.concepts)
         for _, points in _tree_paths(labels)
     )
+
+
+class NaiveMajorityFlipAdversary:
+    """The flip adversary on rows: asks the first point whose minority side,
+    min(zeros, ones) over the consistent rows, is largest, and reveals the
+    label fewer of them carry (ties 0), unless none carries it."""
+
+    def __init__(self, fc: FiniteClass):
+        self.domain = fc.domain
+        self.rows = list(fc.concepts)
+
+    def _ones(self, col: int) -> int:
+        return sum(row[col] for row in self.rows)
+
+    def question(self) -> int:
+        size = len(self.rows)
+        minority = [min(ones, size - ones) for ones in map(self._ones, range(len(self.domain)))]
+        return self.domain[minority.index(max(minority))]
+
+    def reveal(self, x: int, guess: int) -> int:
+        col = self.domain.index(x)
+        ones = self._ones(col)
+        zeros = len(self.rows) - ones
+        if ones == 0:
+            truth = 0
+        elif zeros == 0:
+            truth = 1
+        else:
+            truth = 1 if ones < zeros else 0
+        self.rows = [row for row in self.rows if row[col] == truth]
+        return truth
 
 
 def naive_verify_constructive(tree, ic) -> bool:

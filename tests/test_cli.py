@@ -88,6 +88,21 @@ def test_dim_vc_certificate_checked_before_output(capsys, monkeypatch):
     assert err == "unresolved: vc certificate [1, 2] is not shattered on window (8, 512)\n"
 
 
+def test_dim_littlestone_certificate_checked_before_output(capsys, monkeypatch):
+    # Thresholds realize no depth-2 tree on points 2 then 1: a report
+    # claiming one exits 3 unprinted.
+    def unrealizable(fc):
+        tree = dimensions.LittlestoneTree.uniform((2, 1))
+        return dimensions.DimensionReport(measure="littlestone", value=2, certificate=tree)
+
+    monkeypatch.setitem(dimensions.MEASURES, "littlestone", unrealizable)
+    argv = ("dim", "--class", "step", "--measure", "littlestone", "--window", "8")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "unresolved: littlestone certificate of depth 2 is not realizable on window (8, 512)\n"
+
+
 def test_dim_budget_exceeded_exit_3(capsys, monkeypatch):
     monkeypatch.setenv("LEARNDIM_EVAL_BUDGET", "64")
     code, out, _ = run_cli(capsys, "dim", "--class", f"halting:{HALT3}", "--measure", "vc")

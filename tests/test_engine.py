@@ -7,7 +7,11 @@ threshold answers, the tree labels and the states they charge, also on
 Hamming balls and subcube unions where the halving cap is loose; on
 cube-shaped classes, the states and subtrees the VC sandwich settles, and
 the teaching sets read off Hamming neighbours); a mistake tree's two
-realizability checks against their path-by-path references; materialize
+realizability checks against their path-by-path references (the finite
+one also on trees uniform below some nodes, with uniform subtrees counted
+nowhere, where they pay or everywhere); the label lookups against the rows
+and domain order; the flip adversary's transcripts against its
+max-of-min reference; materialize
 against the cell-by-cell window scan, also on irregular tables read in many
 batches, and every packed and derived form of a class against its rows
 (the rows decoded in bulk against row by row, across word widths, a chunk
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import time
 import timeit
 import tracemalloc
@@ -68,6 +73,7 @@ from learndim.dimensions import littlestone_memo
 
 from conftest import hypercube_class
 from oracles import (
+    NaiveMajorityFlipAdversary,
     all_patterns_present,
     bit_of,
     goedel_eval_oracle,
@@ -1526,6 +1532,139 @@ def test_verify_against_matches_the_path_by_path_reference(fc, data):
             nodes[v] = data.draw(st.sampled_from(fc.domain))
     tree = LittlestoneTree(tuple(nodes))
     assert tree.verify_against(fc) == naive_verify_against(tree.labels, fc)
+
+
+def with_codes_per_path(limit: int, check, *args):
+    """`check(*args)` with dimensions.CODES_PER_PATH patched to `limit`: 0
+    cuts every node, a huge limit counts every uniform subtree of two or
+    more layers that the walk reaches."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dimensions, "CODES_PER_PATH", limit)
+        return check(*args)
+
+
+@st.composite
+def patchy_trees(draw, fc: FiniteClass, max_depth: int = 5) -> LittlestoneTree:
+    """Trees over fc's domain that are uniform below some nodes and not
+    others.  Each node either takes a point and recurses, or roots a
+    uniform subtree.  Points are mostly ones not fixed above the node, so
+    that many trees hold; a uniform subtree's layers may still repeat one
+    of its own points or take one already fixed above it."""
+    depth = draw(st.integers(min_value=0, max_value=max_depth))
+    nodes = [None] * ((1 << depth) - 1)
+
+    def fill(v: int, above: list[int]) -> None:
+        k = depth + 1 - v.bit_length()
+        if k == 0:
+            return
+        fresh = draw(st.permutations([x for x in fc.domain if x not in above]))
+        fresh = fresh or list(above)  # every point fixed above: the tree cannot hold
+        if k == 1 or not draw(st.booleans()):
+            nodes[v - 1] = draw(st.sampled_from(fresh[:2] + [fc.domain[0]]))
+            fill(2 * v, above + [nodes[v - 1]])
+            fill(2 * v + 1, above + [nodes[v - 1]])
+            return
+        layers = (fresh * k)[:k]
+        flawed = draw(st.integers(min_value=0, max_value=k - 1))
+        flaw = draw(st.sampled_from(["none", "none", "repeat", "above"]))
+        if flaw == "repeat" and flawed:
+            layers[flawed] = layers[draw(st.integers(min_value=0, max_value=flawed - 1))]
+        elif flaw == "above" and above:
+            layers[flawed] = draw(st.sampled_from(above))
+        for j, x in enumerate(layers):
+            nodes[(v << j) - 1 : ((v + 1) << j) - 1] = [x] * (1 << j)
+
+    fill(1, [])
+    return LittlestoneTree(tuple(nodes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(cube_like_classes(), finite_classes()), st.data())
+def test_verify_against_counts_match_the_path_by_path_reference(fc, data):
+    # Counted at no node, at the default switch, and at every uniform
+    # subtree the walk reaches, the answer is the reference's.
+    tree = data.draw(patchy_trees(fc))
+    want = naive_verify_against(tree.labels, fc)
+    for limit in (0, dimensions.CODES_PER_PATH, 2**30):
+        assert with_codes_per_path(limit, tree.verify_against, fc) == want
+
+
+def test_verify_against_counts_a_uniform_subtree_once(monkeypatch):
+    counts: list[list[int]] = []
+    shatters = dimensions._shatters
+
+    def counting(codes, columns):
+        counts.append(list(columns))
+        return shatters(codes, columns)
+
+    def no_cut(self, x, y):
+        raise AssertionError("a counted subtree is not cut")
+
+    monkeypatch.setattr(dimensions, "_shatters", counting)
+    cube = hypercube_class(3)
+    # The full cube's uniform tree: one count on all its codes, no cut.
+    with monkeypatch.context() as mp:
+        mp.setattr(FiniteClass, "labelled", no_cut)
+        assert LittlestoneTree.uniform((0, 1, 2)).verify_against(cube)
+        # A point repeated in the layers fails the count.
+        assert not LittlestoneTree.uniform((0, 1, 0)).verify_against(cube)
+    assert counts == [[0, 1, 2], [0, 1, 0]]
+    # Root 0, then uniform subtrees on (1, 2) and on (0, 2): point 0 is
+    # fixed above the second, so its count sees one label there and fails.
+    counts.clear()
+    tree = LittlestoneTree((0, 1, 0, 2, 2, 2, 2))
+    assert not naive_verify_against(tree.labels, cube)
+    assert not with_codes_per_path(2**30, tree.verify_against, cube)
+    assert counts == [[1, 2], [0, 2]]
+    assert LittlestoneTree((0, 1, 1, 2, 2, 2, 2)).verify_against(cube)
+
+
+def test_verify_against_counts_an_optimal_cube_tree_at_its_root(monkeypatch):
+    looper = load_tm(Path(__file__).resolve().parents[1] / "machines" / "loop.tm")
+    fc = materialize(halting_class(looper), 13, 2**14)
+    tree = littlestone_dim(fc).certificate
+    calls = []
+    shatters = dimensions._shatters
+    monkeypatch.setattr(dimensions, "_shatters", lambda codes, columns: calls.append(codes) or shatters(codes, columns))
+    monkeypatch.setattr(FiniteClass, "labelled", None)  # any cut would fail
+    assert tree.verify_against(fc)
+    assert calls == [fc.codes]
+
+
+@settings(max_examples=100, deadline=None)
+@given(finite_classes())
+def test_label_lookups_match_the_rows_and_domain_order(fc):
+    fresh = FiniteClass(domain=fc.domain, codes=fc.codes, witnesses=fc.witnesses)
+    assert [fresh.column(x) for x in fc.domain] == [fc.domain.index(x) for x in fc.domain]
+    assert "masks" not in vars(fresh)  # a column lookup builds no masks
+    ones = reference_masks(fc.concepts, len(fc.domain))
+    for x, mask in zip(fc.domain, ones):
+        assert fc.labelled(x, 1) == mask
+        assert fc.labelled(x, 0) == mask ^ fc.all_ids
+    for x in (max(fc.domain) + 1, -1, 0.5, "0", [0]):
+        for lookup in (fc.column, lambda x: fc.labelled(x, 0), lambda x: fc.labelled(x, 1)):
+            with pytest.raises(ValueError, match=re.escape(f"point {x} not in domain window")):
+                lookup(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(finite_classes(), cube_like_classes()),
+    st.sampled_from(["soa", "const0", "const1", "random"]),
+    st.integers(min_value=0, max_value=2**16),
+    st.integers(min_value=0, max_value=16),
+)
+def test_flip_transcripts_match_the_max_of_min_reference(fc, learner, seed, rounds):
+    def play(adversary):
+        player = {
+            "soa": lambda: SOALearner(fc),
+            "const0": lambda: ConstantLearner(0),
+            "const1": lambda: ConstantLearner(1),
+            "random": lambda: RandomLearner(seed),
+        }[learner]()
+        return play_online_game(fc, player, adversary, rounds)
+
+    assert play(MajorityFlipAdversary(fc)) == play(NaiveMajorityFlipAdversary(fc))
 
 
 def test_masked_materialize_reads_only_the_activity_predicate(halters, loopers):

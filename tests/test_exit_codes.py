@@ -85,6 +85,9 @@ MATRIX = [
     # Depths.
     (["tree", "--class", "step", "--depth", "-1"], None, 1),
     (["tree", "--class", "step", "--depth", "25"], None, 3),
+    # Past 2**63 - 1, refused before the layer points are listed.
+    (["tree", "--class", "step", "--depth", str(2**63)], None, 3),
+    (["tree", "--class", "goedel:inconsistent", "--depth", str(2**63)], None, 3),
     (["tree", "--class", "goedel:inconsistent", "--depth", "7"], None, 3),
     (["tree", "--class", "goedel:inconsistent", "--depth", "6"], None, 0),
     (["tree", "--class", "step", "--depth", "2", "--labeling", "active"], None, 1),
@@ -145,6 +148,10 @@ def test_budget_and_usage_messages():
     assert "needs at least 2**14616 evaluator calls" in proc.stderr
     proc = run_cli("dim", "--class", "step", "--window", "x")
     assert proc.stderr == "error: argument --window: invalid int value: 'x'\n"
+    # A depth whose range has no len() gets the same refusal as 2**63 - 1.
+    for depth in (2**63 - 1, 2**63):
+        proc = run_cli("tree", "--class", "step", "--depth", str(depth))
+        assert proc.stderr == f"budget exceeded: depth-{depth} tree has over 2000000 paths\n"
     # An empty --escape sample is still an escape request.
     for sample in ("", ","):
         proc = run_cli("teach", "--escape", sample)
